@@ -14,6 +14,8 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -78,16 +80,63 @@ def _load_panels(args: argparse.Namespace) -> tuple[AssetPanel, GdpPanel]:
     return read_asset_file(asset_path), read_gdp_file(gdp_path)
 
 
+def _checked(parse):
+    """Turn a parser that raises ValueError into an argparse type, so a bad
+    value is a usage error (exit 2) that names the problem."""
+
+    def argtype(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+    return argtype
+
+
 def _parse_years(text: str) -> list[int]:
     years: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            years.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"year range {part} runs backwards")
+            years.extend(range(lo, hi + 1))
         else:
             years.append(int(part))
     return years
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _spec_value(field: str, text: str) -> float:
+    """A float that LgdSpec accepts as its `field` (d1, d2 or haircut)."""
+    value = float(text)
+    replace(LgdSpec(0.0, 0.0), **{field: value})
+    return value
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _spec_grid(field: str, text: str) -> str:
+    """A comma list of `field` values; kept as text for the header echo."""
+    for value in text.split(","):
+        _spec_value(field, value)
+    return text
+
+
+def _check_lgd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject grids whose only point is the skipped d1 = d2 = 0: a check
+    across two flags, which no single argparse type can make."""
+    if all(d1 == d2 == 0.0 for d1 in _floats(args.d1_grid) for d2 in _floats(args.d2_grid)):
+        parser.error("the threshold grids hold no point besides d1 = d2 = 0, which is skipped")
 
 
 def _rule_from_args(args: argparse.Namespace) -> ThresholdRule:
@@ -195,7 +244,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_fit_lognormal(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = _parse_years(args.years)
+    years = args.years
     slices = [core_slice(assets, gdp, year) for year in years]
     if args.pooled:
         fits = [fit_lognormal_pooled(slices, correction_factor=args.correction)]
@@ -223,7 +272,7 @@ def cmd_gen_null(args: argparse.Namespace) -> int:
 
 def cmd_knockout(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = _parse_years(args.years)
+    years = args.years
     slices = [core_slice(assets, gdp, year) for year in years]
     rule = _rule_from_args(args)
     if args.model == "empirical":
@@ -251,7 +300,7 @@ def cmd_knockout(args: argparse.Namespace) -> int:
 
 def cmd_ci_table(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = _parse_years(args.years)
+    years = args.years
     rules = [r.strip() for r in args.rules.split(",")]
     models = NULL_MODEL_KINDS if args.models == "all" else [m.strip() for m in args.models.split(",")]
     reports = []
@@ -318,9 +367,9 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
 
 def cmd_lgd_sweep(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = _parse_years(args.years)
-    grid1 = tuple(float(v) for v in args.d1_grid.split(","))
-    grid2 = tuple(float(v) for v in args.d2_grid.split(","))
+    years = args.years
+    grid1 = _floats(args.d1_grid)
+    grid2 = _floats(args.d2_grid)
     summaries = []
     for year in years:
         slice_ = core_slice(assets, gdp, year)
@@ -389,7 +438,8 @@ def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="max parallel workers (default %(default)s)")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     if years:
-        parser.add_argument("--years", required=True, help="year list/range, e.g. 2007 or 2001-2009")
+        parser.add_argument("--years", type=_checked(_parse_years), required=True,
+                            help="year list/range, e.g. 2007 or 2001-2009")
     else:
         parser.add_argument("--year", type=int, required=True, help="data year")
 
@@ -399,6 +449,12 @@ def _add_rule(parser: argparse.ArgumentParser) -> None:
                         help="thresholding rule (default %(default)s)")
     parser.add_argument("--t", type=float, default=DEFAULT_GDP_THRESHOLD,
                         help="rule-B GDP fraction threshold (default %(default)s)")
+
+
+D1 = _checked(partial(_spec_value, "d1"))
+D2 = _checked(partial(_spec_value, "d2"))
+HAIRCUT = _checked(partial(_spec_value, "haircut"))
+POSITIVE = _checked(_positive_int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,29 +521,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lgd", help="single loss-given-default cascade trace")
     _add_common(p)
     p.add_argument("--initial", required=True, help="comma list of initially defaulting countries")
-    p.add_argument("--d1", type=float, required=True, help="portfolio-fraction threshold")
-    p.add_argument("--d2", type=float, required=True, help="GDP-fraction threshold")
-    p.add_argument("--haircut", type=float, default=1.0)
+    p.add_argument("--d1", type=D1, required=True, help="portfolio-fraction threshold")
+    p.add_argument("--d2", type=D2, required=True, help="GDP-fraction threshold")
+    p.add_argument("--haircut", type=HAIRCUT, default=1.0)
     p.set_defaults(func=cmd_lgd)
 
     p = sub.add_parser("lgd-sweep", help="impact summaries over a threshold grid")
     _add_common(p, years=True)
-    p.add_argument("--d1-grid", default=",".join(str(v) for v in COARSE_THRESHOLDS))
-    p.add_argument("--d2-grid", default=",".join(str(v) for v in COARSE_THRESHOLDS))
+    p.add_argument("--d1-grid", type=_checked(partial(_spec_grid, "d1")),
+                   default=",".join(str(v) for v in COARSE_THRESHOLDS))
+    p.add_argument("--d2-grid", type=_checked(partial(_spec_grid, "d2")),
+                   default=",".join(str(v) for v in COARSE_THRESHOLDS))
     p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--haircut", type=float, default=1.0)
+    p.add_argument("--haircut", type=HAIRCUT, default=1.0)
     p.add_argument("--ranking-out", help="optional CSV of influence rankings")
-    p.add_argument("--top-n", type=int, default=10)
-    p.set_defaults(func=cmd_lgd_sweep)
+    p.add_argument("--top-n", type=POSITIVE, default=10)
+    p.set_defaults(func=cmd_lgd_sweep, check=partial(_check_lgd_sweep, p))
 
     p = sub.add_parser("pigs-grid", help="fine threshold grid for a country group")
     _add_common(p)
     p.add_argument("--group", required=True, help="comma list of group members")
-    p.add_argument("--d1-max", type=float, default=FINE_D1_MAX)
-    p.add_argument("--d1-points", type=int, default=FINE_D1_POINTS)
-    p.add_argument("--d2-max", type=float, default=FINE_D2_MAX)
-    p.add_argument("--d2-points", type=int, default=FINE_D2_POINTS)
-    p.add_argument("--haircut", type=float, default=1.0)
+    p.add_argument("--d1-max", type=D1, default=FINE_D1_MAX)
+    p.add_argument("--d1-points", type=POSITIVE, default=FINE_D1_POINTS)
+    p.add_argument("--d2-max", type=D2, default=FINE_D2_MAX)
+    p.add_argument("--d2-points", type=POSITIVE, default=FINE_D2_POINTS)
+    p.add_argument("--haircut", type=HAIRCUT, default=1.0)
     p.set_defaults(func=cmd_pigs_grid)
 
     return parser
@@ -496,6 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "check" in args:
+        args.check(args)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -6,14 +6,22 @@ investment and a fraction d2 of its GDP. Rounds update synchronously;
 the portfolio denominator stays fixed at its initial value. Both
 inequalities are strict, so at d1 = d2 = 0 any positive exposure to the
 defaulted set triggers default.
+
+One batched kernel, `cascade_rounds`, runs every cascade; it recomputes
+losses from the full defaulted set each round, so its fixed point is that
+of any sequential update order. This is exact for integer-valued panels
+(CPIS reports whole $M). Elsewhere the matmul summation order can differ
+from a column sum in the last bit, which matters only at an exact float
+tie with a threshold.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, islice, repeat
 
 import numpy as np
 
@@ -23,6 +31,10 @@ COARSE_THRESHOLDS = (0.0, 0.1, 0.25, 0.5, 0.75)
 
 FINE_D1_MAX, FINE_D1_POINTS = 0.2, 51
 FINE_D2_MAX, FINE_D2_POINTS = 0.5, 51
+
+# Cascades per kernel call. Bounded blocks keep the kernel's (B, n)
+# temporaries small however many cascades a caller streams through it.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -37,8 +49,8 @@ class LgdSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.d1 <= 1.0:
             raise ValueError(f"d1 must lie in [0, 1], got {self.d1}")
-        if self.d2 < 0.0:
-            raise ValueError(f"d2 must be >= 0, got {self.d2}")
+        if not 0.0 <= self.d2 < math.inf:
+            raise ValueError(f"d2 must be finite and >= 0, got {self.d2}")
         if not 0.0 < self.haircut <= 1.0:
             raise ValueError(f"haircut must lie in (0, 1], got {self.haircut}")
 
@@ -58,52 +70,80 @@ class CascadeResult:
         return len(self.rounds)
 
 
-def _cascade_mask(
-    assets: np.ndarray,
-    totals: np.ndarray,
-    gdp: np.ndarray,
+def cascade_rounds(
+    slice_: AssetSlice,
     initial: np.ndarray,
-    d1: float,
-    d2: float,
+    d1: np.ndarray,
+    d2: np.ndarray,
     haircut: float,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Mask-level cascade; returns the final default mask and per-round masks.
+) -> np.ndarray:
+    """Batched cascade kernel: one cascade per row of the (B, n) boolean
+    initial-default matrix, with per-row d1 and d2.
 
-    Losses are recomputed from the full defaulted set each round (a fixed
-    summation order), so the fixed point is bitwise identical for
-    synchronous and sequential update schedules.
+    Returns the (B, n) int16 round matrix: the round in which each country
+    defaulted, 0 for the initial set and -1 for survivors. Each synchronous
+    round computes ``haircut * (defaulted @ assets.T)`` afresh for the rows
+    that still move; losses are never added incrementally.
     """
-    defaulted = initial.copy()
-    rounds: list[np.ndarray] = []
-    while True:
-        loss = haircut * assets[:, defaulted].sum(axis=1)
-        newly = ~defaulted & (loss > d1 * totals) & (loss > d2 * gdp)
-        if not newly.any():
-            return defaulted, rounds
-        rounds.append(newly)
-        defaulted = defaulted | newly
+    assets = slice_.assets
+    # Exceeding both thresholds is exceeding the larger one.
+    bar = np.maximum(
+        np.asarray(d1, dtype=float)[:, None] * assets.sum(axis=1),
+        np.asarray(d2, dtype=float)[:, None] * slice_.gdp,
+    )
+    held = np.array(initial, dtype=bool)
+    rounds = np.full(held.shape, -1, dtype=np.int16)
+    rounds[held] = 0
+    moving = np.arange(len(held))
+    round_no = 0
+    while moving.size:
+        round_no += 1
+        loss = haircut * (held.astype(float) @ assets.T)
+        newly = (loss > bar[moving]) & ~held
+        moved = newly.any(axis=1)
+        moving, newly, held = moving[moved], newly[moved], held[moved]
+        block = rounds[moving]
+        block[newly] = round_no
+        rounds[moving] = block
+        held |= newly
+    return rounds
+
+
+def _blocked_rounds(
+    slice_: AssetSlice,
+    initial_sets: Iterable[tuple[int, ...]],
+    d1: Iterable[float],
+    d2: Iterable[float],
+    haircut: float,
+) -> Iterator[np.ndarray]:
+    """Stream zipped (initial index set, d1, d2) rows through
+    `cascade_rounds` BLOCK_ROWS at a time, yielding each block's round
+    matrix. All initial sets must have the same size."""
+    rows = zip(initial_sets, d1, d2)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        sets, d1s, d2s = zip(*block)
+        initial = np.zeros((len(block), slice_.n), dtype=bool)
+        initial[np.arange(len(block))[:, None], np.array(sets)] = True
+        yield cascade_rounds(slice_, initial, np.array(d1s), np.array(d2s), haircut)
 
 
 def cascade(slice_: AssetSlice, initial: set[str] | frozenset[str], spec: LgdSpec) -> CascadeResult:
-    """Run one cascade from an initial default set."""
+    """Run one cascade from an initial default set: the kernel's batch of one."""
     if not initial:
         raise ValueError("initial default set must be nonempty")
-    mask = np.zeros(slice_.n, dtype=bool)
+    mask = np.zeros((1, slice_.n), dtype=bool)
     for code in initial:
-        mask[slice_.index(code)] = True
-    totals = slice_.assets.sum(axis=1)
-    defaulted, rounds = _cascade_mask(
-        slice_.assets, totals, slice_.gdp, mask, spec.d1, spec.d2, spec.haircut
-    )
+        mask[0, slice_.index(code)] = True
+    (rounds,) = cascade_rounds(slice_, mask, np.array([spec.d1]), np.array([spec.d2]), spec.haircut)
 
     def codes(selected: np.ndarray) -> frozenset[str]:
         return frozenset(slice_.countries[i] for i in np.flatnonzero(selected))
 
     return CascadeResult(
         initial=frozenset(initial),
-        rounds=tuple(codes(r) for r in rounds),
-        defaulted=codes(defaulted),
-        impact=int(defaulted.sum()) / slice_.n,
+        rounds=tuple(codes(rounds == r) for r in range(1, int(rounds.max()) + 1)),
+        defaulted=codes(rounds >= 0),
+        impact=int(np.count_nonzero(rounds >= 0)) / slice_.n,
     )
 
 
@@ -129,33 +169,28 @@ def enumerate_impacts(slice_: AssetSlice, spec: LgdSpec, k_max: int = 3) -> list
     """
     if k_max not in (1, 2, 3):
         raise ValueError("k_max must be 1, 2 or 3")
-    assets = slice_.assets
-    totals = assets.sum(axis=1)
-    gdp = slice_.gdp
     n = slice_.n
+    if k_max > n:
+        raise ValueError(f"k_max={k_max} exceeds the {n} countries of the slice")
     summaries = []
     for k in range(1, k_max + 1):
-        combos = list(combinations(range(n), k))
-        impacts = np.empty(len(combos))
-        mask = np.zeros(n, dtype=bool)
-        for c, combo in enumerate(combos):
-            mask[:] = False
-            mask[list(combo)] = True
-            defaulted, _ = _cascade_mask(assets, totals, gdp, mask, spec.d1, spec.d2, spec.haircut)
-            impacts[c] = int(defaulted.sum()) / n
+        blocks = _blocked_rounds(
+            slice_, combinations(range(n), k), repeat(spec.d1), repeat(spec.d2), spec.haircut
+        )
+        impacts = np.concatenate([np.count_nonzero(r >= 0, axis=1) for r in blocks]) / n
         worst = float(impacts.max())
         argmax = tuple(
-            tuple(slice_.countries[i] for i in combos[c])
-            for c in np.flatnonzero(impacts == worst)
+            tuple(slice_.countries[i] for i in combo)
+            for combo in compress(combinations(range(n), k), impacts == worst)
         )
-        top = max(1, math.ceil(0.05 * len(combos)))
+        top = max(1, math.ceil(0.05 * impacts.size))
         worst5 = float(np.sort(impacts)[-top:].mean())
         summaries.append(
             ImpactSummary(
                 year=slice_.year,
                 spec=spec,
                 k=k,
-                n_combos=len(combos),
+                n_combos=impacts.size,
                 mean=float(impacts.mean()),
                 worst5_mean=worst5,
                 worst=worst,
@@ -182,6 +217,8 @@ def sweep_grid(
             if d1 == 0.0 and d2 == 0.0:
                 continue
             summaries.extend(enumerate_impacts(slice_, LgdSpec(d1, d2, haircut), k_max))
+    if not summaries:
+        raise ValueError("threshold grids hold no point besides d1 = d2 = 0")
     return summaries
 
 
@@ -216,39 +253,39 @@ def fine_grid(
     country group over a fine (d1, d2) grid.
 
     Defaults scan d1 in [0, 0.2] at 51 points and d2 in [0, 0.5] at 51
-    points.
+    points. Every grid value must be one that LgdSpec accepts.
     """
     if not group:
         raise ValueError("group must be nonempty")
+    if max_subset < 1:
+        raise ValueError(f"max_subset must be >= 1, got {max_subset}")
     if d1_values is None:
         d1_values = np.linspace(0.0, FINE_D1_MAX, FINE_D1_POINTS)
     if d2_values is None:
         d2_values = np.linspace(0.0, FINE_D2_MAX, FINE_D2_POINTS)
+    d1_values = np.asarray(d1_values, dtype=float)
+    d2_values = np.asarray(d2_values, dtype=float)
+    if not d1_values.size or not d2_values.size:
+        raise ValueError("threshold grids must be nonempty")
+    for d1 in d1_values.tolist():
+        LgdSpec(d1, 0.0, haircut)
+    for d2 in d2_values.tolist():
+        LgdSpec(0.0, d2, haircut)
+    d1_cells = np.repeat(d1_values, d2_values.size).tolist()
+    d2_cells = np.tile(d2_values, d1_values.size).tolist()
     members = sorted(group)
     indices = [slice_.index(code) for code in members]
-    assets = slice_.assets
-    totals = assets.sum(axis=1)
-    gdp = slice_.gdp
     cells = []
     for size in range(1, min(max_subset, len(members)) + 1):
         for combo in combinations(range(len(members)), size):
             subset = tuple(members[i] for i in combo)
-            mask = np.zeros(slice_.n, dtype=bool)
-            mask[[indices[i] for i in combo]] = True
-            for d1 in d1_values:
-                for d2 in d2_values:
-                    defaulted, rounds = _cascade_mask(
-                        assets, totals, gdp, mask, float(d1), float(d2), haircut
-                    )
-                    cells.append(
-                        FineGridCell(
-                            subset=subset,
-                            d1=float(d1),
-                            d2=float(d2),
-                            impact=int(defaulted.sum()) / slice_.n,
-                            rounds=len(rounds),
-                        )
-                    )
+            initial = tuple(indices[i] for i in combo)
+            impacts: list[float] = []
+            n_rounds: list[int] = []
+            for rounds in _blocked_rounds(slice_, repeat(initial), d1_cells, d2_cells, haircut):
+                impacts.extend((np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist())
+                n_rounds.extend(rounds.max(axis=1).tolist())
+            cells.extend(map(FineGridCell, repeat(subset), d1_cells, d2_cells, impacts, n_rounds))
     return cells
 
 

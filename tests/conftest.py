@@ -186,6 +186,29 @@ def oracle_sequential_cascade(
         defaulted[eligible[rng.integers(eligible.size)]] = True
 
 
+def oracle_synchronous_rounds(
+    slice_: AssetSlice,
+    initial: set[str],
+    d1: float,
+    d2: float,
+    haircut: float,
+) -> list[frozenset[str]]:
+    """Synchronous cascade one country-set at a time with column-sum losses:
+    the newly defaulting set of each round."""
+    totals = slice_.assets.sum(axis=1)
+    defaulted = np.zeros(slice_.n, dtype=bool)
+    for code in initial:
+        defaulted[slice_.index(code)] = True
+    rounds = []
+    while True:
+        loss = haircut * slice_.assets[:, defaulted].sum(axis=1)
+        newly = ~defaulted & (loss > d1 * totals) & (loss > d2 * slice_.gdp)
+        if not newly.any():
+            return rounds
+        rounds.append(frozenset(slice_.countries[i] for i in np.flatnonzero(newly)))
+        defaulted |= newly
+
+
 def oracle_quantile_midpoint(values: np.ndarray, q: float) -> float:
     """Empirical quantile with midpoint interpolation, from first principles."""
     ordered = np.sort(np.asarray(values, dtype=float))

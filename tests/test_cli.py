@@ -3,8 +3,11 @@ import json
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finnet.cli import build_parser, main
+from finnet.lgd import LgdSpec
 
 from conftest import DATA_DIR
 
@@ -211,6 +214,62 @@ def test_ci_table_matches_golden(fixture_data_dir):
     )
     assert rc == 0
     assert out.read_bytes() == (DATA_DIR / "golden_ci_rewiring_B.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["lgd-sweep", "--years", "2006-2007", "--k-max", "3", "--ranking-out", "-"],
+     "golden_lgd_sweep.csv"),
+    (["pigs-grid", "--year", "2007", "--group", "AAA,BBB,CCC,DDD",
+      "--d1-points", "11", "--d2-points", "11"],
+     "golden_pigs_grid.csv"),
+])
+def test_cascade_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
+    rc = main(args + [
+        "--assets", str(fixture_data_dir / "assets.csv"),
+        "--gdp", str(fixture_data_dir / "gdp.csv"),
+        "--out", "-",
+    ])
+    assert rc == 0
+    assert capsysbinary.readouterr().out == (DATA_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d1-max", "5"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d2-max", "nan"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d1-points", "0"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d2-points", "-1"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--haircut", "1.5"],
+    ["lgd-sweep", "--years", "2007", "--d1-grid", "0", "--d2-grid", "0"],
+    ["lgd-sweep", "--years", "2009-2001"],
+    ["lgd-sweep", "--years", "2007", "--d1-grid", "nan"],
+    ["lgd-sweep", "--years", "2007", "--d2-grid", "0.1,-0.1"],
+    ["lgd-sweep", "--years", "2007", "--top-n", "0"],
+    ["lgd", "--year", "2007", "--initial", "AAA", "--d1", "nan", "--d2", "0.1"],
+    ["knockout", "--years", "2007-2006", "--strategy", "error"],
+])
+def test_bad_cascade_and_year_flags_exit_2(fixture_data_dir, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args, fixture_data_dir, "bad.csv")
+    assert exc.value.code == 2
+    assert not (fixture_data_dir / "bad.csv").exists()
+
+
+@given(text=st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_threshold_flags_accept_exactly_what_lgdspec_accepts(text):
+    parser = build_parser()
+    for flag, field, dest in (("--d1-max", "d1", "d1_max"), ("--d2-max", "d2", "d2_max"),
+                              ("--haircut", "haircut", "haircut")):
+        argv = ["pigs-grid", "--year", "2007", "--group", "AAA", f"{flag}={text}"]
+        try:
+            value = float(text)
+            LgdSpec(**{"d1": 0.0, "d2": 0.0, field: value})
+        except ValueError:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+        else:
+            assert getattr(parser.parse_args(argv), dest) == value
 
 
 def test_repeat_runs_byte_identical(fixture_data_dir):

@@ -14,9 +14,9 @@ from finnet import (
     influence_ranking,
     sweep_grid,
 )
-from finnet.lgd import COARSE_THRESHOLDS, severity_sorted
+from finnet.lgd import BLOCK_ROWS, COARSE_THRESHOLDS, cascade_rounds, severity_sorted
 
-from conftest import oracle_sequential_cascade, random_slice
+from conftest import oracle_sequential_cascade, oracle_synchronous_rounds, random_slice
 
 
 def hand_slice():
@@ -55,6 +55,16 @@ def test_cascade_zero_thresholds_default_all_exposed():
     assert result.impact == 1.0
 
 
+def test_cascade_zero_thresholds_spare_unexposed():
+    assets = np.zeros((4, 4))
+    assets[1, 0] = 5.0  # B holds A; C and D hold nothing in the defaulted set
+    assets[2, 3] = 5.0
+    slice_ = AssetSlice(2007, ("A", "B", "C", "D"), assets, np.full(4, 100.0), 1.0)
+    result = cascade(slice_, {"A"}, LgdSpec(0.0, 0.0))
+    assert result.rounds == (frozenset({"B"}),)
+    assert result.defaulted == {"A", "B"}
+
+
 def test_cascade_validates_inputs():
     with pytest.raises(ValueError, match="nonempty"):
         cascade(hand_slice(), set(), LgdSpec(0.1, 0.1))
@@ -66,6 +76,11 @@ def test_cascade_validates_inputs():
         LgdSpec(0.1, -1.0)
     with pytest.raises(ValueError):
         LgdSpec(0.1, 0.1, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="d2"):
+            LgdSpec(0.1, bad)
+        with pytest.raises(ValueError, match="d1"):
+            LgdSpec(bad, 0.1)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -149,6 +164,61 @@ def test_haircut_equivalence_exact():
             rescaled = cascade(slice_, initial, LgdSpec(d1 / haircut, d2 / haircut, 1.0))
             assert scaled.defaulted == rescaled.defaulted
             assert scaled.rounds == rescaled.rounds
+
+
+def codes_of(slice_, selected):
+    return frozenset(slice_.countries[i] for i in np.flatnonzero(selected))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    haircut=st.sampled_from([1.0, 0.5, 0.3]),
+    batch=st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+)
+@settings(max_examples=25, deadline=None)
+def test_kernel_rows_match_oracle_and_single_runs(seed, haircut, batch):
+    rng = np.random.default_rng(seed)
+    slice_ = random_slice(int(rng.integers(3, 9)), rng, zero_frac=float(rng.choice([0.3, 0.7])))
+    n = slice_.n
+    initial = rng.random((batch, n)) < 0.3
+    initial[np.arange(batch), rng.integers(n, size=batch)] = True
+    d1 = np.where(rng.random(batch) < 0.3, 0.0, rng.uniform(0, 0.5, batch))
+    d2 = np.where(rng.random(batch) < 0.3, 0.0, rng.uniform(0, 0.5, batch))
+    rounds = cascade_rounds(slice_, initial, d1, d2, haircut)
+    assert rounds.shape == (batch, n)
+    assert np.array_equal(rounds == 0, initial)
+    for b, row in enumerate(rounds):
+        start = set(codes_of(slice_, initial[b]))
+        single = cascade(slice_, start, LgdSpec(float(d1[b]), float(d2[b]), haircut))
+        final = codes_of(slice_, row >= 0)
+        assert final == oracle_sequential_cascade(slice_, start, d1[b], d2[b], haircut, rng)
+        assert row.max() == single.num_rounds
+        trace = tuple(codes_of(slice_, row == r) for r in range(1, row.max() + 1))
+        assert trace == single.rounds
+        assert list(trace) == oracle_synchronous_rounds(slice_, start, d1[b], d2[b], haircut)
+        assert final == single.defaulted
+
+
+def test_enumerate_impacts_matches_single_cascades_across_blocks():
+    slice_ = random_slice(13, np.random.default_rng(11))
+    assert 13 * 12 * 11 // 6 > BLOCK_ROWS  # k = 3 spans two blocks
+    spec = LgdSpec(0.05, 0.02, 0.5)
+    for summary in enumerate_impacts(slice_, spec, 3):
+        combos = list(itertools.combinations(slice_.countries, summary.k))
+        impacts = np.array([cascade(slice_, set(c), spec).impact for c in combos])
+        worst = impacts.max()
+        top = int(np.ceil(0.05 * len(combos)))
+        assert summary.n_combos == len(combos)
+        assert summary.mean == impacts.mean()
+        assert summary.worst == worst
+        assert summary.worst5_mean == np.sort(impacts)[-top:].mean()
+        assert summary.argmax == tuple(c for c, v in zip(combos, impacts) if v == worst)
+
+
+def test_enumerate_impacts_rejects_k_above_n():
+    slice_ = random_slice(2, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="exceeds"):
+        enumerate_impacts(slice_, LgdSpec(0.1, 0.1), 3)
 
 
 def test_enumerate_impacts_no_propagation():
@@ -247,6 +317,45 @@ def test_fine_grid_default_dimensions():
     assert len(d2s) == 51 and d2s[0] == 0.0 and d2s[-1] == pytest.approx(0.5)
     assert d1s[1] == pytest.approx(0.004)
     assert d2s[1] == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("along_d1", [True, False])
+def test_fine_grid_matches_single_cascades_across_blocks(delta, along_d1):
+    slice_ = random_slice(7, np.random.default_rng(13))
+    points = (BLOCK_ROWS + delta, 1) if along_d1 else (1, BLOCK_ROWS + delta)
+    d1s = np.linspace(0.0, 0.3, points[0])
+    d2s = np.linspace(0.0, 0.3, points[1])
+    cells = fine_grid(slice_, slice_.countries[:2], d1s, d2s, haircut=0.5)
+    expected = [
+        (subset, d1, d2)
+        for subset in [slice_.countries[:1], slice_.countries[1:2], slice_.countries[:2]]
+        for d1 in d1s.tolist()
+        for d2 in d2s.tolist()
+    ]
+    assert [(c.subset, c.d1, c.d2) for c in cells] == expected
+    for cell in cells:
+        single = cascade(slice_, set(cell.subset), LgdSpec(cell.d1, cell.d2, 0.5))
+        assert (cell.impact, cell.rounds) == (single.impact, single.num_rounds)
+
+
+def test_fine_grid_rejects_invalid_grids():
+    slice_ = hand_slice()
+    with pytest.raises(ValueError, match="d1"):
+        fine_grid(slice_, ("A",), np.array([0.0, 5.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="d2"):
+        fine_grid(slice_, ("A",), np.array([0.0]), np.array([np.nan]))
+    with pytest.raises(ValueError, match="haircut"):
+        fine_grid(slice_, ("A",), np.array([0.0]), np.array([0.0]), haircut=0.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        fine_grid(slice_, ("A",), np.array([]), np.array([0.0]))
+    with pytest.raises(ValueError, match="max_subset"):
+        fine_grid(slice_, ("A",), max_subset=0)
+
+
+def test_sweep_grid_rejects_origin_only_grid():
+    with pytest.raises(ValueError, match="d1 = d2 = 0"):
+        sweep_grid(hand_slice(), (0.0,), (0.0,), k_max=1)
 
 
 def make_summary(year, d1, d2, k, argmax):
