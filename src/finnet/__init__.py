@@ -21,7 +21,6 @@ from .netbuild import (
     ThresholdRule,
     above_average_network,
     average_gdp_exposure,
-    build_network,
     export_graph,
     gdp_threshold_network,
 )
@@ -34,7 +33,6 @@ from .metrics import (
     fraction_spl_le,
     measure_vector,
     modified_aspl,
-    shortest_paths,
 )
 from .nullmodels import (
     DEFAULT_SIGMA_CORRECTION,
@@ -59,7 +57,6 @@ from .knockout import (
     ci_table,
     classify_position,
     ensemble_knockout,
-    ensemble_knockout_sampled,
     run_knockout,
     select_attack_target,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -34,12 +35,7 @@ from .lgd import (
     severity_sorted,
     sweep_grid,
 )
-from .knockout import (
-    ci_compare,
-    ci_table,
-    ensemble_knockout,
-    ensemble_knockout_sampled,
-)
+from .knockout import MIN_SAMPLES, ci_compare, ci_table, ensemble_knockout
 from .metrics import measure_vector
 from .netbuild import DEFAULT_GDP_THRESHOLD, ThresholdRule, export_graph
 from .nullmodels import (
@@ -107,10 +103,22 @@ def _parse_years(text: str) -> list[int]:
     return years
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
+def _bounded(convert, ok, requirement: str):
+    """An argparse type that converts the text and requires ``ok(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(requirement)
+        return value
+
+    return _checked(parse)
+
+
+def _gdp_threshold(text: str) -> float:
+    """A float that ThresholdRule accepts as rule B's t."""
+    value = float(text)
+    ThresholdRule("gdp-fraction", value)
     return value
 
 
@@ -139,21 +147,13 @@ def _check_lgd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         parser.error("the threshold grids hold no point besides d1 = d2 = 0, which is skipped")
 
 
-def _rule_from_args(args: argparse.Namespace) -> ThresholdRule:
-    return ThresholdRule.from_name(args.rule, args.t)
+def _meta(command: str, args: argparse.Namespace, extra: dict) -> dict:
+    """The metadata record every output starts with."""
+    return {"finnet": __version__, "command": command, "seed": args.seed, **extra}
 
 
-def _meta_header(command: str, args: argparse.Namespace, extra: dict | None = None) -> str:
-    config = dict(extra or {})
-    lines = [f"# finnet={__version__}", f"# command={command}", f"# seed={args.seed}"]
-    lines += [f"# {key}={value}" for key, value in config.items()]
-    return "\n".join(lines) + "\n"
-
-
-def _meta_dict(command: str, args: argparse.Namespace, extra: dict | None = None) -> dict:
-    meta = {"finnet": __version__, "command": command, "seed": args.seed}
-    meta.update(extra or {})
-    return meta
+def _header(meta: dict, prefix: str = "#") -> str:
+    return "".join(f"{prefix} {key}={value}\n" for key, value in meta.items())
 
 
 def _emit(path: str, payload: bytes) -> None:
@@ -165,33 +165,21 @@ def _emit(path: str, payload: bytes) -> None:
             fh.write(payload)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _emit_json(path: str, meta: dict, body: dict) -> None:
+    _emit(path, json.dumps({"meta": meta, **body}, indent=2).encode("utf-8") + b"\n")
 
 
-def _csv_payload(header_text: str, columns: list[str], rows: list[list]) -> bytes:
+def _emit_table(path: str, meta: dict, columns: list[str], rows: list[list], format: str = "csv") -> None:
+    """Write a table as CSV under `#` metadata lines or, for json, as a row-object list."""
+    if format == "json":
+        _emit_json(path, meta, {"rows": [dict(zip(columns, row)) for row in rows]})
+        return
     out = io.StringIO()
-    out.write(header_text)
+    out.write(_header(meta))
     out.write(",".join(columns) + "\n")
     for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-    return out.getvalue().encode("utf-8")
-
-
-def _json_payload(meta: dict, body: dict) -> bytes:
-    return json.dumps({"meta": meta, **body}, indent=2).encode("utf-8") + b"\n"
-
-
-def _emit_table(args, command: str, extra: dict, columns: list[str], rows: list[list]) -> None:
-    """Write a table as CSV or, with --format json, as a row-object list."""
-    if getattr(args, "format", "csv") == "json":
-        meta = _meta_dict(command, args, extra)
-        body = {"rows": [dict(zip(columns, row)) for row in rows]}
-        _emit(args.out, _json_payload(meta, body))
-    else:
-        _emit(args.out, _csv_payload(_meta_header(command, args, extra), columns, rows))
+        out.write(",".join(map(str, row)) + "\n")
+    _emit(path, out.getvalue().encode("utf-8"))
 
 
 def _null_spec(
@@ -212,7 +200,7 @@ def _null_spec(
 def cmd_build(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    net = _rule_from_args(args).apply(slice_)
+    net = ThresholdRule.from_name(args.rule, args.t).apply(slice_)
     mean_out = net.num_edges / net.n
     extra = {
         "year": args.year,
@@ -222,8 +210,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "mean_out_degree": mean_out,
         "coverage": slice_.coverage,
     }
-    rows = [[holder, issuer] for holder, issuer in net.edges()]
-    _emit(args.out, _csv_payload(_meta_header("build", args, extra), ["holder", "issuer"], rows))
+    _emit_table(args.out, _meta("build", args, extra), ["holder", "issuer"], net.edges())
     print(f"build: year={args.year} rule={net.rule} n={net.n} edges={net.num_edges} "
           f"mean_out_degree={mean_out:.4f}", file=sys.stderr)
     return EXIT_OK
@@ -232,60 +219,52 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    net = _rule_from_args(args).apply(slice_)
+    net = ThresholdRule.from_name(args.rule, args.t).apply(slice_)
     payload = export_graph(net, slice_, args.format)
-    extra = {"year": args.year, "rule": net.rule, "format": args.format}
-    header = _meta_header("export", args, extra)
-    if args.format == "dot":
-        header = "".join(f"//{line[1:]}\n" for line in header.splitlines())
+    meta = _meta("export", args, {"year": args.year, "rule": net.rule, "format": args.format})
+    header = _header(meta, "//" if args.format == "dot" else "#")
     _emit(args.out, header.encode("utf-8") + payload)
     return EXIT_OK
 
 
 def cmd_fit_lognormal(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = args.years
-    slices = [core_slice(assets, gdp, year) for year in years]
+    slices = [core_slice(assets, gdp, year) for year in args.years]
     if args.pooled:
         fits = [fit_lognormal_pooled(slices, correction_factor=args.correction)]
     else:
         fits = [fit_lognormal(s, correction_factor=args.correction) for s in slices]
-    meta = _meta_dict("fit-lognormal", args, {"years": years, "pooled": args.pooled})
-    _emit(args.out, _json_payload(meta, {"fits": [fit.to_json_dict() for fit in fits]}))
+    meta = _meta("fit-lognormal", args, {"years": args.years, "pooled": args.pooled})
+    _emit_json(args.out, meta, {"fits": [fit.to_json_dict() for fit in fits]})
     return EXIT_OK
 
 
 def cmd_gen_null(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    rule = _rule_from_args(args)
+    rule = ThresholdRule.from_name(args.rule, args.t)
     spec = _null_spec(args.model, slice_, rule, args.seed, args.swap_factor, args.correction)
     rows = []
     for index in range(args.count):
         net = spec.sample(index)
         rows.extend([index, holder, issuer] for holder, issuer in net.edges())
     extra = {"year": args.year, "rule": rule.label, "model": args.model, "count": args.count}
-    _emit(args.out, _csv_payload(_meta_header("gen-null", args, extra),
-                                 ["sample", "holder", "issuer"], rows))
+    _emit_table(args.out, _meta("gen-null", args, extra), ["sample", "holder", "issuer"], rows)
     return EXIT_OK
 
 
 def cmd_knockout(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = args.years
-    slices = [core_slice(assets, gdp, year) for year in years]
-    rule = _rule_from_args(args)
-    if args.model == "empirical":
-        nets = [rule.apply(s) for s in slices]
-        summary = ensemble_knockout(nets, args.strategy, args.trials, args.seed, args.jobs)
-    else:
-        specs = [
-            _null_spec(args.model, s, rule, child_seed(args.seed, i), args.swap_factor, args.correction)
-            for i, s in enumerate(slices)
-        ]
-        summary = ensemble_knockout_sampled(specs, args.strategy, args.trials, args.seed, args.jobs)
+    slices = [core_slice(assets, gdp, year) for year in args.years]
+    rule = ThresholdRule.from_name(args.rule, args.t)
+    sources = [
+        rule.apply(s) if args.model == "empirical"
+        else _null_spec(args.model, s, rule, child_seed(args.seed, i), args.swap_factor, args.correction)
+        for i, s in enumerate(slices)
+    ]
+    summary = ensemble_knockout(sources, args.strategy, args.trials, args.seed, args.jobs)
     extra = {
-        "years": ",".join(str(y) for y in years),
+        "years": ",".join(str(y) for y in args.years),
         "rule": rule.label,
         "model": args.model,
         "strategy": args.strategy,
@@ -294,17 +273,16 @@ def cmd_knockout(args: argparse.Namespace) -> int:
         "n_traces": summary.n_traces,
     }
     rows = [[float(g), float(m), float(s)] for g, m, s in zip(summary.grid, summary.mean, summary.std)]
-    _emit_table(args, "knockout", extra, ["grid_point", "mean", "std"], rows)
+    _emit_table(args.out, _meta("knockout", args, extra), ["grid_point", "mean", "std"], rows, args.format)
     return EXIT_OK
 
 
 def cmd_ci_table(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = args.years
     rules = [r.strip() for r in args.rules.split(",")]
     models = NULL_MODEL_KINDS if args.models == "all" else [m.strip() for m in args.models.split(",")]
     reports = []
-    for yi, year in enumerate(years):
+    for yi, year in enumerate(args.years):
         slice_ = core_slice(assets, gdp, year)
         for ri, rule_name in enumerate(rules):
             rule = ThresholdRule.from_name(rule_name, args.t)
@@ -319,7 +297,7 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
                 )
     table = ci_table(reports)
     extra = {
-        "years": ",".join(str(y) for y in years),
+        "years": ",".join(str(y) for y in args.years),
         "rules": ",".join(rules),
         "models": ",".join(models),
         "samples": args.samples,
@@ -331,9 +309,9 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
         for r in table
     ]
     _emit_table(
-        args, "ci-table", extra,
+        args.out, _meta("ci-table", args, extra),
         ["measure", "model", "rule", "score", "below", "within", "above", "undefined", "years"],
-        rows,
+        rows, args.format,
     )
     return EXIT_OK
 
@@ -344,7 +322,7 @@ def cmd_lgd(args: argparse.Namespace) -> int:
     initial = [c.strip() for c in args.initial.split(",")]
     spec = LgdSpec(args.d1, args.d2, args.haircut)
     result = cascade(slice_, set(initial), spec)
-    meta = _meta_dict("lgd", args, {
+    meta = _meta("lgd", args, {
         "year": args.year, "d1": args.d1, "d2": args.d2, "haircut": args.haircut,
     })
     body = {
@@ -354,7 +332,7 @@ def cmd_lgd(args: argparse.Namespace) -> int:
         "impact": result.impact,
         "num_rounds": result.num_rounds,
     }
-    _emit(args.out, _json_payload(meta, {"cascade": body}))
+    _emit_json(args.out, meta, {"cascade": body})
     return EXIT_OK
 
 
@@ -367,16 +345,15 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
 
 def cmd_lgd_sweep(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    years = args.years
     grid1 = _floats(args.d1_grid)
     grid2 = _floats(args.d2_grid)
     summaries = []
-    for year in years:
+    for year in args.years:
         slice_ = core_slice(assets, gdp, year)
         summaries.extend(sweep_grid(slice_, grid1, grid2, args.k_max, args.haircut))
     ordered = severity_sorted(summaries)
     extra = {
-        "years": ",".join(str(y) for y in years),
+        "years": ",".join(str(y) for y in args.years),
         "d1_grid": args.d1_grid,
         "d2_grid": args.d2_grid,
         "k_max": args.k_max,
@@ -386,11 +363,11 @@ def cmd_lgd_sweep(args: argparse.Namespace) -> int:
         [s.year, s.spec.d1, s.spec.d2, s.k, s.mean, s.worst5_mean, s.worst, _combo_cell(s.argmax)]
         for s in ordered
     ]
-    _emit(args.out, _csv_payload(
-        _meta_header("lgd-sweep", args, extra),
+    _emit_table(
+        args.out, _meta("lgd-sweep", args, extra),
         ["year", "d1", "d2", "k", "mean", "worst5", "worst", "argmax_combos"],
         rows,
-    ))
+    )
     if args.ranking_out:
         ranking = influence_ranking(summaries, args.top_n)
         rank_rows = [
@@ -398,11 +375,8 @@ def cmd_lgd_sweep(args: argparse.Namespace) -> int:
             for k, pairs in ranking.items()
             for combo, count in pairs
         ]
-        _emit(args.ranking_out, _csv_payload(
-            _meta_header("lgd-sweep/ranking", args, extra),
-            ["k", "combo", "count"],
-            rank_rows,
-        ))
+        _emit_table(args.ranking_out, _meta("lgd-sweep/ranking", args, extra),
+                    ["k", "combo", "count"], rank_rows)
     return EXIT_OK
 
 
@@ -423,11 +397,7 @@ def cmd_pigs_grid(args: argparse.Namespace) -> int:
         "haircut": args.haircut,
     }
     rows = [["+".join(c.subset), c.d1, c.d2, c.impact, c.rounds] for c in cells]
-    _emit(args.out, _csv_payload(
-        _meta_header("pigs-grid", args, extra),
-        ["subset", "d1", "d2", "impact", "rounds"],
-        rows,
-    ))
+    _emit_table(args.out, _meta("pigs-grid", args, extra), ["subset", "d1", "d2", "impact", "rounds"], rows)
     return EXIT_OK
 
 
@@ -435,7 +405,6 @@ def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
     parser.add_argument("--assets", help=f"asset CSV path, '-' for stdin (default: ${ENV_DATA_DIR}/assets.csv)")
     parser.add_argument("--gdp", help=f"gdp CSV path, '-' for stdin (default: ${ENV_DATA_DIR}/gdp.csv)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1, help="max parallel workers (default %(default)s)")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     if years:
         parser.add_argument("--years", type=_checked(_parse_years), required=True,
@@ -447,14 +416,23 @@ def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
 def _add_rule(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rule", choices=("A", "B"), default="A",
                         help="thresholding rule (default %(default)s)")
-    parser.add_argument("--t", type=float, default=DEFAULT_GDP_THRESHOLD,
+    parser.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD,
                         help="rule-B GDP fraction threshold (default %(default)s)")
+
+
+def _add_null_params(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--swap-factor", type=POSITIVE, default=DEFAULT_SWAP_FACTOR)
+    parser.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION)
 
 
 D1 = _checked(partial(_spec_value, "d1"))
 D2 = _checked(partial(_spec_value, "d2"))
 HAIRCUT = _checked(partial(_spec_value, "haircut"))
-POSITIVE = _checked(_positive_int)
+POSITIVE = _bounded(int, lambda v: v >= 1, "must be >= 1")
+SAMPLES = _bounded(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
+ALPHA = _bounded(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+CORRECTION = _bounded(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+GDP_THRESHOLD = _checked(_gdp_threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-lognormal", help="fit the censored log-normal asset model")
     _add_common(p, years=True)
     p.add_argument("--pooled", action="store_true", help="one fit over all years")
-    p.add_argument("--correction", type=float, default=DEFAULT_SIGMA_CORRECTION,
+    p.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION,
                    help="sigma correction factor (default %(default)s)")
     p.set_defaults(func=cmd_fit_lognormal)
 
@@ -487,9 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_rule(p)
     p.add_argument("--model", choices=NULL_MODEL_KINDS, required=True)
-    p.add_argument("--count", type=int, default=1, help="number of samples (default %(default)s)")
-    p.add_argument("--swap-factor", type=int, default=DEFAULT_SWAP_FACTOR)
-    p.add_argument("--correction", type=float, default=DEFAULT_SIGMA_CORRECTION)
+    p.add_argument("--count", type=POSITIVE, default=1, help="number of samples (default %(default)s)")
+    _add_null_params(p)
     p.set_defaults(func=cmd_gen_null)
 
     p = sub.add_parser("knockout", help="error/attack knockout curves")
@@ -497,24 +474,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rule(p)
     p.add_argument("--strategy", choices=("error", "attack"), required=True)
     p.add_argument("--model", choices=("empirical",) + NULL_MODEL_KINDS, default="empirical")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    p.add_argument("--trials", type=POSITIVE, default=DEFAULT_TRIALS,
                    help="knockout traces per network (default %(default)s)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="null ensemble size used by interval comparisons (default %(default)s)")
-    p.add_argument("--swap-factor", type=int, default=DEFAULT_SWAP_FACTOR)
-    p.add_argument("--correction", type=float, default=DEFAULT_SIGMA_CORRECTION)
+    _add_null_params(p)
+    p.add_argument("--jobs", type=POSITIVE, default=1, help="max parallel workers (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_knockout)
 
     p = sub.add_parser("ci-table", help="confidence-interval comparison table")
     _add_common(p, years=True)
     p.add_argument("--rules", default="A,B", help="comma list of rules (default %(default)s)")
-    p.add_argument("--t", type=float, default=DEFAULT_GDP_THRESHOLD)
+    p.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD)
     p.add_argument("--models", default="all", help="comma list of null models or 'all'")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--swap-factor", type=int, default=DEFAULT_SWAP_FACTOR)
-    p.add_argument("--correction", type=float, default=DEFAULT_SIGMA_CORRECTION)
+    p.add_argument("--samples", type=SAMPLES, default=DEFAULT_SAMPLES)
+    p.add_argument("--alpha", type=ALPHA, default=DEFAULT_ALPHA)
+    _add_null_params(p)
+    p.add_argument("--jobs", type=POSITIVE, default=1, help="max parallel workers (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ci_table)
 

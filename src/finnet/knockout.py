@@ -22,6 +22,7 @@ from .seeding import child_seed
 
 STRATEGIES = ("error", "attack")
 POSITIONS = ("below", "within", "above", "undefined")
+MIN_SAMPLES = 100
 
 # Alignment grid for ensembles over networks of different sizes: the
 # fraction of nodes removed, 0% to 100% in 1% steps.
@@ -99,14 +100,10 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
     return np.interp(CURVE_GRID, removed_fraction, series)
 
 
-def _trace_curve(task: tuple[BinaryNetwork, str, int]) -> np.ndarray:
-    net, strategy, seed = task
+def _trace_curve(task: tuple[BinaryNetwork | NullModelSpec, str, int, int]) -> np.ndarray:
+    source, strategy, index, seed = task
+    net = source.sample(index) if isinstance(source, NullModelSpec) else source
     return _interp_curve(run_knockout(net, strategy, seed).aspl_series)
-
-
-def _sampled_trace_curve(task: tuple[NullModelSpec, str, int, int]) -> np.ndarray:
-    spec, strategy, index, seed = task
-    return _interp_curve(run_knockout(spec.sample(index), strategy, seed).aspl_series)
 
 
 def _summarize(curves: list[np.ndarray], strategy: str) -> CurveSummary:
@@ -121,44 +118,27 @@ def _summarize(curves: list[np.ndarray], strategy: str) -> CurveSummary:
 
 
 def ensemble_knockout(
-    nets: list[BinaryNetwork],
+    sources: list[BinaryNetwork | NullModelSpec],
     strategy: str,
     trials: int,
     master_seed: int,
     jobs: int = 1,
 ) -> CurveSummary:
-    """Run ``trials`` knockouts per network and pool the aligned curves.
+    """Run ``trials`` knockouts per source and pool the aligned curves.
 
-    Trace seeds derive from (master_seed, network index, trial index), so
-    the summary does not depend on scheduling or worker count.
+    A source is a network, knocked out as is in every trial, or a
+    null-model spec, whose trial j knocks out ``spec.sample(j)``. Trace
+    seeds derive from (master_seed, source index, trial index), so the
+    summary does not depend on scheduling or worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tasks = [
-        (net, strategy, child_seed(master_seed, i, j))
-        for i, net in enumerate(nets)
+        (source, strategy, j, child_seed(master_seed, i, j))
+        for i, source in enumerate(sources)
         for j in range(trials)
     ]
     return _summarize(run_tasks(_trace_curve, tasks, jobs), strategy)
-
-
-def ensemble_knockout_sampled(
-    specs: list[NullModelSpec],
-    strategy: str,
-    trials: int,
-    master_seed: int,
-    jobs: int = 1,
-) -> CurveSummary:
-    """Like :func:`ensemble_knockout`, but each trial knocks out a freshly
-    sampled network from its null-model spec."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    tasks = [
-        (spec, strategy, j, child_seed(master_seed, i, j))
-        for i, spec in enumerate(specs)
-        for j in range(trials)
-    ]
-    return _summarize(run_tasks(_sampled_trace_curve, tasks, jobs), strategy)
 
 
 def classify_position(value: float, samples: np.ndarray, alpha: float = 0.05) -> tuple[float, float, str]:
@@ -233,8 +213,8 @@ def ci_compare(
     Undefined (NaN) null samples are excluded per measure and counted in
     the report; a measure with no defined samples is itself undefined.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     chunk = max(50, samples // 64)

@@ -1,16 +1,14 @@
 """Directed-graph statistics for thresholded asset networks.
 
-Shortest-path conventions: :func:`shortest_paths` returns exact
-breadth-first distances with unreachable pairs marked ``inf``; the summary
-measures cap every length above three, and every unreachable pair, at
-four. Degenerate statistics (zero variance, no qualifying triples) come
-back as NaN so downstream Monte-Carlo code can skip and count them.
+Shortest-path convention: the summary measures cap every length above
+three, and every unreachable pair, at four. Degenerate statistics (zero
+variance, no qualifying triples) come back as NaN so downstream
+Monte-Carlo code can skip and count them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,26 +45,6 @@ class MeasureVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in MEASURE_NAMES])
-
-
-def shortest_paths(net: BinaryNetwork) -> np.ndarray:
-    """All-pairs directed BFS distances; ``inf`` marks unreachable pairs."""
-    n = net.n
-    if n < 2:
-        raise ValueError("shortest paths need at least 2 nodes")
-    targets = [np.flatnonzero(net.adj[i]) for i in range(n)]
-    dist = np.full((n, n), np.inf)
-    for source in range(n):
-        dist[source, source] = 0.0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            d = dist[source, node] + 1.0
-            for nxt in targets[node]:
-                if dist[source, nxt] == np.inf:
-                    dist[source, nxt] = d
-                    queue.append(nxt)
-    return dist
 
 
 def _distance_counts(adj: np.ndarray) -> tuple[int, int, int, int]:

@@ -9,6 +9,7 @@ strictly exceeds a fraction t. Ties never produce an edge.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,8 @@ class ThresholdRule:
     def __post_init__(self) -> None:
         if self.kind not in ("above-average", "gdp-fraction"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "gdp-fraction" and (self.t is None or self.t <= 0):
-            raise ValueError("gdp-fraction rule needs a threshold t > 0")
+        if self.kind == "gdp-fraction" and (self.t is None or not 0 < self.t < math.inf):
+            raise ValueError("gdp-fraction rule needs a finite threshold t > 0")
 
     @property
     def label(self) -> str:
@@ -120,15 +121,11 @@ def above_average_network(slice_: AssetSlice) -> BinaryNetwork:
 
 def gdp_threshold_network(slice_: AssetSlice, t: float = DEFAULT_GDP_THRESHOLD) -> BinaryNetwork:
     """Rule B: edge i->j when s_ij / gdp_i strictly exceeds t."""
-    if t <= 0:
-        raise ValueError("threshold t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("threshold t must be finite and positive")
     adj = slice_.assets / slice_.gdp[:, None] > t
     np.fill_diagonal(adj, False)
     return BinaryNetwork(slice_.countries, adj, f"B(t={t:g})", slice_.year)
-
-
-def build_network(slice_: AssetSlice, rule: ThresholdRule) -> BinaryNetwork:
-    return rule.apply(slice_)
 
 
 def average_gdp_exposure(slice_: AssetSlice, positive_only: bool = False) -> float:

@@ -147,22 +147,14 @@ class LogNormalFit:
 
     def residual_summary(self) -> dict[str, float]:
         res = self.residuals
-        mean = float(res.mean())
-        std = float(res.std())
-        centered = res - mean
-        m2 = float((centered**2).mean())
-        if m2 > 0:
-            skew = float((centered**3).mean() / m2**1.5)
-            kurt = float((centered**4).mean() / m2**2)
-        else:
-            skew = kurt = 0.0
+        mean, m2, skew, kurt = _moments(res)
         if m2 > 0 and res.size >= 8:
             stat, p = jarque_bera(res)
         else:
             stat = p = math.nan
         return {
             "mean": mean,
-            "std": std,
+            "std": float(res.std()),
             "skew": skew,
             "kurtosis": kurt,
             "jarque_bera": stat,
@@ -200,66 +192,21 @@ def _design_matrix(n: int, baseline: int, rows: np.ndarray, cols: np.ndarray) ->
     return x
 
 
-def fit_lognormal(
-    slice_: AssetSlice,
-    correction_factor: float = DEFAULT_SIGMA_CORRECTION,
-    baseline: int = 0,
+def _fit(
+    countries: tuple[str, ...],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    y: np.ndarray,
+    correction_factor: float,
+    baseline: int,
+    year: int | None = None,
+    gdp: np.ndarray | None = None,
 ) -> LogNormalFit:
-    """Least-squares fit of ln(s_ij + 1) on holder and issuer effects."""
-    n = slice_.n
-    if n < 3:
-        raise ValueError("fit needs at least 3 countries")
-    rows, cols = _offdiag_pairs(n)
-    y = np.log1p(slice_.assets[rows, cols])
-    x = _design_matrix(n, baseline, rows, cols)
-    theta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < 2 * n - 1:
-        raise ValueError("design matrix rank deficient beyond the dummy redundancy")
-    residuals = y - x @ theta
-    sigma_raw = float(np.sqrt((residuals**2).mean()))
-    alpha = theta[:n].copy()
-    beta = np.insert(theta[n:], baseline, 0.0)
-    return LogNormalFit(
-        countries=slice_.countries,
-        alpha=alpha,
-        beta=beta,
-        sigma_raw=sigma_raw,
-        sigma_corrected=correction_factor * sigma_raw,
-        correction_factor=correction_factor,
-        residuals=residuals,
-        baseline=baseline,
-        year=slice_.year,
-        gdp=slice_.gdp,
-    )
-
-
-def fit_lognormal_pooled(
-    slices: list[AssetSlice],
-    correction_factor: float = DEFAULT_SIGMA_CORRECTION,
-    baseline: int = 0,
-) -> LogNormalFit:
-    """One fit over several years with country effects shared across years.
-
-    Pooled fits have no single year or GDP vector, so they cannot seed
-    slice generation; use a per-year fit for that.
-    """
-    if not slices:
-        raise ValueError("need at least one slice")
-    countries = tuple(sorted({c for s in slices for c in s.countries}))
+    """Least-squares fit of y on holder dummies ``rows`` and issuer dummies
+    ``cols``, both indexing ``countries``."""
     n = len(countries)
     if n < 3:
         raise ValueError("fit needs at least 3 countries")
-    index = {c: i for i, c in enumerate(countries)}
-    rows_all, cols_all, y_all = [], [], []
-    for s in slices:
-        rows, cols = _offdiag_pairs(s.n)
-        local = np.array([index[c] for c in s.countries])
-        rows_all.append(local[rows])
-        cols_all.append(local[cols])
-        y_all.append(np.log1p(s.assets[rows, cols]))
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    y = np.concatenate(y_all)
     x = _design_matrix(n, baseline, rows, cols)
     theta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < 2 * n - 1:
@@ -275,7 +222,47 @@ def fit_lognormal_pooled(
         correction_factor=correction_factor,
         residuals=residuals,
         baseline=baseline,
+        year=year,
+        gdp=gdp,
     )
+
+
+def fit_lognormal(
+    slice_: AssetSlice,
+    correction_factor: float = DEFAULT_SIGMA_CORRECTION,
+    baseline: int = 0,
+) -> LogNormalFit:
+    """Least-squares fit of ln(s_ij + 1) on holder and issuer effects."""
+    rows, cols = _offdiag_pairs(slice_.n)
+    y = np.log1p(slice_.assets[rows, cols])
+    return _fit(slice_.countries, rows, cols, y, correction_factor, baseline, slice_.year, slice_.gdp)
+
+
+def fit_lognormal_pooled(
+    slices: list[AssetSlice],
+    correction_factor: float = DEFAULT_SIGMA_CORRECTION,
+    baseline: int = 0,
+) -> LogNormalFit:
+    """One fit over several years with country effects shared across years.
+
+    Pooled fits have no single year or GDP vector, so they cannot seed
+    slice generation; use a per-year fit for that.
+    """
+    if not slices:
+        raise ValueError("need at least one slice")
+    countries = tuple(sorted({c for s in slices for c in s.countries}))
+    index = {c: i for i, c in enumerate(countries)}
+    rows_all, cols_all, y_all = [], [], []
+    for s in slices:
+        rows, cols = _offdiag_pairs(s.n)
+        local = np.array([index[c] for c in s.countries])
+        rows_all.append(local[rows])
+        cols_all.append(local[cols])
+        y_all.append(np.log1p(s.assets[rows, cols]))
+    rows = np.concatenate(rows_all)
+    cols = np.concatenate(cols_all)
+    y = np.concatenate(y_all)
+    return _fit(countries, rows, cols, y, correction_factor, baseline)
 
 
 def _censor_and_round(s: np.ndarray, censor_floor: float | None, rounding: bool) -> np.ndarray:
@@ -307,23 +294,18 @@ def sample_lognormal_matrix(
     return s
 
 
-def sample_lognormal_slice(
-    fit: LogNormalFit,
-    rng: np.random.Generator,
-    censor_floor: float | None = CENSOR_FLOOR_MUSD,
-    rounding: bool = True,
-) -> AssetSlice:
+def sample_lognormal_slice(fit: LogNormalFit, rng: np.random.Generator) -> AssetSlice:
     """Draw a synthetic asset slice from a fitted model.
 
     Positions follow :func:`sample_lognormal_matrix` with
-    eps ~ Normal(0, sigma_corrected); defaults censor below 0.5 and round
-    to integer millions, so generated values are always nonnegative. The
+    eps ~ Normal(0, sigma_corrected), censored below 0.5 and rounded to
+    integer millions, so generated values are always nonnegative. The
     slice keeps the GDP vector captured at fit time and reports coverage
     1.0 (it is self-contained by construction).
     """
     if fit.gdp is None:
         raise ValueError("fit has no gdp vector (pooled fit); refit on a single slice")
-    s = sample_lognormal_matrix(fit, rng, censor_floor, rounding)
+    s = sample_lognormal_matrix(fit, rng)
     return AssetSlice(fit.year, fit.countries, s, fit.gdp, 1.0)
 
 
@@ -375,6 +357,17 @@ def estimate_sigma_correction(
     return float(ratios.mean())
 
 
+def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean, second central moment, skewness and kurtosis of a sample;
+    skewness and kurtosis are 0.0 when the second moment is not positive."""
+    mean = float(x.mean())
+    centered = x - mean
+    m2 = float((centered**2).mean())
+    if not m2 > 0:
+        return mean, m2, 0.0, 0.0
+    return mean, m2, float((centered**3).mean() / m2**1.5), float((centered**4).mean() / m2**2)
+
+
 def jarque_bera(residuals: np.ndarray) -> tuple[float, float]:
     """Jarque-Bera normality statistic and its chi-squared(2) tail p-value.
 
@@ -384,12 +377,9 @@ def jarque_bera(residuals: np.ndarray) -> tuple[float, float]:
     x = np.asarray(residuals, dtype=float)
     if x.size < 8:
         raise ValueError("need at least 8 residuals")
-    centered = x - x.mean()
-    m2 = float((centered**2).mean())
-    if m2 == 0:
+    _, m2, skew, kurt = _moments(x)
+    if not m2 > 0:
         raise ValueError("zero variance residuals")
-    skew = float((centered**3).mean() / m2**1.5)
-    kurt = float((centered**4).mean() / m2**2)
     jb = x.size / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
     return jb, math.exp(-jb / 2.0)
 

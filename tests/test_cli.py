@@ -222,8 +222,19 @@ def test_ci_table_matches_golden(fixture_data_dir):
     (["pigs-grid", "--year", "2007", "--group", "AAA,BBB,CCC,DDD",
       "--d1-points", "11", "--d2-points", "11"],
      "golden_pigs_grid.csv"),
+    (["build", "--year", "2007"], "golden_build.csv"),
+    (["export", "--year", "2007", "--format", "dot"], "golden_export.dot"),
+    (["gen-null", "--year", "2007", "--model", "er", "--count", "3"], "golden_gen_null_er.csv"),
+    (["knockout", "--years", "2006-2007", "--strategy", "attack", "--model", "er", "--trials", "5"],
+     "golden_knockout_er.csv"),
+    (["knockout", "--years", "2006-2007", "--strategy", "attack", "--model", "er", "--trials", "5",
+      "--format", "json"],
+     "golden_knockout_er.json"),
+    (["lgd", "--year", "2007", "--initial", "AAA,BBB", "--d1", "0.1", "--d2", "0.1"], "golden_lgd.json"),
+    (["fit-lognormal", "--years", "2006-2007"], "golden_fit_lognormal.json"),
+    (["fit-lognormal", "--years", "2006-2007", "--pooled"], "golden_fit_lognormal_pooled.json"),
 ])
-def test_cascade_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
+def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     rc = main(args + [
         "--assets", str(fixture_data_dir / "assets.csv"),
         "--gdp", str(fixture_data_dir / "gdp.csv"),
@@ -246,6 +257,18 @@ def test_cascade_commands_match_golden(fixture_data_dir, capsysbinary, args, gol
     ["lgd-sweep", "--years", "2007", "--top-n", "0"],
     ["lgd", "--year", "2007", "--initial", "AAA", "--d1", "nan", "--d2", "0.1"],
     ["knockout", "--years", "2007-2006", "--strategy", "error"],
+    ["knockout", "--years", "2007", "--strategy", "error", "--jobs", "0"],
+    ["ci-table", "--years", "2007", "--jobs", "-1"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--jobs", "2"],
+    ["build", "--year", "2007", "--rule", "B", "--t", "nan"],
+    ["ci-table", "--years", "2007", "--t", "inf"],
+    ["gen-null", "--year", "2007", "--model", "er", "--count", "-3"],
+    ["knockout", "--years", "2007", "--strategy", "error", "--trials", "0"],
+    ["gen-null", "--year", "2007", "--model", "rewiring", "--swap-factor", "0"],
+    ["ci-table", "--years", "2007", "--samples", "99"],
+    ["ci-table", "--years", "2007", "--alpha", "1"],
+    ["fit-lognormal", "--years", "2007", "--correction", "nan"],
+    ["knockout", "--years", "2007", "--strategy", "error", "--correction", "-1"],
 ])
 def test_bad_cascade_and_year_flags_exit_2(fixture_data_dir, args):
     with pytest.raises(SystemExit) as exc:

@@ -172,14 +172,36 @@ def test_ensemble_jobs_parallel_matches_serial():
 
 
 def test_ensemble_sampled_uses_fresh_networks():
-    from finnet.knockout import ensemble_knockout_sampled
-
     spec = NullModelSpec("er", seed=20, countries=tuple(f"C{i}" for i in range(12)), mean_out_degree=4.0)
-    summary = ensemble_knockout_sampled([spec], "error", trials=16, master_seed=21)
+    summary = ensemble_knockout([spec], "error", trials=16, master_seed=21)
     assert summary.n_traces == 16
     assert summary.std[50] > 0  # distinct sampled graphs produce spread
-    again = ensemble_knockout_sampled([spec], "error", trials=16, master_seed=21)
+    again = ensemble_knockout([spec], "error", trials=16, master_seed=21)
     assert np.array_equal(summary.mean, again.mean)
+
+
+@pytest.mark.parametrize("strategy", ["error", "attack"])
+def test_ensemble_sources_pool_per_trial_traces(strategy):
+    """A spec source knocks out spec.sample(j) in trial j, a network source
+    the network itself, each with seed child_seed(master, source index, j)."""
+    from finnet.seeding import child_seed
+
+    spec = NullModelSpec("er", seed=30, countries=tuple(f"C{i}" for i in range(10)), mean_out_degree=3.0)
+    net = random_net(9, 0.3, np.random.default_rng(31))
+    trials, master = 6, 32
+    summary = ensemble_knockout([spec, net], strategy, trials, master)
+    curves = [
+        _interp_curve(run_knockout(spec.sample(j), strategy, child_seed(master, 0, j)).aspl_series)
+        for j in range(trials)
+    ] + [
+        _interp_curve(run_knockout(net, strategy, child_seed(master, 1, j)).aspl_series)
+        for j in range(trials)
+    ]
+    assert summary.n_traces == 2 * trials
+    assert np.array_equal(summary.mean, np.vstack(curves).mean(axis=0))
+    assert np.array_equal(summary.std, np.vstack(curves).std(axis=0))
+    parallel = ensemble_knockout([spec, net], strategy, trials, master, jobs=2)
+    assert np.array_equal(parallel.mean, summary.mean) and np.array_equal(parallel.std, summary.std)
 
 
 def test_classify_position_basics():

@@ -14,7 +14,6 @@ from finnet import (
     fraction_spl_le,
     measure_vector,
     modified_aspl,
-    shortest_paths,
 )
 from finnet.metrics import modified_aspl_adj
 
@@ -24,25 +23,11 @@ from conftest import (
     empty_net,
     net_from_adj,
     oracle_avg_clustering,
-    oracle_distances,
     oracle_edge_transitivity,
     oracle_fraction_le,
     oracle_modified_aspl,
     random_net,
 )
-
-
-def test_shortest_paths_chain():
-    dist = shortest_paths(chain_net(3))
-    assert dist[0, 2] == 2.0
-    assert dist[2, 0] == np.inf
-    assert dist[0, 1] == 1.0
-
-
-def test_shortest_paths_complete():
-    dist = shortest_paths(complete_net(4))
-    off = ~np.eye(4, dtype=bool)
-    assert (dist[off] == 1.0).all()
 
 
 def test_modified_aspl_hand_values():
@@ -144,14 +129,6 @@ def test_transitivity_against_oracle():
             assert math.isnan(value)
         else:
             assert value == expected
-
-
-def test_shortest_paths_small_graphs_against_enumeration():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        net = random_net(n, rng.uniform(0.0, 0.9), rng)
-        assert np.array_equal(shortest_paths(net), oracle_distances(net.adj))
 
 
 def test_capped_measures_small_graphs_against_enumeration():

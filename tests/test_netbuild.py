@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,8 +53,11 @@ def test_rule_b_huge_threshold_empty():
 
 
 def test_rule_b_requires_positive_t():
-    with pytest.raises(ValueError):
-        gdp_threshold_network(slice3(), 0.0)
+    for t in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gdp_threshold_network(slice3(), t)
+        with pytest.raises(ValueError):
+            ThresholdRule("gdp-fraction", t)
 
 
 def test_average_gdp_exposure_hand_value():

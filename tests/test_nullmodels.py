@@ -193,6 +193,22 @@ def test_fit_pooled_runs_and_shares_effects():
         sample_lognormal_slice(pooled, rng)
 
 
+def test_fit_pooled_single_slice_equals_per_year_fit():
+    rng = np.random.default_rng(15)
+    alpha, beta = high_mu_params(8, rng)
+    slice_ = synthetic_slice(alpha, beta, 1.0, rng, censor_floor=0.5, rounding=True)
+    single = fit_lognormal(slice_)
+    pooled = fit_lognormal_pooled([slice_])
+    assert pooled.countries == single.countries == tuple(sorted(slice_.countries))
+    for field in ("alpha", "beta", "residuals"):
+        assert np.array_equal(getattr(pooled, field), getattr(single, field))
+    assert pooled.sigma_raw == single.sigma_raw
+    summary = single.residual_summary()
+    assert summary["skew"] == pytest.approx(stats.skew(single.residuals), rel=1e-12)
+    assert summary["kurtosis"] == pytest.approx(stats.kurtosis(single.residuals, fisher=False), rel=1e-12)
+    assert (summary["jarque_bera"], summary["p_value"]) == jarque_bera(single.residuals)
+
+
 def test_sample_lognormal_sigma_zero_deterministic():
     rng = np.random.default_rng(11)
     alpha = np.array([2.0, 3.0, 1.0])
