@@ -129,6 +129,14 @@ def _spec_value(field: str, text: str) -> float:
     return value
 
 
+def _distinct(allowed: tuple[str, ...], text: str) -> list[str]:
+    """A comma list of distinct names, each one of ``allowed``."""
+    names = [v.strip() for v in text.split(",")]
+    if not set(names) <= set(allowed) or len(set(names)) < len(names):
+        raise ValueError(f"expected distinct names from {','.join(allowed)}")
+    return names
+
+
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
@@ -279,40 +287,28 @@ def cmd_knockout(args: argparse.Namespace) -> int:
 
 def cmd_ci_table(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    rules = [r.strip() for r in args.rules.split(",")]
-    models = NULL_MODEL_KINDS if args.models == "all" else [m.strip() for m in args.models.split(",")]
     reports = []
     for yi, year in enumerate(args.years):
         slice_ = core_slice(assets, gdp, year)
-        for ri, rule_name in enumerate(rules):
+        for ri, rule_name in enumerate(args.rules):
             rule = ThresholdRule.from_name(rule_name, args.t)
             net = rule.apply(slice_)
             empirical = measure_vector(net)
-            for mi, model in enumerate(models):
+            for mi, model in enumerate(args.models):
                 spec = _null_spec(model, slice_, rule, child_seed(args.seed, yi, ri, mi),
                                   args.swap_factor, args.correction)
-                reports.append(
-                    ci_compare(empirical, spec, args.samples, args.alpha,
-                               rule=rule.label, year=year, jobs=args.jobs)
-                )
-    table = ci_table(reports)
+                reports.append(ci_compare(empirical, spec, args.samples, args.alpha,
+                                          rule=rule.label, year=year, jobs=args.jobs))
     extra = {
         "years": ",".join(str(y) for y in args.years),
-        "rules": ",".join(rules),
-        "models": ",".join(models),
+        "rules": ",".join(args.rules),
+        "models": ",".join(args.models),
         "samples": args.samples,
         "alpha": args.alpha,
     }
-    rows = [
-        [r["measure"], r["model"], r["rule"], r["score"], r["below"], r["within"],
-         r["above"], r["undefined"], r["years"]]
-        for r in table
-    ]
-    _emit_table(
-        args.out, _meta("ci-table", args, extra),
-        ["measure", "model", "rule", "score", "below", "within", "above", "undefined", "years"],
-        rows, args.format,
-    )
+    columns = ["measure", "model", "rule", "score", "below", "within", "above", "undefined", "years"]
+    rows = [[r[c] for c in columns] for r in ci_table(reports)]
+    _emit_table(args.out, _meta("ci-table", args, extra), columns, rows, args.format)
     return EXIT_OK
 
 
@@ -404,7 +400,7 @@ def cmd_pigs_grid(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
     parser.add_argument("--assets", help=f"asset CSV path, '-' for stdin (default: ${ENV_DATA_DIR}/assets.csv)")
     parser.add_argument("--gdp", help=f"gdp CSV path, '-' for stdin (default: ${ENV_DATA_DIR}/gdp.csv)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default %(default)s)")
+    parser.add_argument("--seed", type=SEED, default=DEFAULT_SEED, help="master seed (default %(default)s)")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
     if years:
         parser.add_argument("--years", type=_checked(_parse_years), required=True,
@@ -429,6 +425,9 @@ D1 = _checked(partial(_spec_value, "d1"))
 D2 = _checked(partial(_spec_value, "d2"))
 HAIRCUT = _checked(partial(_spec_value, "haircut"))
 POSITIVE = _bounded(int, lambda v: v >= 1, "must be >= 1")
+SEED = _bounded(int, lambda v: v >= 0, "must be >= 0")
+RULES = _checked(partial(_distinct, ("A", "B")))
+MODELS = _checked(lambda text: list(NULL_MODEL_KINDS) if text == "all" else _distinct(NULL_MODEL_KINDS, text))
 SAMPLES = _bounded(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
 ALPHA = _bounded(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 CORRECTION = _bounded(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
@@ -485,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ci-table", help="confidence-interval comparison table")
     _add_common(p, years=True)
-    p.add_argument("--rules", default="A,B", help="comma list of rules (default %(default)s)")
+    p.add_argument("--rules", type=RULES, default="A,B", help="comma list of rules (default %(default)s)")
     p.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD)
-    p.add_argument("--models", default="all", help="comma list of null models or 'all'")
+    p.add_argument("--models", type=MODELS, default="all", help="comma list of null models or 'all'")
     p.add_argument("--samples", type=SAMPLES, default=DEFAULT_SAMPLES)
     p.add_argument("--alpha", type=ALPHA, default=DEFAULT_ALPHA)
     _add_null_params(p)

@@ -67,6 +67,13 @@ def _distance_counts(adj: np.ndarray) -> tuple[int, int, int, int]:
     return c1, c2, c3, n * (n - 1)
 
 
+def _capped_measures(adj: np.ndarray) -> tuple[float, float, float]:
+    """Fractions of ordered pairs within distance 2 and 3, and the capped ASPL."""
+    c1, c2, c3, pairs = _distance_counts(adj)
+    aspl = (c1 + 2 * c2 + 3 * c3 + SPL_CAP * (pairs - c1 - c2 - c3)) / pairs
+    return (c1 + c2) / pairs, (c1 + c2 + c3) / pairs, aspl
+
+
 def modified_aspl_adj(adj: np.ndarray) -> float:
     """Capped mean shortest path length on a raw adjacency matrix.
 
@@ -75,8 +82,7 @@ def modified_aspl_adj(adj: np.ndarray) -> float:
     """
     if adj.shape[0] <= 1:
         return SPL_CAP
-    c1, c2, c3, pairs = _distance_counts(adj)
-    return (c1 + 2 * c2 + 3 * c3 + SPL_CAP * (pairs - c1 - c2 - c3)) / pairs
+    return _capped_measures(adj)[2]
 
 
 def modified_aspl(net: BinaryNetwork) -> float:
@@ -88,9 +94,7 @@ def fraction_spl_le(net: BinaryNetwork, k: int) -> float:
     """Fraction of ordered pairs i != j at finite distance <= k, k in {2, 3}."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k!r}")
-    c1, c2, c3, pairs = _distance_counts(net.adj)
-    within = c1 + c2 if k == 2 else c1 + c2 + c3
-    return within / pairs
+    return _capped_measures(net.adj)[k - 2]
 
 
 def assortativity(net: BinaryNetwork, variant: str = "out-in") -> float:
@@ -160,12 +164,9 @@ def edge_transitivity(net: BinaryNetwork) -> float:
 
 def measure_vector(net: BinaryNetwork, assortativity_variant: str = "out-in") -> MeasureVector:
     """All six statistics for one network."""
-    c1, c2, c3, pairs = _distance_counts(net.adj)
     return MeasureVector(
-        frac_spl_le2=(c1 + c2) / pairs,
-        frac_spl_le3=(c1 + c2 + c3) / pairs,
-        modified_aspl=(c1 + 2 * c2 + 3 * c3 + SPL_CAP * (pairs - c1 - c2 - c3)) / pairs,
-        assortativity=assortativity(net, assortativity_variant),
-        avg_clustering=avg_clustering(net),
-        edge_transitivity=edge_transitivity(net),
+        *_capped_measures(net.adj),
+        assortativity(net, assortativity_variant),
+        avg_clustering(net),
+        edge_transitivity(net),
     )

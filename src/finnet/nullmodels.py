@@ -44,20 +44,26 @@ def sample_er(
     return BinaryNetwork(countries or _generic_labels(n), adj, "er")
 
 
+def _degree_sampled(seq: np.ndarray, rng: np.random.Generator,
+                    countries: tuple[str, ...] | None, axis: int) -> BinaryNetwork:
+    """Edge i->j with probability seq[i] (axis 0) or seq[j] (axis 1) over n - 1."""
+    kind = ("out-degree", "in-degree")[axis]
+    seq = np.asarray(seq)
+    n = seq.size
+    if np.any(seq < 0) or np.any(seq > n - 1):
+        raise ValueError(f"{kind}s must lie in [0, n - 1]")
+    adj = rng.random((n, n)) < (seq / (n - 1)).reshape((n, 1) if axis == 0 else (1, n))
+    np.fill_diagonal(adj, False)
+    return BinaryNetwork(countries or _generic_labels(n), adj, kind)
+
+
 def sample_outdegree(
     out_seq: np.ndarray,
     rng: np.random.Generator,
     countries: tuple[str, ...] | None = None,
 ) -> BinaryNetwork:
     """Row-probability digraph: edge i->j with probability out_seq[i] / (n - 1)."""
-    out_seq = np.asarray(out_seq)
-    n = out_seq.size
-    if np.any(out_seq < 0) or np.any(out_seq > n - 1):
-        raise ValueError("out-degrees must lie in [0, n - 1]")
-    p = out_seq / (n - 1)
-    adj = rng.random((n, n)) < p[:, None]
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(countries or _generic_labels(n), adj, "out-degree")
+    return _degree_sampled(out_seq, rng, countries, 0)
 
 
 def sample_indegree(
@@ -66,14 +72,7 @@ def sample_indegree(
     countries: tuple[str, ...] | None = None,
 ) -> BinaryNetwork:
     """Column-probability digraph: edge i->j with probability in_seq[j] / (n - 1)."""
-    in_seq = np.asarray(in_seq)
-    n = in_seq.size
-    if np.any(in_seq < 0) or np.any(in_seq > n - 1):
-        raise ValueError("in-degrees must lie in [0, n - 1]")
-    p = in_seq / (n - 1)
-    adj = rng.random((n, n)) < p[None, :]
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(countries or _generic_labels(n), adj, "in-degree")
+    return _degree_sampled(in_seq, rng, countries, 1)
 
 
 def sample_rewired(
@@ -86,38 +85,40 @@ def sample_rewired(
     Performs ``swap_factor * |E|`` attempted swaps (a->b, c->d becomes
     a->d, c->b), rejecting any swap that would create a self-loop or a
     duplicate edge. Every node keeps its exact in- and out-degree. Graphs
-    with no valid swap come back as a copy.
+    with no valid swap come back as a copy. The only random draw is one
+    ``rng.integers(0, m, size=(swap_factor * m, 2))``; row t holds the
+    two edges, numbered in row-major order, of attempt t.
     """
     if swap_factor < 1:
         raise ValueError("swap_factor must be >= 1")
     rows, cols = np.nonzero(net.adj)
-    edges = list(zip(rows.tolist(), cols.tolist()))
-    m = len(edges)
+    m = rows.size
     label = f"rewired[{net.rule}]"
     if m < 2:
         return BinaryNetwork(net.countries, net.adj, label, net.source_year)
-    edge_set = set(edges)
-    attempts = swap_factor * m
-    picks = rng.integers(0, m, size=(attempts, 2)).tolist()
-    for i1, i2 in picks:
-        if i1 == i2:
+    n = net.n
+    picks = rng.integers(0, m, size=(swap_factor * m, 2))
+    # Swaps keep every source. With the diagonal marked occupied, a
+    # self-loop (a == d, c == b) or a pick of one edge twice fails the
+    # duplicate test, since then a->d is the live edge a->b.
+    occupied = net.adj.copy()
+    np.fill_diagonal(occupied, True)
+    occupied = bytearray(occupied.tobytes())
+    dst = cols.tolist()
+    src = rows * n
+    for i1, i2, s1, s2 in zip(*picks.T.tolist(), *src[picks].T.tolist()):
+        b = dst[i1]
+        d = dst[i2]
+        if occupied[s1 + d] or occupied[s2 + b]:
             continue
-        a, b = edges[i1]
-        c, d = edges[i2]
-        if a == d or c == b:
-            continue
-        new1, new2 = (a, d), (c, b)
-        if new1 in edge_set or new2 in edge_set:
-            continue
-        edge_set.remove((a, b))
-        edge_set.remove((c, d))
-        edge_set.add(new1)
-        edge_set.add(new2)
-        edges[i1] = new1
-        edges[i2] = new2
-    adj = np.zeros((net.n, net.n), dtype=bool)
-    idx = np.array(edges)
-    adj[idx[:, 0], idx[:, 1]] = True
+        occupied[s1 + b] = 0
+        occupied[s2 + d] = 0
+        occupied[s1 + d] = 1
+        occupied[s2 + b] = 1
+        dst[i1] = d
+        dst[i2] = b
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, dst] = True
     return BinaryNetwork(net.countries, adj, label, net.source_year)
 
 
@@ -177,8 +178,7 @@ class LogNormalFit:
 
 def _offdiag_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the n*(n-1) ordered pairs, row-major."""
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    return rows, cols
+    return np.nonzero(~np.eye(n, dtype=bool))
 
 
 def _design_matrix(n: int, baseline: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -209,6 +209,39 @@ def oracle_synchronous_rounds(
         defaulted |= newly
 
 
+def oracle_rewired(net: BinaryNetwork, rng: np.random.Generator, swap_factor: int) -> BinaryNetwork:
+    """Degree-preserving swaps on an edge-tuple list and an edge set, testing
+    each rejection case explicitly; draws the same picks as sample_rewired."""
+    rows, cols = np.nonzero(net.adj)
+    edges = list(zip(rows.tolist(), cols.tolist()))
+    m = len(edges)
+    label = f"rewired[{net.rule}]"
+    if m < 2:
+        return BinaryNetwork(net.countries, net.adj, label, net.source_year)
+    edge_set = set(edges)
+    picks = rng.integers(0, m, size=(swap_factor * m, 2)).tolist()
+    for i1, i2 in picks:
+        if i1 == i2:
+            continue
+        a, b = edges[i1]
+        c, d = edges[i2]
+        if a == d or c == b:
+            continue
+        new1, new2 = (a, d), (c, b)
+        if new1 in edge_set or new2 in edge_set:
+            continue
+        edge_set.remove((a, b))
+        edge_set.remove((c, d))
+        edge_set.add(new1)
+        edge_set.add(new2)
+        edges[i1] = new1
+        edges[i2] = new2
+    adj = np.zeros((net.n, net.n), dtype=bool)
+    idx = np.array(edges)
+    adj[idx[:, 0], idx[:, 1]] = True
+    return BinaryNetwork(net.countries, adj, label, net.source_year)
+
+
 def oracle_quantile_midpoint(values: np.ndarray, q: float) -> float:
     """Empirical quantile with midpoint interpolation, from first principles."""
     ordered = np.sort(np.asarray(values, dtype=float))

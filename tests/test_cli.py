@@ -233,6 +233,7 @@ def test_ci_table_matches_golden(fixture_data_dir):
     (["lgd", "--year", "2007", "--initial", "AAA,BBB", "--d1", "0.1", "--d2", "0.1"], "golden_lgd.json"),
     (["fit-lognormal", "--years", "2006-2007"], "golden_fit_lognormal.json"),
     (["fit-lognormal", "--years", "2006-2007", "--pooled"], "golden_fit_lognormal_pooled.json"),
+    (["gen-null", "--year", "2007", "--model", "rewiring", "--count", "3"], "golden_gen_null_rewiring.csv"),
 ])
 def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     rc = main(args + [
@@ -269,6 +270,14 @@ def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     ["ci-table", "--years", "2007", "--alpha", "1"],
     ["fit-lognormal", "--years", "2007", "--correction", "nan"],
     ["knockout", "--years", "2007", "--strategy", "error", "--correction", "-1"],
+    ["ci-table", "--years", "2007", "--rules", "C"],
+    ["ci-table", "--years", "2007", "--rules", "A,A"],
+    ["ci-table", "--years", "2007", "--models", "foo"],
+    ["ci-table", "--years", "2007", "--models", "er,rewiring,er"],
+    ["build", "--year", "2007", "--seed", "-1"],
+    ["knockout", "--years", "2007", "--strategy", "error", "--trials", "3", "--seed", "-1"],
+    ["gen-null", "--year", "2007", "--model", "er", "--seed", "-5"],
+    ["ci-table", "--years", "2007", "--seed", "1.5"],
 ])
 def test_bad_cascade_and_year_flags_exit_2(fixture_data_dir, args):
     with pytest.raises(SystemExit) as exc:

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from finnet import (
     AssetSlice,
+    BinaryNetwork,
     ThresholdRule,
     estimate_sigma_correction,
     fit_lognormal,
@@ -21,7 +22,7 @@ from finnet import (
 )
 from finnet.nullmodels import NullModelSpec, sample_lognormal_matrix
 
-from conftest import net_from_adj, random_net
+from conftest import net_from_adj, oracle_rewired, random_net
 
 
 def labels(n):
@@ -126,6 +127,37 @@ def test_rewired_preserves_degree_sequences(seed, p):
     assert np.array_equal(rewired.out_degrees(), net.out_degrees())
     assert np.array_equal(rewired.in_degrees(), net.in_degrees())
     assert not np.any(np.diagonal(rewired.adj))
+
+
+@st.composite
+def digraphs(draw):
+    """Edge sets of every size from 0 up, or their complements (near-complete graphs)."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.sets(pairs, max_size=n * (n - 1))):
+        adj[i, j] = True
+    if draw(st.booleans()):
+        adj = ~adj
+        np.fill_diagonal(adj, False)
+    return adj
+
+
+@given(adj=digraphs(), swap_factor=st.sampled_from([1, 2, 20]), seed=st.integers(0, 2**32 - 1),
+       year=st.sampled_from([None, 2007]))
+@example(adj=np.zeros((3, 3), dtype=bool), swap_factor=20, seed=1, year=None)
+@example(adj=np.eye(3, k=2, dtype=bool), swap_factor=20, seed=2, year=2007)
+@example(adj=np.array([[0, 1], [1, 0]], dtype=bool), swap_factor=20, seed=3, year=None)
+@example(adj=np.array([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=bool),
+         swap_factor=2, seed=4, year=2007)
+@settings(max_examples=300, deadline=None)
+def test_rewired_matches_oracle_exactly(adj, swap_factor, seed, year):
+    net = BinaryNetwork(labels(adj.shape[0]), adj, "A", year)
+    got = sample_rewired(net, np.random.default_rng(seed), swap_factor)
+    want = oracle_rewired(net, np.random.default_rng(seed), swap_factor)
+    assert np.array_equal(got.adj, want.adj)
+    assert (got.countries, got.rule, got.source_year) == (want.countries, want.rule, want.source_year)
+    assert got.rule == "rewired[A]" and got.source_year == year
 
 
 def test_fit_constant_matrix_zero_sigma():
