@@ -58,7 +58,6 @@ from .knockout import (
     classify_position,
     ensemble_knockout,
     run_knockout,
-    select_attack_target,
 )
 from .lgd import (
     CascadeResult,

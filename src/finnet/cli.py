@@ -100,6 +100,8 @@ def _parse_years(text: str) -> list[int]:
             years.extend(range(lo, hi + 1))
         else:
             years.append(int(part))
+    if len(set(years)) < len(years):
+        raise ValueError("repeats a year")
     return years
 
 
@@ -129,11 +131,13 @@ def _spec_value(field: str, text: str) -> float:
     return value
 
 
-def _distinct(allowed: tuple[str, ...], text: str) -> list[str]:
-    """A comma list of distinct names, each one of ``allowed``."""
+def _distinct(allowed: tuple[str, ...] | None, text: str) -> list[str]:
+    """A comma list of distinct non-empty names, each one of ``allowed`` if given."""
     names = [v.strip() for v in text.split(",")]
-    if not set(names) <= set(allowed) or len(set(names)) < len(names):
-        raise ValueError(f"expected distinct names from {','.join(allowed)}")
+    known = set(allowed) if allowed else set(names) - {""}
+    if not set(names) <= known or len(set(names)) < len(names):
+        raise ValueError(f"expected distinct names from {','.join(allowed)}" if allowed
+                         else "expected distinct non-empty names")
     return names
 
 
@@ -315,9 +319,8 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
 def cmd_lgd(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    initial = [c.strip() for c in args.initial.split(",")]
     spec = LgdSpec(args.d1, args.d2, args.haircut)
-    result = cascade(slice_, set(initial), spec)
+    result = cascade(slice_, set(args.initial), spec)
     meta = _meta("lgd", args, {
         "year": args.year, "d1": args.d1, "d2": args.d2, "haircut": args.haircut,
     })
@@ -379,7 +382,7 @@ def cmd_lgd_sweep(args: argparse.Namespace) -> int:
 def cmd_pigs_grid(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    group = tuple(c.strip() for c in args.group.split(","))
+    group = tuple(args.group)
     d1_values = np.linspace(0.0, args.d1_max, args.d1_points)
     d2_values = np.linspace(0.0, args.d2_max, args.d2_points)
     cells = fine_grid(slice_, group, d1_values, d2_values, haircut=args.haircut)
@@ -426,6 +429,7 @@ D2 = _checked(partial(_spec_value, "d2"))
 HAIRCUT = _checked(partial(_spec_value, "haircut"))
 POSITIVE = _bounded(int, lambda v: v >= 1, "must be >= 1")
 SEED = _bounded(int, lambda v: v >= 0, "must be >= 0")
+NAMES = _checked(partial(_distinct, None))
 RULES = _checked(partial(_distinct, ("A", "B")))
 MODELS = _checked(lambda text: list(NULL_MODEL_KINDS) if text == "all" else _distinct(NULL_MODEL_KINDS, text))
 SAMPLES = _bounded(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
@@ -496,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgd", help="single loss-given-default cascade trace")
     _add_common(p)
-    p.add_argument("--initial", required=True, help="comma list of initially defaulting countries")
+    p.add_argument("--initial", type=NAMES, required=True, help="comma list of initially defaulting countries")
     p.add_argument("--d1", type=D1, required=True, help="portfolio-fraction threshold")
     p.add_argument("--d2", type=D2, required=True, help="GDP-fraction threshold")
     p.add_argument("--haircut", type=HAIRCUT, default=1.0)
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pigs-grid", help="fine threshold grid for a country group")
     _add_common(p)
-    p.add_argument("--group", required=True, help="comma list of group members")
+    p.add_argument("--group", type=NAMES, required=True, help="comma list of group members")
     p.add_argument("--d1-max", type=D1, default=FINE_D1_MAX)
     p.add_argument("--d1-points", type=POSITIVE, default=FINE_D1_POINTS)
     p.add_argument("--d2-max", type=D2, default=FINE_D2_MAX)

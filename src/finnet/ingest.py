@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -38,12 +39,6 @@ class AssetPanel:
             if value < 0 or not math.isfinite(value):
                 raise DataError(f"bad value {value!r} for ({year},{holder},{issuer})")
 
-    def years(self) -> list[int]:
-        return sorted({year for (year, _, _) in self.records})
-
-    def holders(self, year: int) -> set[str]:
-        return {holder for (y, holder, _) in self.records if y == year}
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -58,15 +53,6 @@ class GdpPanel:
         for (year, country), gdp in self.records.items():
             if gdp <= 0 or not math.isfinite(gdp):
                 raise DataError(f"nonpositive gdp {gdp!r} for ({year},{country})")
-
-    def years(self) -> list[int]:
-        return sorted({year for (year, _) in self.records})
-
-    def countries(self, year: int) -> set[str]:
-        return {country for (y, country) in self.records if y == year}
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -200,38 +186,21 @@ def parse_gdp_table(stream: IO[bytes] | IO[str] | bytes | str) -> GdpPanel:
     return GdpPanel(records)
 
 
-def write_asset_table(panel: AssetPanel, stream: IO[str]) -> None:
-    """Serialize a panel back to CSV; round-trips exactly through the parser."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(ASSET_HEADER)
-    for (year, holder, issuer) in sorted(panel.records):
-        writer.writerow([year, holder, issuer, repr(panel.records[(year, holder, issuer)])])
-
-
-def write_gdp_table(panel: GdpPanel, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(GDP_HEADER)
-    for (year, country) in sorted(panel.records):
-        writer.writerow([year, country, repr(panel.records[(year, country)])])
+def _read_file(path: str, parse):
+    if path == "-":
+        return parse(sys.stdin.buffer)
+    with open(path, "rb") as fh:
+        return parse(fh)
 
 
 def read_asset_file(path: str) -> AssetPanel:
     """Read an asset CSV from a path, or standard input when path is ``-``."""
-    if path == "-":
-        import sys
-
-        return parse_asset_table(sys.stdin.buffer)
-    with open(path, "rb") as fh:
-        return parse_asset_table(fh)
+    return _read_file(path, parse_asset_table)
 
 
 def read_gdp_file(path: str) -> GdpPanel:
-    if path == "-":
-        import sys
-
-        return parse_gdp_table(sys.stdin.buffer)
-    with open(path, "rb") as fh:
-        return parse_gdp_table(fh)
+    """Read a GDP CSV from a path, or standard input when path is ``-``."""
+    return _read_file(path, parse_gdp_table)
 
 
 def core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlice:
@@ -242,25 +211,27 @@ def core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlice:
     by those holders' full reported assets for the year (1.0 when the
     holders report nothing at all).
     """
-    if year not in assets.years():
+    rows = [(holder, issuer, value) for (y, holder, issuer), value in assets.records.items() if y == year]
+    if not rows:
         raise DataError(f"year {year} absent from asset panel")
-    if year not in gdp.years():
+    countries = sorted({holder for holder, _, _ in rows if (year, holder) in gdp.records})
+    if not countries and all(y != year for y, _ in gdp.records):
         raise DataError(f"year {year} absent from gdp panel")
-    holders = assets.holders(year)
-    countries = sorted(h for h in holders if (year, h) in gdp.records)
     if len(countries) < 2:
         raise DataError(f"year {year}: fewer than 2 countries with both assets and gdp")
     index = {code: i for i, code in enumerate(countries)}
     n = len(countries)
     matrix = np.zeros((n, n))
+    # A sequential sum in record order, which fixes the last bit of coverage.
     holders_total = 0.0
-    for (y, holder, issuer), value in assets.records.items():
-        if y != year or holder not in index:
+    for holder, issuer, value in rows:
+        i = index.get(holder)
+        if i is None:
             continue
         holders_total += value
         j = index.get(issuer)
         if j is not None:
-            matrix[index[holder], j] = value
+            matrix[i, j] = value
     internal_total = float(matrix.sum())
     coverage = internal_total / holders_total if holders_total > 0 else 1.0
     gdp_vec = np.array([gdp.records[(year, c)] for c in countries])

@@ -51,18 +51,12 @@ class CurveSummary:
 
 
 def _attack_index(adj: np.ndarray, rng: np.random.Generator) -> int:
+    """Node with maximal in+out degree; ties resolved uniformly at random."""
     sums = adj.sum(axis=0) + adj.sum(axis=1)
     best = np.flatnonzero(sums == sums.max())
     if best.size == 1:
         return int(best[0])
     return int(best[rng.integers(best.size)])
-
-
-def select_attack_target(net: BinaryNetwork, rng: np.random.Generator) -> str:
-    """Country with maximal in+out degree; ties resolved uniformly at random."""
-    if net.n == 0:
-        raise ValueError("empty network")
-    return net.countries[_attack_index(net.adj, rng)]
 
 
 def run_knockout(net: BinaryNetwork, strategy: str, seed: int) -> KnockoutTrace:

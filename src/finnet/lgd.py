@@ -255,8 +255,8 @@ def fine_grid(
     Defaults scan d1 in [0, 0.2] at 51 points and d2 in [0, 0.5] at 51
     points. Every grid value must be one that LgdSpec accepts.
     """
-    if not group:
-        raise ValueError("group must be nonempty")
+    if not group or len(set(group)) < len(group):
+        raise ValueError("group must be nonempty with distinct members")
     if max_subset < 1:
         raise ValueError(f"max_subset must be >= 1, got {max_subset}")
     if d1_values is None:

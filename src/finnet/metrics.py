@@ -26,8 +26,6 @@ MEASURE_NAMES = (
     "edge_transitivity",
 )
 
-ASSORTATIVITY_VARIANTS = ("out-in", "total-total")
-
 
 @dataclass(frozen=True)
 class MeasureVector:
@@ -39,9 +37,6 @@ class MeasureVector:
     assortativity: float
     avg_clustering: float
     edge_transitivity: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in MEASURE_NAMES}
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in MEASURE_NAMES])
@@ -97,28 +92,18 @@ def fraction_spl_le(net: BinaryNetwork, k: int) -> float:
     return _capped_measures(net.adj)[k - 2]
 
 
-def assortativity(net: BinaryNetwork, variant: str = "out-in") -> float:
-    """Degree correlation over directed edges.
-
-    ``out-in`` pairs the source's out-degree with the target's in-degree;
-    ``total-total`` uses the in+out degree sum on both ends. Returns NaN
-    when either endpoint sequence has zero variance (or there are no
-    edges).
+def assortativity(net: BinaryNetwork) -> float:
+    """Degree correlation over directed edges: the source's out-degree
+    against the target's in-degree. Returns NaN when either endpoint
+    sequence has zero variance (or there are no edges).
     """
-    if variant not in ASSORTATIVITY_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {ASSORTATIVITY_VARIANTS}")
     srcs, dsts = np.nonzero(net.adj)
     if srcs.size == 0:
         return math.nan
     out_deg = net.adj.sum(axis=1)
     in_deg = net.adj.sum(axis=0)
-    if variant == "out-in":
-        x = out_deg[srcs].astype(float)
-        y = in_deg[dsts].astype(float)
-    else:
-        total = (out_deg + in_deg).astype(float)
-        x = total[srcs]
-        y = total[dsts]
+    x = out_deg[srcs].astype(float)
+    y = in_deg[dsts].astype(float)
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         return math.nan
     xc = x - x.mean()
@@ -162,11 +147,11 @@ def edge_transitivity(net: BinaryNetwork) -> float:
     return closed / two_paths
 
 
-def measure_vector(net: BinaryNetwork, assortativity_variant: str = "out-in") -> MeasureVector:
+def measure_vector(net: BinaryNetwork) -> MeasureVector:
     """All six statistics for one network."""
     return MeasureVector(
         *_capped_measures(net.adj),
-        assortativity(net, assortativity_variant),
+        assortativity(net),
         avg_clustering(net),
         edge_transitivity(net),
     )

@@ -63,19 +63,10 @@ class BinaryNetwork:
     def in_degrees(self) -> np.ndarray:
         return self.adj.sum(axis=0).astype(int)
 
-    def degree_sums(self) -> np.ndarray:
-        return self.out_degrees() + self.in_degrees()
-
     def edges(self) -> list[tuple[str, str]]:
         """Edges as (source, target) code pairs, lexicographically sorted."""
         rows, cols = np.nonzero(self.adj)
         return sorted((self.countries[i], self.countries[j]) for i, j in zip(rows, cols))
-
-    def subnetwork(self, keep: np.ndarray) -> "BinaryNetwork":
-        """Induced subgraph on the nodes flagged True in ``keep``."""
-        keep = np.asarray(keep, dtype=bool)
-        labels = tuple(c for c, k in zip(self.countries, keep) if k)
-        return BinaryNetwork(labels, self.adj[keep][:, keep], self.rule, self.source_year)
 
 
 @dataclass(frozen=True)
@@ -128,21 +119,12 @@ def gdp_threshold_network(slice_: AssetSlice, t: float = DEFAULT_GDP_THRESHOLD) 
     return BinaryNetwork(slice_.countries, adj, f"B(t={t:g})", slice_.year)
 
 
-def average_gdp_exposure(slice_: AssetSlice, positive_only: bool = False) -> float:
-    """Mean of s_ij / gdp_i over ordered pairs i != j.
-
-    By default zero positions are included in the average; with
-    ``positive_only`` the mean runs over strictly positive positions
-    (0.0 when there are none).
-    """
+def average_gdp_exposure(slice_: AssetSlice) -> float:
+    """Mean of s_ij / gdp_i over ordered pairs i != j, zero positions
+    included; averaged across years it gives the stock rule-B threshold."""
     ratios = slice_.assets / slice_.gdp[:, None]
     off = ~np.eye(slice_.n, dtype=bool)
-    values = ratios[off]
-    if positive_only:
-        values = values[values > 0]
-        if values.size == 0:
-            return 0.0
-    return float(values.mean())
+    return float(ratios[off].mean())
 
 
 def weight_class(exposure: float, row_average: float) -> int:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finnet import AssetSlice, BinaryNetwork
+from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -240,6 +240,32 @@ def oracle_rewired(net: BinaryNetwork, rng: np.random.Generator, swap_factor: in
     idx = np.array(edges)
     adj[idx[:, 0], idx[:, 1]] = True
     return BinaryNetwork(net.countries, adj, label, net.source_year)
+
+
+def oracle_core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlice:
+    """Core slice by separate full scans for the years, the holders and the
+    matrix, summing the holders' total sequentially in record order."""
+    if year not in {y for (y, _, _) in assets.records}:
+        raise DataError(f"year {year} absent from asset panel")
+    if year not in {y for (y, _) in gdp.records}:
+        raise DataError(f"year {year} absent from gdp panel")
+    holders = {h for (y, h, _) in assets.records if y == year}
+    countries = sorted(h for h in holders if (year, h) in gdp.records)
+    if len(countries) < 2:
+        raise DataError(f"year {year}: fewer than 2 countries with both assets and gdp")
+    index = {code: i for i, code in enumerate(countries)}
+    matrix = np.zeros((len(countries), len(countries)))
+    holders_total = 0.0
+    for (y, holder, issuer), value in assets.records.items():
+        if y != year or holder not in index:
+            continue
+        holders_total += value
+        if issuer in index:
+            matrix[index[holder], index[issuer]] = value
+    internal_total = float(matrix.sum())
+    coverage = internal_total / holders_total if holders_total > 0 else 1.0
+    gdp_vec = np.array([gdp.records[(year, c)] for c in countries])
+    return AssetSlice(year, tuple(countries), matrix, gdp_vec, coverage)
 
 
 def oracle_quantile_midpoint(values: np.ndarray, q: float) -> float:

@@ -278,6 +278,16 @@ def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     ["knockout", "--years", "2007", "--strategy", "error", "--trials", "3", "--seed", "-1"],
     ["gen-null", "--year", "2007", "--model", "er", "--seed", "-5"],
     ["ci-table", "--years", "2007", "--seed", "1.5"],
+    ["ci-table", "--years", "2007,2007"],
+    ["lgd-sweep", "--years", "2006-2007,2007"],
+    ["knockout", "--years", "2006,2007,2006", "--strategy", "error", "--trials", "3"],
+    ["fit-lognormal", "--years", "2007,2006-2007"],
+    ["fit-lognormal", "--years", "2006-2007,2006-2007", "--pooled"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA,AAA"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA, "],
+    ["pigs-grid", "--year", "2007", "--group", ""],
+    ["lgd", "--year", "2007", "--initial", "AAA,,BBB", "--d1", "0.1", "--d2", "0.1"],
+    ["lgd", "--year", "2007", "--initial", "AAA, AAA", "--d1", "0.1", "--d2", "0.1"],
 ])
 def test_bad_cascade_and_year_flags_exit_2(fixture_data_dir, args):
     with pytest.raises(SystemExit) as exc:
@@ -302,6 +312,81 @@ def test_threshold_flags_accept_exactly_what_lgdspec_accepts(text):
             assert exc.value.code == 2
         else:
             assert getattr(parser.parse_args(argv), dest) == value
+
+
+YEAR_LIST_COMMANDS = (
+    ["fit-lognormal"],
+    ["knockout", "--strategy", "error"],
+    ["ci-table"],
+    ["lgd-sweep"],
+)
+
+
+@st.composite
+def year_lists(draw):
+    """A --years value from entries that are a year, a range (possibly
+    reversed) or junk, each maybe padded; returns the text and the years it
+    names, or None when it must be rejected."""
+    entries = draw(st.lists(st.one_of(
+        st.integers(2000, 2006).map(lambda y: (str(y), [y])),
+        st.tuples(st.integers(2000, 2006), st.integers(2000, 2006)).map(
+            lambda r: (f"{r[0]}-{r[1]}", list(range(r[0], r[1] + 1)) if r[0] <= r[1] else None)),
+        st.sampled_from(["", " ", "x", "-", "2007-", "20.07", "2006-x"]).map(lambda j: (j, None)),
+    ), min_size=1, max_size=4))
+    pads = draw(st.lists(st.sampled_from(["", " "]), min_size=len(entries), max_size=len(entries)))
+    text = ",".join(pad + entry + pad for (entry, _), pad in zip(entries, pads))
+    if any(years is None for _, years in entries):
+        return text, None
+    years = [y for _, entry_years in entries for y in entry_years]
+    return text, years if len(set(years)) == len(years) else None
+
+
+@st.composite
+def name_lists(draw):
+    """A --group/--initial value and its names, or None when one is empty or repeated."""
+    entries = draw(st.lists(st.sampled_from(["AAA", "BBB", "C C", "", " "]), min_size=1, max_size=4))
+    pads = draw(st.lists(st.sampled_from(["", " "]), min_size=len(entries), max_size=len(entries)))
+    text = ",".join(pad + entry + pad for entry, pad in zip(entries, pads))
+    names = [entry.strip() for entry in entries]
+    return text, names if "" not in names and len(set(names)) == len(names) else None
+
+
+def exits_2_before_reading(argv) -> bool:
+    """Whether main stops with a usage error; when it does not, it must get
+    as far as reading the (missing) input files."""
+    argv = argv + ["--assets", "/nonexistent/assets.csv", "--gdp", "/nonexistent/gdp.csv"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return True
+    assert rc == 1
+    return False
+
+
+@given(value=year_lists())
+@settings(max_examples=200, deadline=None)
+def test_years_flag_rejects_exactly_malformed_empty_or_repeated(value):
+    text, years = value
+    parser = build_parser()
+    for command in YEAR_LIST_COMMANDS:
+        argv = command + [f"--years={text}"]
+        assert exits_2_before_reading(argv) == (years is None)
+        if years is not None:
+            assert parser.parse_args(argv).years == years
+
+
+@given(value=name_lists())
+@settings(max_examples=200, deadline=None)
+def test_group_and_initial_flags_reject_exactly_empty_or_repeated_names(value):
+    text, names = value
+    parser = build_parser()
+    for argv, dest in ((["pigs-grid", "--year", "2007", f"--group={text}"], "group"),
+                       (["lgd", "--year", "2007", f"--initial={text}", "--d1", "0.1", "--d2", "0.1"],
+                        "initial")):
+        assert exits_2_before_reading(argv) == (names is None)
+        if names is not None:
+            assert getattr(parser.parse_args(argv), dest) == names
 
 
 def test_repeat_runs_byte_identical(fixture_data_dir):

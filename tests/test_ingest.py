@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -6,16 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finnet import AssetPanel, AssetSlice, DataError, GdpPanel, core_slice, parse_asset_table, parse_gdp_table
-from finnet.ingest import write_asset_table, write_gdp_table
+from finnet.ingest import ASSET_HEADER as ASSET_COLUMNS
+from finnet.ingest import GDP_HEADER as GDP_COLUMNS
+
+from conftest import oracle_core_slice
 
 ASSET_HEADER = "year,holder,issuer,value_musd\n"
 GDP_HEADER = "year,country,gdp_musd\n"
 
 
+def write_table(columns, records) -> bytes:
+    """Panel records as CSV under ``columns``, with values that round-trip exactly."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for key in sorted(records):
+        writer.writerow([*key, repr(records[key])])
+    return out.getvalue().encode()
+
+
 def test_header_only_gives_empty_panel():
     panel = parse_asset_table(ASSET_HEADER.encode())
     assert len(panel) == 0
-    assert panel.years() == []
 
 
 def test_single_asset_row():
@@ -87,20 +100,14 @@ values = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity
 )
 @settings(max_examples=50)
 def test_asset_roundtrip(records):
-    panel = AssetPanel(records)
-    buffer = io.StringIO()
-    write_asset_table(panel, buffer)
-    again = parse_asset_table(buffer.getvalue().encode())
-    assert again.records == panel.records
+    again = parse_asset_table(write_table(ASSET_COLUMNS, AssetPanel(records).records))
+    assert again.records == records
 
 
 @given(st.dictionaries(st.tuples(st.integers(2001, 2009), codes), st.floats(0.001, 1e9), max_size=20))
 @settings(max_examples=50)
 def test_gdp_roundtrip(records):
-    panel = GdpPanel(records)
-    buffer = io.StringIO()
-    write_gdp_table(panel, buffer)
-    assert parse_gdp_table(buffer.getvalue().encode()).records == panel.records
+    assert parse_gdp_table(write_table(GDP_COLUMNS, GdpPanel(records).records)).records == records
 
 
 def panel_of(*rows):
@@ -177,6 +184,42 @@ def test_coverage_identity():
     holders_total = sum(v for (y, h, i), v in assets.records.items() if y == 2007 and h in slice_.countries)
     assert slice_.coverage * holders_total == pytest.approx(slice_.assets.sum(), rel=1e-9)
     assert slice_.assets.sum() <= holders_total
+
+
+@st.composite
+def slice_panels(draw):
+    """Two-year panels in random record order over holders A-E, some without
+    GDP, and issuer-only X and Y, with non-integer values; plus a query year
+    from 2000-2003, so absent years come up too."""
+    keys = [(y, h, i) for y in (2001, 2002) for h in "ABCDE" for i in "ABCDEXY" if h != i]
+    order = draw(st.permutations(keys))[: draw(st.integers(0, len(keys)))]
+    value = st.one_of(
+        st.integers(0, 10**7).map(lambda k: k / 10),
+        st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False),
+    )
+    values = draw(st.lists(value, min_size=len(order), max_size=len(order)))
+    gdp_keys = [(y, h) for y in (2001, 2002) for h in "ABCDE"]
+    has_gdp = draw(st.lists(st.booleans(), min_size=len(gdp_keys), max_size=len(gdp_keys)))
+    gdp = {key: draw(st.floats(min_value=0.01, max_value=1e7)) for key, keep in zip(gdp_keys, has_gdp) if keep}
+    return AssetPanel(dict(zip(order, values))), GdpPanel(gdp), draw(st.integers(2000, 2003))
+
+
+@given(slice_panels())
+@settings(max_examples=300, deadline=None)
+def test_core_slice_matches_three_scan_oracle(panels):
+    assets, gdp, year = panels
+    try:
+        expected = oracle_core_slice(assets, gdp, year)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            core_slice(assets, gdp, year)
+        assert str(raised.value) == str(exc)
+        return
+    got = core_slice(assets, gdp, year)
+    assert got.countries == expected.countries
+    assert got.assets.tobytes() == expected.assets.tobytes()
+    assert got.gdp.tobytes() == expected.gdp.tobytes()
+    assert np.float64(got.coverage).tobytes() == np.float64(expected.coverage).tobytes()
 
 
 def test_slice_validation():

@@ -12,7 +12,6 @@ from finnet import (
     fit_lognormal,
     measure_vector,
     run_knockout,
-    select_attack_target,
 )
 from finnet.knockout import CURVE_GRID, CiEntry, CiReport, _interp_curve
 from finnet.metrics import MEASURE_NAMES
@@ -39,33 +38,34 @@ def star_net(n, bidirectional=False):
     return net_from_adj(adj)
 
 
+def attack_target(net, seed):
+    """The first node an attack knockout removes."""
+    return run_knockout(net, "attack", seed).removal_order[0]
+
+
 def test_attack_target_star_center():
-    rng = np.random.default_rng(0)
     net = star_net(7)
-    assert select_attack_target(net, rng) == net.countries[0]
+    assert attack_target(net, 0) == net.countries[0]
 
 
 def test_attack_target_never_isolated():
     adj = np.zeros((4, 4), dtype=bool)
     adj[0, 1] = adj[1, 2] = adj[2, 0] = True  # 3-cycle plus isolated node 3
     net = net_from_adj(adj)
-    targets = {select_attack_target(net, np.random.default_rng(seed)) for seed in range(50)}
+    targets = {attack_target(net, seed) for seed in range(50)}
     assert net.countries[3] not in targets
     assert targets <= set(net.countries[:3])
 
 
 def test_attack_target_tie_frequency():
     net = net_from_adj([[0, 1], [1, 0]])
-    picks = sum(
-        select_attack_target(net, np.random.default_rng(seed)) == net.countries[0]
-        for seed in range(10_000)
-    )
+    picks = sum(attack_target(net, seed) == net.countries[0] for seed in range(10_000))
     assert abs(picks / 10_000 - 0.5) < 3 * 0.005  # 3 standard errors
 
 
 def test_attack_target_empty_network_error():
-    with pytest.raises(ValueError, match="empty"):
-        select_attack_target(net_from_adj(np.zeros((0, 0), dtype=bool), labels=()), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        run_knockout(net_from_adj(np.zeros((0, 0), dtype=bool), labels=()), "attack", 0)
 
 
 def test_knockout_complete_digraph_series():
@@ -106,14 +106,13 @@ def test_attack_removals_have_maximal_degree_sum_by_replay():
     rng = np.random.default_rng(5)
     net = random_net(12, 0.3, rng)
     trace = run_knockout(net, "attack", seed=6)
-    current = net
+    adj, labels = net.adj, list(net.countries)
     for code in trace.removal_order:
-        sums = current.degree_sums()
-        victim = list(current.countries).index(code)
+        sums = adj.sum(axis=0) + adj.sum(axis=1)
+        victim = labels.index(code)
         assert sums[victim] == sums.max()
-        keep = np.ones(current.n, dtype=bool)
-        keep[victim] = False
-        current = current.subnetwork(keep)
+        adj = np.delete(np.delete(adj, victim, axis=0), victim, axis=1)
+        labels.pop(victim)
 
 
 def test_attack_series_seed_independent_on_symmetric_graph():

@@ -351,6 +351,10 @@ def test_fine_grid_rejects_invalid_grids():
         fine_grid(slice_, ("A",), np.array([]), np.array([0.0]))
     with pytest.raises(ValueError, match="max_subset"):
         fine_grid(slice_, ("A",), max_subset=0)
+    with pytest.raises(ValueError, match="nonempty"):
+        fine_grid(slice_, ())
+    with pytest.raises(ValueError, match="distinct"):
+        fine_grid(slice_, ("A", "B", "A"))
 
 
 def test_sweep_grid_rejects_origin_only_grid():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -48,19 +49,6 @@ def test_fraction_spl_le_hand_values():
 def test_assortativity_two_cycle_undefined():
     net = net_from_adj([[0, 1], [1, 0]])
     assert math.isnan(assortativity(net))
-    assert math.isnan(assortativity(net, "total-total"))
-
-
-def test_assortativity_star_total_total_matches_pearson():
-    adj = np.zeros((4, 4), dtype=bool)
-    adj[0, 1:] = True
-    net = net_from_adj(adj)
-    # edges (0,1), (0,2), (0,3): total degrees 3 at source, 1 at targets
-    x = [3.0, 3.0, 3.0]
-    y = [1.0, 1.0, 1.0]
-    # zero variance on both sides -> undefined
-    assert math.isnan(assortativity(net, "total-total"))
-    assert np.std(x) == 0 and np.std(y) == 0
 
 
 def test_assortativity_against_pearson_oracle():
@@ -186,4 +174,5 @@ def test_measure_vector_matches_individual_functions():
     assert vec.modified_aspl == modified_aspl(net)
     assert vec.avg_clustering == avg_clustering(net)
     assert vec.edge_transitivity == edge_transitivity(net)
-    assert list(vec.as_dict()) == list(MEASURE_NAMES)
+    assert vec.assortativity == assortativity(net)
+    assert [field.name for field in fields(vec)] == list(MEASURE_NAMES)

@@ -64,13 +64,11 @@ def test_average_gdp_exposure_hand_value():
     assets = np.array([[0.0, 10.0], [0.0, 0.0]])
     slice_ = AssetSlice(2007, ("A", "B"), assets, np.array([100.0, 100.0]), 1.0)
     assert average_gdp_exposure(slice_) == pytest.approx(0.05)
-    assert average_gdp_exposure(slice_, positive_only=True) == pytest.approx(0.1)
 
 
 def test_average_gdp_exposure_zero_matrix():
     slice_ = AssetSlice(2007, ("A", "B"), np.zeros((2, 2)), np.ones(2), 1.0)
     assert average_gdp_exposure(slice_) == 0.0
-    assert average_gdp_exposure(slice_, positive_only=True) == 0.0
 
 
 positive_scale = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
