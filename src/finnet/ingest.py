@@ -224,15 +224,18 @@ def core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlice:
     matrix = np.zeros((n, n))
     # A sequential sum in record order, which fixes the last bit of coverage.
     holders_total = 0.0
+    outside = False
     for holder, issuer, value in rows:
         i = index.get(holder)
         if i is None:
             continue
         holders_total += value
         j = index.get(issuer)
-        if j is not None:
+        if j is None:
+            outside |= value > 0
+        else:
             matrix[i, j] = value
-    internal_total = float(matrix.sum())
-    coverage = internal_total / holders_total if holders_total > 0 else 1.0
+    # With nothing outside the core the ratio is exactly 1, whatever the last bits of the two sums.
+    coverage = float(matrix.sum()) / holders_total if outside else 1.0
     gdp_vec = np.array([gdp.records[(year, c)] for c in countries])
     return AssetSlice(year, tuple(countries), matrix, gdp_vec, coverage)

@@ -4,7 +4,10 @@ An ``error`` knockout removes a uniformly random surviving node each
 step; an ``attack`` removes a node with maximal in+out degree, recomputed
 on the surviving graph, with ties broken uniformly at random. The capped
 mean shortest path length is recorded after every removal down to a
-single node (whose value is the cap, 4.0, by convention).
+single node (whose value is the cap, 4.0, by convention). The trials of
+one network share each surviving set's ASPL and attack candidates, so
+repeated sets are computed once; a trace does not depend on which
+trials shared them.
 """
 
 from __future__ import annotations
@@ -50,40 +53,49 @@ class CurveSummary:
     n_traces: int
 
 
-def _attack_index(adj: np.ndarray, rng: np.random.Generator) -> int:
-    """Node with maximal in+out degree; ties resolved uniformly at random."""
-    sums = adj.sum(axis=0) + adj.sum(axis=1)
-    best = np.flatnonzero(sums == sums.max())
-    if best.size == 1:
-        return int(best[0])
-    return int(best[rng.integers(best.size)])
-
-
-def run_knockout(net: BinaryNetwork, strategy: str, seed: int) -> KnockoutTrace:
+def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | None = None) -> KnockoutTrace:
     """Remove nodes one at a time until a single node remains.
 
     The trace is fully determined by (network, strategy, seed); the seed
-    drives both error selection and attack tie-breaking.
+    drives both error selection and attack tie-breaking. ``cache`` maps a
+    surviving set (a bitmask over the network's nodes) to its ASPL and,
+    for attack, the positions of its max-degree nodes among the
+    survivors. Trials of one network and one strategy may share it; the
+    trace does not depend on what it already holds.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if net.n < 2:
         raise ValueError("knockout needs at least 2 nodes")
+    cache = {} if cache is None else cache
     rng = np.random.default_rng(seed)
-    adj = net.adj
-    labels = list(net.countries)
-    series = [modified_aspl_adj(adj)]
-    order: list[str] = []
-    while len(labels) > 1:
-        if strategy == "error":
-            victim = int(rng.integers(len(labels)))
+    nodes = list(range(net.n))
+    mask = (1 << net.n) - 1
+    adj = net.adj  # the survivors' adjacency; dropped on a hit, rebuilt on the next miss
+    series, order = [], []
+    while True:
+        if mask in cache:
+            adj = None
         else:
-            victim = _attack_index(adj, rng)
-        order.append(labels.pop(victim))
-        keep = np.ones(adj.shape[0], dtype=bool)
-        keep[victim] = False
-        adj = adj[keep][:, keep]
-        series.append(modified_aspl_adj(adj))
+            if adj is None:
+                index = np.array(nodes)
+                adj = net.adj[index][:, index]
+            sums = adj.sum(axis=0) + adj.sum(axis=1) if strategy == "attack" else None
+            cache[mask] = modified_aspl_adj(adj), None if sums is None else np.flatnonzero(sums == sums.max())
+        aspl, best = cache[mask]
+        series.append(aspl)
+        if len(nodes) == 1:
+            break
+        if strategy == "error":
+            victim = int(rng.integers(len(nodes)))
+        else:
+            victim = int(best[0] if best.size == 1 else best[rng.integers(best.size)])
+        node = nodes.pop(victim)
+        order.append(net.countries[node])
+        mask ^= 1 << node
+        if adj is not None:
+            adj = np.concatenate((adj[:victim], adj[victim + 1:]))
+            adj = np.concatenate((adj[:, :victim], adj[:, victim + 1:]), axis=1)
     return KnockoutTrace(strategy, tuple(order), np.array(series), seed)
 
 
@@ -94,21 +106,14 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
     return np.interp(CURVE_GRID, removed_fraction, series)
 
 
-def _trace_curve(task: tuple[BinaryNetwork | NullModelSpec, str, int, int]) -> np.ndarray:
-    source, strategy, index, seed = task
-    net = source.sample(index) if isinstance(source, NullModelSpec) else source
-    return _interp_curve(run_knockout(net, strategy, seed).aspl_series)
-
-
-def _summarize(curves: list[np.ndarray], strategy: str) -> CurveSummary:
-    stack = np.vstack(curves)
-    return CurveSummary(
-        strategy=strategy,
-        grid=CURVE_GRID.copy(),
-        mean=stack.mean(axis=0),
-        std=stack.std(axis=0),
-        n_traces=stack.shape[0],
-    )
+def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, str, list[tuple[int, int]]]) -> list[np.ndarray]:
+    """Curves of one source's trials, given as (trial index, seed) pairs.
+    A network's trials share one cache; a spec's trials share nothing."""
+    source, strategy, trials = task
+    if isinstance(source, NullModelSpec):
+        return [_interp_curve(run_knockout(source.sample(j), strategy, seed).aspl_series) for j, seed in trials]
+    cache: dict = {}
+    return [_interp_curve(run_knockout(source, strategy, seed, cache=cache).aspl_series) for _, seed in trials]
 
 
 def ensemble_knockout(
@@ -127,12 +132,16 @@ def ensemble_knockout(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # One task per source, split only where that leaves a worker idle.
+    splits = min(trials, -(-jobs // max(1, len(sources))))
+    bounds = [trials * k // splits for k in range(splits + 1)]
     tasks = [
-        (source, strategy, j, child_seed(master_seed, i, j))
+        (source, strategy, [(j, child_seed(master_seed, i, j)) for j in range(lo, hi)])
         for i, source in enumerate(sources)
-        for j in range(trials)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    return _summarize(run_tasks(_trace_curve, tasks, jobs), strategy)
+    stack = np.vstack([curve for curves in run_tasks(_trace_curves, tasks, jobs) for curve in curves])
+    return CurveSummary(strategy, CURVE_GRID.copy(), stack.mean(axis=0), stack.std(axis=0), stack.shape[0])
 
 
 def classify_position(value: float, samples: np.ndarray, alpha: float = 0.05) -> tuple[float, float, str]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -20,7 +18,11 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T], jobs: int = 1) -> list[R
     items: Sequence[T] = list(tasks)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here, so that serial runs do not pay for the pool modules at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     ctx = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
     chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=ctx) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

@@ -242,9 +242,37 @@ def oracle_rewired(net: BinaryNetwork, rng: np.random.Generator, swap_factor: in
     return BinaryNetwork(net.countries, adj, label, net.source_year)
 
 
+def oracle_knockout(net: BinaryNetwork, strategy: str, seed: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Knockout on a shrinking matrix, with no state shared between trials:
+    the removal order and the ASPL series, with the same draws as
+    run_knockout. The ASPL itself is the library's, so that the series can
+    be compared byte for byte."""
+    from finnet.metrics import modified_aspl_adj
+
+    rng = np.random.default_rng(seed)
+    adj = net.adj
+    labels = list(net.countries)
+    series = [modified_aspl_adj(adj)]
+    order: list[str] = []
+    while len(labels) > 1:
+        if strategy == "error":
+            victim = int(rng.integers(len(labels)))
+        else:
+            sums = adj.sum(axis=0) + adj.sum(axis=1)
+            best = np.flatnonzero(sums == sums.max())
+            victim = int(best[0]) if best.size == 1 else int(best[rng.integers(best.size)])
+        order.append(labels.pop(victim))
+        keep = np.ones(adj.shape[0], dtype=bool)
+        keep[victim] = False
+        adj = adj[keep][:, keep]
+        series.append(modified_aspl_adj(adj))
+    return tuple(order), np.array(series)
+
+
 def oracle_core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlice:
     """Core slice by separate full scans for the years, the holders and the
-    matrix, summing the holders' total sequentially in record order."""
+    matrix, summing the holders' total sequentially in record order; the
+    coverage is exactly 1 when no holder has a positive value outside."""
     if year not in {y for (y, _, _) in assets.records}:
         raise DataError(f"year {year} absent from asset panel")
     if year not in {y for (y, _) in gdp.records}:
@@ -262,8 +290,11 @@ def oracle_core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlic
         holders_total += value
         if issuer in index:
             matrix[index[holder], index[issuer]] = value
-    internal_total = float(matrix.sum())
-    coverage = internal_total / holders_total if holders_total > 0 else 1.0
+    outside = any(
+        value > 0 for (y, holder, issuer), value in assets.records.items()
+        if y == year and holder in index and issuer not in index
+    )
+    coverage = float(matrix.sum()) / holders_total if outside else 1.0
     gdp_vec = np.array([gdp.records[(year, c)] for c in countries])
     return AssetSlice(year, tuple(countries), matrix, gdp_vec, coverage)
 

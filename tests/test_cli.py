@@ -2,14 +2,20 @@ import io
 import json
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finnet.cli import build_parser, main
+from finnet.cli import _null_spec, build_parser, main
+from finnet.knockout import ci_compare, ensemble_knockout
 from finnet.lgd import LgdSpec
+from finnet.metrics import measure_vector
+from finnet.netbuild import ThresholdRule
+from finnet.nullmodels import DEFAULT_SIGMA_CORRECTION, DEFAULT_SWAP_FACTOR
+from finnet.seeding import child_seed
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, complete_net, random_slice
 
 
 def run(args, fixture_data_dir, out_name="out", extra=()):
@@ -387,6 +393,70 @@ def test_group_and_initial_flags_reject_exactly_empty_or_repeated_names(value):
         assert exits_2_before_reading(argv) == (names is None)
         if names is not None:
             assert getattr(parser.parse_args(argv), dest) == names
+
+
+class Accepted(Exception):
+    """Raised by StubSpec once ci_compare has accepted its arguments."""
+
+
+class StubSpec:
+    kind = "er"
+
+    def sample(self, index):
+        raise Accepted
+
+
+def ci_compare_accepts(samples=100, alpha=0.05):
+    with pytest.raises(Accepted):
+        ci_compare(measure_vector(complete_net(3)), StubSpec(), samples, alpha)
+
+
+def null_specs_accept(models):
+    slice_ = random_slice(6, np.random.default_rng(0))
+    for model in models:
+        _null_spec(model, slice_, ThresholdRule.from_name("A"), 0, DEFAULT_SWAP_FACTOR, DEFAULT_SIGMA_CORRECTION)
+
+
+KNOCKOUT = ["knockout", "--years", "2007", "--strategy", "error"]
+CI_TABLE = ["ci-table", "--years", "2007"]
+integer_texts = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.sampled_from(["", " 7", "+3", "1_000", "1e3", "0x10", "2.0", "nan", "\u0663"]),
+    st.text(max_size=4),
+)
+name_texts = st.one_of(
+    st.lists(st.sampled_from(["A", "B", "C", "er", "rewiring", "log-normal", "out-degree", "in-degree",
+                              "all", "", " A"]), min_size=1, max_size=4).map(",".join),
+    st.text(max_size=6),
+)
+# Each flag: the commands it appears on, its values, and the library call it
+# feeds, which must accept every value the parser lets through. Trials stay
+# small because the library derives one seed per trial before running any.
+NUMERIC_AND_LIST_FLAGS = {
+    "--jobs": ([KNOCKOUT, CI_TABLE], integer_texts,
+               lambda jobs: ensemble_knockout([complete_net(3)], "error", 1, 0, jobs=jobs)),
+    "--seed": ([KNOCKOUT, CI_TABLE, ["build", "--year", "2007"]], integer_texts,
+               lambda seed: (child_seed(seed, 0), ensemble_knockout([complete_net(3)], "error", 1, seed))),
+    "--samples": ([CI_TABLE], integer_texts, lambda samples: ci_compare_accepts(samples=samples)),
+    "--trials": ([KNOCKOUT], st.one_of(st.integers(-5, 40).map(str), st.text(max_size=4)),
+                 lambda trials: ensemble_knockout([complete_net(3)], "error", trials, 0)),
+    "--alpha": ([CI_TABLE], st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=4)),
+                lambda alpha: ci_compare_accepts(alpha=alpha)),
+    "--rules": ([CI_TABLE], name_texts, lambda rules: [ThresholdRule.from_name(r) for r in rules]),
+    "--models": ([CI_TABLE], name_texts, null_specs_accept),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NUMERIC_AND_LIST_FLAGS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_numeric_and_list_flags_exit_2_or_feed_the_library(flag, data):
+    commands, texts, library_call = NUMERIC_AND_LIST_FLAGS[flag]
+    text = data.draw(texts)
+    for command in commands:
+        argv = command + [f"{flag}={text}"]
+        if not exits_2_before_reading(argv):
+            library_call(getattr(build_parser().parse_args(argv), flag[2:]))
 
 
 def test_repeat_runs_byte_identical(fixture_data_dir):

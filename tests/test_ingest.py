@@ -222,6 +222,27 @@ def test_core_slice_matches_three_scan_oracle(panels):
     assert np.float64(got.coverage).tobytes() == np.float64(expected.coverage).tobytes()
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_coverage_exactly_one_without_out_of_core_positions(data):
+    """One-decimal values whose pairwise matrix sum and record-order total
+    differ in the last bit must still give coverage 1, not a DataError."""
+    members = data.draw(st.integers(2, 6))
+    core = "ABCDEF"[:members]
+    keys = [(2007, h, i) for h in core for i in core if h != i] + [(2007, "Z", i) for i in core + "X"]
+    order = data.draw(st.permutations(keys))[: data.draw(st.integers(members, len(keys)))]
+    values = data.draw(st.lists(st.integers(1, 10**6).map(lambda k: k / 10), min_size=len(order),
+                                max_size=len(order)))
+    records = dict(zip(order, values))
+    holders = {h for _, h, _ in records}
+    if not set(core) <= holders:
+        return
+    gdp = GdpPanel({(2007, c): 1.0 for c in core})
+    slice_ = core_slice(AssetPanel(records), gdp, 2007)
+    assert slice_.countries == tuple(core)
+    assert slice_.coverage == 1.0
+
+
 def test_slice_validation():
     with pytest.raises(DataError, match="nonzero diagonal"):
         AssetSlice(2007, ("A", "B"), [[1.0, 2.0], [3.0, 0.0]], [1.0, 1.0], 1.0)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finnet import (
     ci_compare,
@@ -13,7 +15,7 @@ from finnet import (
     measure_vector,
     run_knockout,
 )
-from finnet.knockout import CURVE_GRID, CiEntry, CiReport, _interp_curve
+from finnet.knockout import CURVE_GRID, STRATEGIES, CiEntry, CiReport, _interp_curve
 from finnet.metrics import MEASURE_NAMES
 from finnet.netbuild import ThresholdRule
 from finnet.nullmodels import NullModelSpec, sample_er
@@ -24,6 +26,7 @@ from conftest import (
     empty_net,
     load_scalefree64,
     net_from_adj,
+    oracle_knockout,
     oracle_quantile_midpoint,
     random_net,
     random_slice,
@@ -115,6 +118,37 @@ def test_attack_removals_have_maximal_degree_sum_by_replay():
         labels.pop(victim)
 
 
+@st.composite
+def tie_heavy_digraphs(draw):
+    """Digraphs on 2-12 nodes, mostly regular (circulant), symmetric or
+    empty, so that attack steps often break degree ties."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["regular", "symmetric", "empty", "any"]))
+    adj = np.zeros((n, n), dtype=bool)
+    if kind == "regular":
+        for shift in draw(st.sets(st.integers(1, n - 1), max_size=n - 1)):
+            adj[np.arange(n), (np.arange(n) + shift) % n] = True
+    elif kind != "empty":
+        bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        adj = np.array(bits, dtype=bool).reshape(n, n)
+        if kind == "symmetric":
+            adj = np.triu(adj, 1) | np.triu(adj, 1).T
+        np.fill_diagonal(adj, False)
+    return net_from_adj(adj)
+
+
+@given(net=tie_heavy_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_shared_cache_traces_match_shrinking_matrix_oracle(net):
+    for strategy in STRATEGIES:
+        cache = {}
+        for seed in range(24):
+            trace = run_knockout(net, strategy, seed, cache=cache)
+            order, series = oracle_knockout(net, strategy, seed)
+            assert trace.removal_order == order
+            assert trace.aspl_series.tobytes() == series.tobytes()
+
+
 def test_attack_series_seed_independent_on_symmetric_graph():
     series = {tuple(run_knockout(complete_net(5), "attack", seed=s).aspl_series) for s in range(10)}
     assert len(series) == 1
@@ -182,25 +216,27 @@ def test_ensemble_sampled_uses_fresh_networks():
 @pytest.mark.parametrize("strategy", ["error", "attack"])
 def test_ensemble_sources_pool_per_trial_traces(strategy):
     """A spec source knocks out spec.sample(j) in trial j, a network source
-    the network itself, each with seed child_seed(master, source index, j)."""
+    the network itself, each with seed child_seed(master, source index, j);
+    the pooled bytes match independent oracle traces for any worker count,
+    however the trials of a source are split between workers."""
     from finnet.seeding import child_seed
 
     spec = NullModelSpec("er", seed=30, countries=tuple(f"C{i}" for i in range(10)), mean_out_degree=3.0)
     net = random_net(9, 0.3, np.random.default_rng(31))
-    trials, master = 6, 32
-    summary = ensemble_knockout([spec, net], strategy, trials, master)
-    curves = [
-        _interp_curve(run_knockout(spec.sample(j), strategy, child_seed(master, 0, j)).aspl_series)
-        for j in range(trials)
-    ] + [
-        _interp_curve(run_knockout(net, strategy, child_seed(master, 1, j)).aspl_series)
-        for j in range(trials)
-    ]
-    assert summary.n_traces == 2 * trials
-    assert np.array_equal(summary.mean, np.vstack(curves).mean(axis=0))
-    assert np.array_equal(summary.std, np.vstack(curves).std(axis=0))
-    parallel = ensemble_knockout([spec, net], strategy, trials, master, jobs=2)
-    assert np.array_equal(parallel.mean, summary.mean) and np.array_equal(parallel.std, summary.std)
+    trials, master = 7, 32
+    for sources in ([spec, net], [spec], [net]):
+        curves = [
+            _interp_curve(oracle_knockout(
+                source.sample(j) if isinstance(source, NullModelSpec) else source, strategy,
+                child_seed(master, i, j))[1])
+            for i, source in enumerate(sources)
+            for j in range(trials)
+        ]
+        for jobs in (1, 2, 3):
+            summary = ensemble_knockout(sources, strategy, trials, master, jobs=jobs)
+            assert summary.n_traces == len(sources) * trials
+            assert summary.mean.tobytes() == np.vstack(curves).mean(axis=0).tobytes()
+            assert summary.std.tobytes() == np.vstack(curves).std(axis=0).tobytes()
 
 
 def test_classify_position_basics():
