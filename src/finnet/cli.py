@@ -202,11 +202,8 @@ def _null_spec(
     swap_factor: int,
     correction: float,
 ) -> NullModelSpec:
-    net = rule.apply(slice_)
-    if kind == "log-normal":
-        fit = fit_lognormal(slice_, correction_factor=correction)
-        return NullModelSpec.from_empirical(kind, net, seed, fit=fit, rule=rule)
-    return NullModelSpec.from_empirical(kind, net, seed, swap_factor=swap_factor)
+    fit = fit_lognormal(slice_, correction_factor=correction) if kind == "log-normal" else None
+    return NullModelSpec(kind, seed, rule.apply(slice_), swap_factor, fit, rule)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -540,6 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return EXIT_DATA_ERROR
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except (DataError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc

@@ -4,10 +4,10 @@ An ``error`` knockout removes a uniformly random surviving node each
 step; an ``attack`` removes a node with maximal in+out degree, recomputed
 on the surviving graph, with ties broken uniformly at random. The capped
 mean shortest path length is recorded after every removal down to a
-single node (whose value is the cap, 4.0, by convention). The trials of
-one network share each surviving set's ASPL and attack candidates, so
+single node (whose value is the cap, 4.0, by convention). The attack
+trials of one network share each surviving set's ASPL and candidates, so
 repeated sets are computed once; a trace does not depend on which
-trials shared them.
+trials shared them. Error trials seldom revisit a set and share nothing.
 """
 
 from __future__ import annotations
@@ -108,11 +108,12 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
 
 def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, str, list[tuple[int, int]]]) -> list[np.ndarray]:
     """Curves of one source's trials, given as (trial index, seed) pairs.
-    A network's trials share one cache; a spec's trials share nothing."""
+    A network's attack trials share one cache; error trials, which seldom
+    revisit a surviving set, and a spec's trials share nothing."""
     source, strategy, trials = task
     if isinstance(source, NullModelSpec):
         return [_interp_curve(run_knockout(source.sample(j), strategy, seed).aspl_series) for j, seed in trials]
-    cache: dict = {}
+    cache = {} if strategy == "attack" else None
     return [_interp_curve(run_knockout(source, strategy, seed, cache=cache).aspl_series) for _, seed in trials]
 
 

@@ -31,6 +31,7 @@ COARSE_THRESHOLDS = (0.0, 0.1, 0.25, 0.5, 0.75)
 
 FINE_D1_MAX, FINE_D1_POINTS = 0.2, 51
 FINE_D2_MAX, FINE_D2_POINTS = 0.5, 51
+FINE_MAX_SUBSET = 3
 
 # Cascades per kernel call. Bounded blocks keep the kernel's (B, n)
 # temporaries small however many cascades a caller streams through it.
@@ -246,10 +247,9 @@ def fine_grid(
     group: tuple[str, ...],
     d1_values: np.ndarray | None = None,
     d2_values: np.ndarray | None = None,
-    max_subset: int = 3,
     haircut: float = 1.0,
 ) -> list[FineGridCell]:
-    """Cascade impact for every nonempty subset (size <= max_subset) of a
+    """Cascade impact for every nonempty subset (size <= FINE_MAX_SUBSET) of a
     country group over a fine (d1, d2) grid.
 
     Defaults scan d1 in [0, 0.2] at 51 points and d2 in [0, 0.5] at 51
@@ -257,8 +257,6 @@ def fine_grid(
     """
     if not group or len(set(group)) < len(group):
         raise ValueError("group must be nonempty with distinct members")
-    if max_subset < 1:
-        raise ValueError(f"max_subset must be >= 1, got {max_subset}")
     if d1_values is None:
         d1_values = np.linspace(0.0, FINE_D1_MAX, FINE_D1_POINTS)
     if d2_values is None:
@@ -276,7 +274,7 @@ def fine_grid(
     members = sorted(group)
     indices = [slice_.index(code) for code in members]
     cells = []
-    for size in range(1, min(max_subset, len(members)) + 1):
+    for size in range(1, min(FINE_MAX_SUBSET, len(members)) + 1):
         for combo in combinations(range(len(members)), size):
             subset = tuple(members[i] for i in combo)
             initial = tuple(indices[i] for i in combo)

@@ -386,20 +386,19 @@ def jarque_bera(residuals: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NullModelSpec:
-    """Parameters for one null-model family, extracted from empirical data.
+    """One null-model family over the empirical network ``base``.
 
-    ``sample(index)`` draws the index-th network of the ensemble; the
-    (seed, index) pair fully determines the draw, so ensembles are
+    ``sample(index)`` reads the family's statistic from ``base`` when it
+    draws: er its mean out-degree, out-degree and in-degree its degree
+    sequences, rewiring the network itself (``swap_factor`` swaps per
+    edge), log-normal the slice model ``fit`` re-thresholded by ``rule``.
+    The (seed, index) pair fully determines the draw, so ensembles are
     reproducible under any scheduling.
     """
 
     kind: str
     seed: int
-    countries: tuple[str, ...]
-    mean_out_degree: float | None = None
-    out_degrees: tuple[int, ...] | None = None
-    in_degrees: tuple[int, ...] | None = None
-    base: BinaryNetwork | None = None
+    base: BinaryNetwork
     swap_factor: int = DEFAULT_SWAP_FACTOR
     fit: LogNormalFit | None = None
     rule: ThresholdRule | None = None
@@ -407,54 +406,18 @@ class NullModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in NULL_MODEL_KINDS:
             raise ValueError(f"unknown null-model kind {self.kind!r}")
-        needed = {
-            "er": self.mean_out_degree is not None,
-            "out-degree": self.out_degrees is not None,
-            "in-degree": self.in_degrees is not None,
-            "rewiring": self.base is not None,
-            "log-normal": self.fit is not None and self.rule is not None,
-        }
-        if not needed[self.kind]:
-            raise ValueError(f"incomplete parameters for {self.kind!r} null model")
-
-    @property
-    def n(self) -> int:
-        return len(self.countries)
-
-    @classmethod
-    def from_empirical(
-        cls,
-        kind: str,
-        net: BinaryNetwork,
-        seed: int,
-        fit: LogNormalFit | None = None,
-        rule: ThresholdRule | None = None,
-        swap_factor: int = DEFAULT_SWAP_FACTOR,
-    ) -> "NullModelSpec":
-        """Extract the first-order parameters the given family needs."""
-        if kind == "er":
-            return cls(kind, seed, net.countries, mean_out_degree=float(net.out_degrees().mean()))
-        if kind == "out-degree":
-            return cls(kind, seed, net.countries, out_degrees=tuple(net.out_degrees()))
-        if kind == "in-degree":
-            return cls(kind, seed, net.countries, in_degrees=tuple(net.in_degrees()))
-        if kind == "rewiring":
-            return cls(kind, seed, net.countries, base=net, swap_factor=swap_factor)
-        if kind == "log-normal":
-            if fit is None or rule is None:
-                raise ValueError("log-normal model needs a fit and a thresholding rule")
-            return cls(kind, seed, fit.countries, fit=fit, rule=rule)
-        raise ValueError(f"unknown null-model kind {kind!r}")
+        if self.kind == "log-normal" and (self.fit is None or self.rule is None):
+            raise ValueError("log-normal model needs a fit and a thresholding rule")
 
     def sample(self, index: int) -> BinaryNetwork:
         rng = child_rng(self.seed, index)
+        base = self.base
         if self.kind == "er":
-            return sample_er(self.n, self.mean_out_degree, rng, self.countries)
+            return sample_er(base.n, base.num_edges / base.n, rng, base.countries)
         if self.kind == "out-degree":
-            return sample_outdegree(np.array(self.out_degrees), rng, self.countries)
+            return sample_outdegree(base.out_degrees(), rng, base.countries)
         if self.kind == "in-degree":
-            return sample_indegree(np.array(self.in_degrees), rng, self.countries)
+            return sample_indegree(base.in_degrees(), rng, base.countries)
         if self.kind == "rewiring":
-            return sample_rewired(self.base, rng, self.swap_factor)
-        slice_ = sample_lognormal_slice(self.fit, rng)
-        return self.rule.apply(slice_)
+            return sample_rewired(base, rng, self.swap_factor)
+        return self.rule.apply(sample_lognormal_slice(self.fit, rng))

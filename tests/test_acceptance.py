@@ -294,11 +294,7 @@ def test_criterion_8_real_data_checks():
                 slice_ = slices[year]
                 net = rule.apply(slice_)
                 fit = fit_lognormal(slice_) if model == "log-normal" else None
-                spec = (
-                    NullModelSpec.from_empirical(model, net, seed=800 + yi, fit=fit, rule=rule)
-                    if model == "log-normal"
-                    else NullModelSpec.from_empirical(model, net, seed=800 + yi)
-                )
+                spec = NullModelSpec(model, 800 + yi, net, fit=fit, rule=rule)
                 report = ci_compare(measure_vector(net), spec, samples=10_000)
                 above += report.entry("edge_transitivity").position == "above"
             assert above >= len(years) - 1, f"{model}/{rule_name}: above in {above}/9 years"

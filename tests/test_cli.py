@@ -50,6 +50,21 @@ def test_build_missing_gdp_exits_1_naming_file(fixture_data_dir, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--assets"])
+def test_directory_path_exits_1_with_error_line(fixture_data_dir, capsys, flag):
+    paths = {
+        "--assets": fixture_data_dir / "assets.csv",
+        "--gdp": fixture_data_dir / "gdp.csv",
+        "--out": fixture_data_dir / "x.csv",
+        flag: fixture_data_dir,
+    }
+    rc = main(["build", "--year", "2007", *(str(x) for kv in paths.items() for x in kv)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(fixture_data_dir) in err
+    assert "Traceback" not in err
+
+
 def test_build_rule_b_default_threshold(fixture_data_dir):
     rc, out = run(["build", "--year", "2007", "--rule", "B"], fixture_data_dir, "netb.csv")
     assert rc == 0

@@ -41,6 +41,14 @@ def star_net(n, bidirectional=False):
     return net_from_adj(adj)
 
 
+def circulant_net(n, d, labels=None):
+    """Edges i -> i+1, ..., i+d mod n: every out-degree is d."""
+    adj = np.zeros((n, n), dtype=bool)
+    for k in range(1, d + 1):
+        adj[np.arange(n), (np.arange(n) + k) % n] = True
+    return net_from_adj(adj, labels or tuple(f"C{i}" for i in range(n)))
+
+
 def attack_target(net, seed):
     """The first node an attack knockout removes."""
     return run_knockout(net, "attack", seed).removal_order[0]
@@ -205,7 +213,7 @@ def test_ensemble_jobs_parallel_matches_serial():
 
 
 def test_ensemble_sampled_uses_fresh_networks():
-    spec = NullModelSpec("er", seed=20, countries=tuple(f"C{i}" for i in range(12)), mean_out_degree=4.0)
+    spec = NullModelSpec("er", 20, circulant_net(12, 4))
     summary = ensemble_knockout([spec], "error", trials=16, master_seed=21)
     assert summary.n_traces == 16
     assert summary.std[50] > 0  # distinct sampled graphs produce spread
@@ -221,7 +229,7 @@ def test_ensemble_sources_pool_per_trial_traces(strategy):
     however the trials of a source are split between workers."""
     from finnet.seeding import child_seed
 
-    spec = NullModelSpec("er", seed=30, countries=tuple(f"C{i}" for i in range(10)), mean_out_degree=3.0)
+    spec = NullModelSpec("er", 30, circulant_net(10, 3))
     net = random_net(9, 0.3, np.random.default_rng(31))
     trials, master = 7, 32
     for sources in ([spec, net], [spec], [net]):
@@ -276,7 +284,7 @@ def test_ci_compare_deterministic_null_within():
     deterministic = sample_lognormal_slice(fit, np.random.default_rng(0))
     empirical = measure_vector(rule.apply(deterministic))
     net = rule.apply(deterministic)
-    spec = NullModelSpec.from_empirical("log-normal", net, seed=16, fit=fit, rule=rule)
+    spec = NullModelSpec("log-normal", 16, net, fit=fit, rule=rule)
     report = ci_compare(empirical, spec, samples=100, alpha=0.05)
     for entry in report.entries:
         if not math.isnan(entry.empirical):
@@ -286,7 +294,7 @@ def test_ci_compare_deterministic_null_within():
 
 def test_ci_compare_forced_above():
     empirical = measure_vector(empty_net(5))  # modified ASPL 4.0
-    dense = NullModelSpec("er", seed=17, countries=tuple("ABCDE"), mean_out_degree=4.0)
+    dense = NullModelSpec("er", 17, circulant_net(5, 4, tuple("ABCDE")))
     report = ci_compare(empirical, dense, samples=100)
     assert report.entry("modified_aspl").position == "above"
     # complete digraphs have constant degrees: every assortativity sample is NaN
@@ -296,7 +304,7 @@ def test_ci_compare_forced_above():
 
 def test_ci_compare_jobs_deterministic():
     net = random_net(10, 0.4, np.random.default_rng(18))
-    spec = NullModelSpec.from_empirical("rewiring", net, seed=19)
+    spec = NullModelSpec("rewiring", 19, net)
     empirical = measure_vector(net)
     serial = ci_compare(empirical, spec, samples=128, jobs=1)
     parallel = ci_compare(empirical, spec, samples=128, jobs=2)
@@ -336,3 +344,9 @@ def test_ci_table_mixed_nets_to_zero():
 def test_curve_grid_is_percent_steps():
     assert CURVE_GRID.size == 101
     assert CURVE_GRID[0] == 0.0 and CURVE_GRID[-1] == 1.0
+
+
+def test_stored_scalefree64_matches_its_generator():
+    from fixtures_gen import scalefree64_adj
+
+    assert np.array_equal(load_scalefree64().adj, scalefree64_adj())

@@ -349,8 +349,6 @@ def test_fine_grid_rejects_invalid_grids():
         fine_grid(slice_, ("A",), np.array([0.0]), np.array([0.0]), haircut=0.0)
     with pytest.raises(ValueError, match="nonempty"):
         fine_grid(slice_, ("A",), np.array([]), np.array([0.0]))
-    with pytest.raises(ValueError, match="max_subset"):
-        fine_grid(slice_, ("A",), max_subset=0)
     with pytest.raises(ValueError, match="nonempty"):
         fine_grid(slice_, ())
     with pytest.raises(ValueError, match="distinct"):

@@ -22,7 +22,7 @@ from finnet import (
 )
 from finnet.nullmodels import NullModelSpec, sample_lognormal_matrix
 
-from conftest import net_from_adj, oracle_rewired, random_net
+from conftest import net_from_adj, oracle_rewired, random_net, random_slice
 
 
 def labels(n):
@@ -351,12 +351,10 @@ def test_jarque_bera_calibration_standard_normal():
 def test_null_spec_validation_and_sampling():
     rng = np.random.default_rng(18)
     net = random_net(8, 0.4, rng)
-    with pytest.raises(ValueError, match="incomplete"):
-        NullModelSpec("er", 1, net.countries)
     with pytest.raises(ValueError, match="unknown null-model"):
-        NullModelSpec("zzz", 1, net.countries)
+        NullModelSpec("zzz", 1, net)
     for kind in ("er", "out-degree", "in-degree", "rewiring"):
-        spec = NullModelSpec.from_empirical(kind, net, seed=7)
+        spec = NullModelSpec(kind, 7, net)
         a = spec.sample(3)
         b = spec.sample(3)
         assert np.array_equal(a.adj, b.adj)  # (seed, index) fully determines the draw
@@ -370,9 +368,37 @@ def test_null_spec_lognormal_round_trip():
     fit = fit_lognormal(slice_)
     rule = ThresholdRule.from_name("A")
     net = rule.apply(slice_)
-    spec = NullModelSpec.from_empirical("log-normal", net, seed=11, fit=fit, rule=rule)
+    spec = NullModelSpec("log-normal", 11, net, fit=fit, rule=rule)
     sampled = spec.sample(0)
     assert sampled.countries == slice_.countries
     assert sampled.rule == "A"
     with pytest.raises(ValueError, match="needs a fit"):
-        NullModelSpec.from_empirical("log-normal", net, seed=11)
+        NullModelSpec("log-normal", 11, net)
+    with pytest.raises(ValueError, match="needs a fit"):
+        NullModelSpec("log-normal", 11, net, fit=fit)
+
+
+@pytest.mark.parametrize("kind", ["er", "out-degree", "in-degree", "rewiring", "log-normal"])
+def test_null_spec_sample_is_the_family_sampler_on_child_rng(kind):
+    """The CLI's spec draws network i as the family's own sampler fed
+    child_rng(seed, i) and the empirical network's statistics."""
+    from finnet.cli import _null_spec
+    from finnet.seeding import child_rng
+
+    slice_ = random_slice(9, np.random.default_rng(24))
+    rule = ThresholdRule.from_name("B")
+    net = rule.apply(slice_)
+    seed, swap_factor, correction = 25, 3, 1.1
+    direct = {
+        "er": lambda r: sample_er(net.n, float(net.out_degrees().mean()), r, net.countries),
+        "out-degree": lambda r: sample_outdegree(net.out_degrees(), r, net.countries),
+        "in-degree": lambda r: sample_indegree(net.in_degrees(), r, net.countries),
+        "rewiring": lambda r: sample_rewired(net, r, swap_factor),
+        "log-normal": lambda r: rule.apply(sample_lognormal_slice(fit_lognormal(slice_, correction), r)),
+    }[kind]
+    spec = _null_spec(kind, slice_, rule, seed, swap_factor, correction)
+    for i in (0, 1, 5, 17):
+        got, want = spec.sample(i), direct(child_rng(seed, i))
+        assert got.adj.tobytes() == want.adj.tobytes()
+        assert (got.countries, got.rule, got.source_year) == (want.countries, want.rule, want.source_year)
+    assert 0 < net.num_edges < net.n * (net.n - 1)
