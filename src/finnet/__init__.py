@@ -27,9 +27,6 @@ from .netbuild import (
 from .metrics import (
     MEASURE_NAMES,
     MeasureVector,
-    assortativity,
-    avg_clustering,
-    edge_transitivity,
     fraction_spl_le,
     measure_vector,
     modified_aspl,

@@ -291,15 +291,15 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
     reports = []
     for yi, year in enumerate(args.years):
         slice_ = core_slice(assets, gdp, year)
+        fit = fit_lognormal(slice_, correction_factor=args.correction) if "log-normal" in args.models else None
         for ri, rule_name in enumerate(args.rules):
             rule = ThresholdRule.from_name(rule_name, args.t)
             net = rule.apply(slice_)
             empirical = measure_vector(net)
             for mi, model in enumerate(args.models):
-                spec = _null_spec(model, slice_, rule, child_seed(args.seed, yi, ri, mi),
-                                  args.swap_factor, args.correction)
-                reports.append(ci_compare(empirical, spec, args.samples, args.alpha,
-                                          rule=rule.label, year=year, jobs=args.jobs))
+                spec = NullModelSpec(model, child_seed(args.seed, yi, ri, mi), net, args.swap_factor,
+                                     fit if model == "log-normal" else None, rule)
+                reports.append(ci_compare(empirical, spec, args.samples, args.alpha, jobs=args.jobs))
     extra = {
         "years": ",".join(str(y) for y in args.years),
         "rules": ",".join(args.rules),

@@ -20,6 +20,7 @@ import numpy as np
 
 ASSET_HEADER = ("year", "holder", "issuer", "value_musd")
 GDP_HEADER = ("year", "country", "gdp_musd")
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 class DataError(ValueError):
@@ -142,12 +143,25 @@ def _iter_rows(text: str, header: tuple[str, ...]) -> Iterable[tuple[int, list[s
         raise DataError(f"missing header; expected {','.join(header)}") from None
     if tuple(field.strip() for field in first) != header:
         raise DataError(f"unknown column header {','.join(first)!r}; expected {','.join(header)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        yield lineno, [field.strip() for field in row]
+    # The outputs write codes as bare CSV fields, so no field may hold a
+    # comma, a double quote or a line break. Only a quoted field can hold
+    # one (the reader rejects a bare line break), so only a text with a
+    # double quote needs the field check.
+    quoted = '"' in text
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            if quoted:
+                for field in row:
+                    if not _CSV_SPECIAL.isdisjoint(field):
+                        raise DataError(f"line {lineno}: field {field!r} holds a comma, a double quote or a line break")
+            yield lineno, [field.strip() for field in row]
+    except csv.Error as exc:
+        raise DataError(f"line {lineno + 1}: {exc}") from None
 
 
 def parse_asset_table(stream: IO[bytes] | IO[str] | bytes | str) -> AssetPanel:

@@ -185,7 +185,7 @@ class CiReport:
     """Per-measure interval comparisons for one (year, rule, model) cell."""
 
     model: str
-    rule: str | None
+    rule: str
     year: int | None
     alpha: float
     samples: int
@@ -208,14 +208,13 @@ def ci_compare(
     spec: NullModelSpec,
     samples: int = 10000,
     alpha: float = 0.05,
-    rule: str | None = None,
-    year: int | None = None,
     jobs: int = 1,
 ) -> CiReport:
     """Classify each empirical measure against a sampled null ensemble.
 
     Undefined (NaN) null samples are excluded per measure and counted in
     the report; a measure with no defined samples is itself undefined.
+    The report's rule and year are those of ``spec.base``.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
@@ -232,7 +231,7 @@ def ci_compare(
         n_undefined = int(np.isnan(column).sum())
         lower, upper, position = classify_position(float(empirical_values[m]), column, alpha)
         entries.append(CiEntry(name, lower, upper, float(empirical_values[m]), position, n_undefined))
-    return CiReport(spec.kind, rule, year, alpha, samples, tuple(entries))
+    return CiReport(spec.kind, spec.base.rule, spec.base.source_year, alpha, samples, tuple(entries))
 
 
 def ci_table(reports: list[CiReport]) -> list[dict]:
@@ -242,11 +241,11 @@ def ci_table(reports: list[CiReport]) -> list[dict]:
     convention; undefined years are counted separately and contribute
     nothing to the numerator.
     """
-    groups: dict[tuple[str, str | None], list[CiReport]] = {}
+    groups: dict[tuple[str, str], list[CiReport]] = {}
     for report in reports:
         groups.setdefault((report.model, report.rule), []).append(report)
     rows = []
-    for (model, rule), group in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")):
+    for (model, rule), group in sorted(groups.items()):
         for name in MEASURE_NAMES:
             counts = {p: 0 for p in POSITIONS}
             for report in group:

@@ -163,6 +163,8 @@ class LogNormalFit:
         }
 
     def to_json_dict(self) -> dict:
+        """The fit as JSON values; an undefined residual statistic is None (null)."""
+        summary = {key: None if math.isnan(value) else value for key, value in self.residual_summary().items()}
         return {
             "countries": list(self.countries),
             "alpha": [float(a) for a in self.alpha],
@@ -172,7 +174,7 @@ class LogNormalFit:
             "correction_factor": self.correction_factor,
             "baseline_issuer": self.countries[self.baseline],
             "year": self.year,
-            "residual_summary": self.residual_summary(),
+            "residual_summary": summary,
         }
 
 

@@ -164,6 +164,57 @@ def oracle_avg_clustering(adj: np.ndarray) -> float:
     return float(np.mean(coeffs))
 
 
+def oracle_measure_vector(adj: np.ndarray) -> np.ndarray:
+    """The six statistics in MEASURE_NAMES order, each from its own matrix
+    formula with its own float cast and products: capped distances from
+    boolean walk counts, assortativity from integer degree sums, clustering
+    from diag(sym^3), transitivity from a fresh a @ a."""
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[0]
+
+    a = adj.astype(float)
+    w2 = a @ a
+    w3 = w2 @ a
+    off = ~np.eye(n, dtype=bool)
+    le1 = adj & off
+    le2 = (le1 | (w2 > 0)) & off
+    le3 = (le2 | (w3 > 0)) & off
+    c1 = int(le1.sum())
+    c2 = int(le2.sum()) - c1
+    c3 = int(le3.sum()) - c1 - c2
+    pairs = n * (n - 1)
+    capped = [
+        (c1 + c2) / pairs,
+        (c1 + c2 + c3) / pairs,
+        (c1 + 2 * c2 + 3 * c3 + SPL_CAP * (pairs - c1 - c2 - c3)) / pairs,
+    ]
+
+    srcs, dsts = np.nonzero(adj)
+    assortativity = math.nan
+    if srcs.size:
+        x = adj.sum(axis=1)[srcs].astype(float)
+        y = adj.sum(axis=0)[dsts].astype(float)
+        if np.ptp(x) != 0 and np.ptp(y) != 0:
+            xc = x - x.mean()
+            yc = y - y.mean()
+            assortativity = float((xc * yc).sum() / math.sqrt((xc * xc).sum() * (yc * yc).sum()))
+
+    a = adj.astype(float)
+    sym = a + a.T
+    triangles = np.diagonal(sym @ sym @ sym) / 2.0
+    d_total = a.sum(axis=0) + a.sum(axis=1)
+    d_bidir = np.diagonal(a @ a)
+    denom = d_total * (d_total - 1.0) - 2.0 * d_bidir
+    clustering = float(np.divide(triangles, denom, out=np.zeros(n), where=denom > 0).mean())
+
+    a = adj.astype(float)
+    w2 = a @ a
+    two_paths = float(w2.sum() - np.trace(w2))
+    transitivity = math.nan if two_paths == 0 else float((w2 * a).sum()) / two_paths
+
+    return np.array([*capped, assortativity, clustering, transitivity])
+
+
 def oracle_sequential_cascade(
     slice_: AssetSlice,
     initial: set[str],

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,25 @@ def test_fit_lognormal_json(fixture_data_dir):
     rc, out = run(["fit-lognormal", "--years", "2006,2007", "--pooled"], fixture_data_dir, "fitp.json")
     assert rc == 0
     assert len(json.loads(out.read_text())["fits"]) == 1
+
+
+def _no_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_fit_lognormal_writes_null_for_undefined_statistics(tmp_path):
+    # Three countries give 6 residuals, too few for Jarque-Bera.
+    codes = ["AAA", "BBB", "CCC"]
+    assets = ["year,holder,issuer,value_musd"] + [
+        f"2007,{h},{i},{10 * (k + 1)}" for k, (h, i) in enumerate((h, i) for h in codes for i in codes if h != i)
+    ]
+    (tmp_path / "assets.csv").write_text("\n".join(assets) + "\n")
+    (tmp_path / "gdp.csv").write_text("year,country,gdp_musd\n" + "".join(f"2007,{c},100\n" for c in codes))
+    rc, out = run(["fit-lognormal", "--years", "2007"], tmp_path, "fit.json")
+    assert rc == 0
+    summary = json.loads(out.read_text(), parse_constant=_no_constant)["fits"][0]["residual_summary"]
+    assert summary["jarque_bera"] is None and summary["p_value"] is None
+    assert isinstance(summary["std"], float)
 
 
 def test_ci_table_matches_golden(fixture_data_dir):
@@ -525,3 +548,13 @@ def test_stdout_output(fixture_data_dir, capsysbinary):
     assert rc == 0
     doc = json.loads(capsysbinary.readouterr().out)
     assert doc["cascade"]["defaulted"] == ["AAA"]
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py monkeypatches the names it wraps; a fresh process keeps that out of this one.
+    root = Path(__file__).resolve().parent.parent
+    code = "import tracer; tracer.install(tracer.Tracer())"
+    path = os.pathsep.join(filter(None, [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -64,11 +64,18 @@ def test_missing_header_rejected():
 
 @pytest.mark.parametrize(
     "row",
-    ["2009,US,JP", "banana,US,JP,1", "2009,US,JP,abc", "2009,US,JP,nan", "2009,,JP,1"],
+    ["2009,US,JP", "banana,US,JP,1", "2009,US,JP,abc", "2009,US,JP,nan", "2009,,JP,1",
+     '2009,"U,S",JP,1', '2009,US,"J""P",1', '2009,US,"J\nP",1', "2009,US,J\rP,1"],
 )
 def test_malformed_asset_rows_report_line_2(row):
     with pytest.raises(DataError, match="line 2"):
         parse_asset_table((ASSET_HEADER + row + "\n").encode())
+
+
+@pytest.mark.parametrize("row", ["2007,GR", "2007,,1", '2007,"G,R",1', '2007,"G""R",1', '2007,"G\rR",1'])
+def test_malformed_gdp_rows_report_line_2(row):
+    with pytest.raises(DataError, match="line 2"):
+        parse_gdp_table((GDP_HEADER + row + "\n").encode())
 
 
 def test_gdp_single_record():

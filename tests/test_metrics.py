@@ -3,19 +3,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from finnet import (
-    MEASURE_NAMES,
-    assortativity,
-    avg_clustering,
-    edge_transitivity,
-    fraction_spl_le,
-    measure_vector,
-    modified_aspl,
-)
+from finnet import MEASURE_NAMES, fraction_spl_le, measure_vector, modified_aspl
 from finnet.metrics import modified_aspl_adj
 
 from conftest import (
@@ -26,6 +18,7 @@ from conftest import (
     oracle_avg_clustering,
     oracle_edge_transitivity,
     oracle_fraction_le,
+    oracle_measure_vector,
     oracle_modified_aspl,
     random_net,
 )
@@ -47,8 +40,9 @@ def test_fraction_spl_le_hand_values():
 
 
 def test_assortativity_two_cycle_undefined():
-    net = net_from_adj([[0, 1], [1, 0]])
-    assert math.isnan(assortativity(net))
+    # A two-cycle beside an isolated node: both edges run from out-degree 1 to in-degree 1.
+    net = net_from_adj([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert math.isnan(measure_vector(net).assortativity)
 
 
 def test_assortativity_against_pearson_oracle():
@@ -63,7 +57,7 @@ def test_assortativity_against_pearson_oracle():
         in_deg = net.adj.sum(axis=0)
         x = out_deg[srcs].astype(float)
         y = in_deg[dsts].astype(float)
-        value = assortativity(net)
+        value = measure_vector(net).assortativity
         if np.ptp(x) == 0 or np.ptp(y) == 0:
             assert math.isnan(value)
             continue
@@ -80,31 +74,31 @@ def test_assortativity_symmetric_graph_transpose_invariant():
     adj = adj | adj.T
     net = net_from_adj(adj)
     net_t = net_from_adj(adj.T)
-    a, b = assortativity(net), assortativity(net_t)
+    a, b = measure_vector(net).assortativity, measure_vector(net_t).assortativity
     assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, abs=1e-12)
 
 
 def test_clustering_hand_values():
-    assert avg_clustering(complete_net(3)) == pytest.approx(1.0)
-    assert avg_clustering(chain_net(3)) == 0.0
+    assert measure_vector(complete_net(3)).avg_clustering == pytest.approx(1.0)
+    assert measure_vector(chain_net(3)).avg_clustering == 0.0
     cycle = net_from_adj([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert avg_clustering(cycle) == pytest.approx(oracle_avg_clustering(cycle.adj))
-    with pytest.raises(ValueError):
-        avg_clustering(net_from_adj([[0, 1], [0, 0]]))
+    assert measure_vector(cycle).avg_clustering == pytest.approx(oracle_avg_clustering(cycle.adj))
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        measure_vector(net_from_adj([[0, 1], [0, 0]]))
 
 
 def test_clustering_against_oracle():
     rng = np.random.default_rng(17)
     for _ in range(40):
         net = random_net(6, rng.uniform(0.1, 0.7), rng)
-        assert avg_clustering(net) == pytest.approx(oracle_avg_clustering(net.adj), abs=1e-12)
+        assert measure_vector(net).avg_clustering == pytest.approx(oracle_avg_clustering(net.adj), abs=1e-12)
 
 
 def test_transitivity_hand_values():
-    assert edge_transitivity(net_from_adj([[0, 1, 1], [0, 0, 1], [0, 0, 0]])) == 1.0
-    assert edge_transitivity(chain_net(3)) == 0.0
-    assert edge_transitivity(complete_net(4)) == 1.0
-    assert math.isnan(edge_transitivity(empty_net(3)))
+    assert measure_vector(net_from_adj([[0, 1, 1], [0, 0, 1], [0, 0, 0]])).edge_transitivity == 1.0
+    assert measure_vector(chain_net(3)).edge_transitivity == 0.0
+    assert measure_vector(complete_net(4)).edge_transitivity == 1.0
+    assert math.isnan(measure_vector(empty_net(3)).edge_transitivity)
 
 
 def test_transitivity_against_oracle():
@@ -112,7 +106,7 @@ def test_transitivity_against_oracle():
     for _ in range(40):
         net = random_net(6, rng.uniform(0.1, 0.7), rng)
         expected = oracle_edge_transitivity(net.adj)
-        value = edge_transitivity(net)
+        value = measure_vector(net).edge_transitivity
         if math.isnan(expected):
             assert math.isnan(value)
         else:
@@ -165,14 +159,12 @@ def test_measures_invariant_under_relabeling(seed):
         assert (math.isnan(original) and math.isnan(permuted)) or original == pytest.approx(permuted, abs=1e-12)
 
 
-def test_measure_vector_matches_individual_functions():
-    rng = np.random.default_rng(43)
-    net = random_net(9, 0.35, rng)
+@given(n=st.integers(3, 12), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=3, density=0.0, seed=0)
+@example(n=12, density=1.0, seed=0)
+@settings(max_examples=300)
+def test_measure_vector_matches_referee_bitwise(n, density, seed):
+    net = random_net(n, density, np.random.default_rng(seed))
     vec = measure_vector(net)
-    assert vec.frac_spl_le2 == fraction_spl_le(net, 2)
-    assert vec.frac_spl_le3 == fraction_spl_le(net, 3)
-    assert vec.modified_aspl == modified_aspl(net)
-    assert vec.avg_clustering == avg_clustering(net)
-    assert vec.edge_transitivity == edge_transitivity(net)
-    assert vec.assortativity == assortativity(net)
+    assert vec.as_array().tobytes() == oracle_measure_vector(net.adj).tobytes()
     assert [field.name for field in fields(vec)] == list(MEASURE_NAMES)
