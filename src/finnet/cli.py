@@ -56,7 +56,6 @@ ENV_DATA_DIR = "FINNET_DATA_DIR"
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
-EXIT_USAGE_ERROR = 2
 
 
 def _resolve_input(path: str | None, default_name: str) -> str:

@@ -8,12 +8,13 @@ explicit loops, and cascades from randomized one-at-a-time processing.
 from __future__ import annotations
 
 import math
+from itertools import combinations, compress, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel
+from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel, lgd
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -258,6 +259,42 @@ def oracle_synchronous_rounds(
             return rounds
         rounds.append(frozenset(slice_.countries[i] for i in np.flatnonzero(newly)))
         defaulted |= newly
+
+
+def oracle_enumerate_impacts(slice_: AssetSlice, spec: lgd.LgdSpec, k_max: int = 3) -> list[lgd.ImpactSummary]:
+    """Impact summaries with every combination's cascade run from its own
+    initial set, BLOCK_ROWS rows per kernel call, sharing nothing between
+    combinations or levels."""
+    n = slice_.n
+    summaries = []
+    for k in range(1, k_max + 1):
+        combos = combinations(range(n), k)
+        counts = []
+        while block := list(islice(combos, lgd.BLOCK_ROWS)):
+            initial = np.zeros((len(block), n), dtype=bool)
+            initial[np.arange(len(block))[:, None], np.array(block)] = True
+            d1, d2 = np.full(len(block), spec.d1), np.full(len(block), spec.d2)
+            counts.append(np.count_nonzero(lgd.cascade_rounds(slice_, initial, d1, d2, spec.haircut) >= 0, axis=1))
+        impacts = np.concatenate(counts) / n
+        worst = float(impacts.max())
+        argmax = tuple(
+            tuple(slice_.countries[i] for i in combo)
+            for combo in compress(combinations(range(n), k), impacts == worst)
+        )
+        top = max(1, math.ceil(0.05 * impacts.size))
+        summaries.append(
+            lgd.ImpactSummary(
+                year=slice_.year,
+                spec=spec,
+                k=k,
+                n_combos=impacts.size,
+                mean=float(impacts.mean()),
+                worst5_mean=float(np.sort(impacts)[-top:].mean()),
+                worst=worst,
+                argmax=argmax,
+            )
+        )
+    return summaries
 
 
 def oracle_rewired(net: BinaryNetwork, rng: np.random.Generator, swap_factor: int) -> BinaryNetwork:

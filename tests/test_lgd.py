@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,9 +15,15 @@ from finnet import (
     influence_ranking,
     sweep_grid,
 )
+from finnet import lgd
 from finnet.lgd import BLOCK_ROWS, COARSE_THRESHOLDS, cascade_rounds, severity_sorted
 
-from conftest import oracle_sequential_cascade, oracle_synchronous_rounds, random_slice
+from conftest import (
+    oracle_enumerate_impacts,
+    oracle_sequential_cascade,
+    oracle_synchronous_rounds,
+    random_slice,
+)
 
 
 def hand_slice():
@@ -213,6 +220,71 @@ def test_enumerate_impacts_matches_single_cascades_across_blocks():
         assert summary.worst == worst
         assert summary.worst5_mean == np.sort(impacts)[-top:].mean()
         assert summary.argmax == tuple(c for c, v in zip(combos, impacts) if v == worst)
+
+
+@st.composite
+def whole_or_tenth_slices(draw):
+    """Slices of 3-9 countries with whole or one-decimal values and a
+    sparse-to-dense zero pattern."""
+    n = draw(st.integers(3, 9))
+    scale = draw(st.sampled_from([1.0, 10.0]))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.6, 0.85]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    assets = rng.integers(1, 100, size=(n, n)) / scale
+    assets[rng.random((n, n)) < zero_frac] = 0.0
+    np.fill_diagonal(assets, 0.0)
+    gdp = rng.integers(10, 500, size=n) / scale
+    return AssetSlice(2007, tuple(f"C{i}" for i in range(n)), assets, gdp, 1.0)
+
+
+@given(
+    slice_=whole_or_tenth_slices(),
+    d1=st.floats(0.0, 1.0),
+    d2=st.floats(0.0, 2.0),
+    haircut=st.floats(0.0, 1.0, exclude_min=True),
+    k_max=st.integers(1, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_enumerate_impacts_matches_unseeded_oracle(slice_, d1, d2, haircut, k_max):
+    # Blocks of 4 put C(n, k) on both sides of a block boundary, and at low
+    # thresholds whole blocks skip the kernel.
+    spec = LgdSpec(d1, d2, haircut)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lgd, "BLOCK_ROWS", 4)
+        seeded = enumerate_impacts(slice_, spec, k_max)
+        unseeded = oracle_enumerate_impacts(slice_, spec, k_max)
+    assert [s.k for s in seeded] == list(range(1, k_max + 1))
+    for got, want in zip(seeded, unseeded, strict=True):
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_enumerate_impacts_skips_rows_inside_a_subset_cascade(monkeypatch):
+    # A pulls B down, and C pulls B down; nothing pulls A or C down.
+    slice_ = hand_slice()
+    spec = LgdSpec(0.1, 0.1)
+    assert cascade(slice_, {"A"}, spec).defaulted == {"A", "B"}
+    assert cascade(slice_, {"C"}, spec).defaulted == {"B", "C"}
+    batches = []
+
+    def counting(slice_, initial, d1, d2, haircut):
+        batches.append(initial.copy())
+        return cascade_rounds(slice_, initial, d1, d2, haircut)
+
+    expected = oracle_enumerate_impacts(slice_, spec, 3)
+    monkeypatch.setattr(lgd, "cascade_rounds", counting)
+    assert enumerate_impacts(slice_, spec, 3) == expected
+    # {A, B} and {B, C} lie in a member's cascade; only {A, C} starts from
+    # its subsets' union. {A, B, C} skips too, so the last batch is empty.
+    assert [len(b) for b in batches] == [3, 1, 0]
+    assert batches[1].tolist() == [[True, True, True]]
+    assert batches[2].shape == (0, 3)
+
+
+def test_cascade_rounds_takes_an_empty_batch():
+    rounds = cascade_rounds(hand_slice(), np.zeros((0, 3), dtype=bool), np.empty(0), np.empty(0), 1.0)
+    assert rounds.shape == (0, 3)
+    assert rounds.dtype == np.int16
 
 
 def test_enumerate_impacts_rejects_k_above_n():
