@@ -1,10 +1,14 @@
 """Bilateral asset and GDP panel ingestion.
 
-Input files are CSV with headers ``year,holder,issuer,value_musd`` and
-``year,country,gdp_musd``. All monetary values are millions of current USD;
-GDP given in raw USD must be pre-converted by the caller. Missing
-(holder, issuer) pairs are treated as zero holdings (the reporting floor
-left-censors small positions to zero).
+Input files are UTF-8 CSV, with or without a byte-order mark, under the
+headers ``year,holder,issuer,value_musd`` and ``year,country,gdp_musd``.
+All monetary values are millions of current USD; GDP given in raw USD must
+be pre-converted by the caller. Missing (holder, issuer) pairs are treated
+as zero holdings (the reporting floor left-censors small positions to zero).
+A panel holds numpy columns in file order, each country code an int32 index
+into one sorted code table. Tables are split and converted BLOCK_LINES rows
+at a time; when a check fails, the rows are read again one by one to name
+the first bad line.
 """
 
 from __future__ import annotations
@@ -14,46 +18,94 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 ASSET_HEADER = ("year", "holder", "issuer", "value_musd")
 GDP_HEADER = ("year", "country", "gdp_musd")
 _CSV_SPECIAL = frozenset(',"\r\n')
+# Rows split and converted at a time; splitting the whole file at once holds every field.
+BLOCK_LINES = 4096
 
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def _freeze(panel, **dtypes) -> None:
+    object.__setattr__(panel, "codes", tuple(panel.codes))
+    for name, dtype in dtypes.items():
+        column = np.array(getattr(panel, name), dtype=dtype)
+        column.flags.writeable = False
+        object.__setattr__(panel, name, column)
+
+
+def _validate(codes, years, indices, amount, rules) -> None:
+    """Raise DataError unless the columns have one length, the indices point
+    into a sorted table of distinct nonempty codes, no rule's mask flags a
+    row and no (year, *codes) key repeats; a message names the first row at
+    fault."""
+    if list(codes) != sorted(set(codes)) or "" in codes:
+        raise DataError("panel codes must be nonempty, sorted and distinct")
+    if any(len(column) != len(years) for column in (*indices, amount)):
+        raise DataError("panel columns differ in length")
+    if any(np.any((column < 0) | (column >= len(codes))) for column in indices):
+        raise DataError("panel code index out of range")
+
+    def record(k: int) -> str:
+        return f"({','.join([str(years[k]), *(codes[column[k]] for column in indices)])})"
+
+    for mask, message in rules:
+        if mask.any():
+            k = int(np.argmax(mask))
+            raise DataError(message.format(value=float(amount[k]), record=record(k)))
+    order = np.lexsort((*indices[::-1], years))
+    repeat = np.ones(max(len(years) - 1, 0), dtype=bool)
+    for column in (years, *indices):
+        repeat &= np.diff(column[order]) == 0
+    if repeat.any():
+        raise DataError(f"repeated record {record(order[np.argmax(repeat)])}")
+
+
 @dataclass(frozen=True)
 class AssetPanel:
-    """Bilateral asset holdings keyed by (year, holder, issuer), in millions of USD."""
+    """Bilateral asset holdings in file order, in millions of USD: row k is
+    ``codes[holder[k]]``'s position issued by ``codes[issuer[k]]`` in
+    ``years[k]``, worth ``values[k]``."""
 
-    records: dict[tuple[int, str, str], float]
+    codes: tuple[str, ...]
+    years: np.ndarray
+    holder: np.ndarray
+    issuer: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        for (year, holder, issuer), value in self.records.items():
-            if holder == issuer:
-                raise DataError(f"self-holding record ({year},{holder},{issuer})")
-            if value < 0 or not math.isfinite(value):
-                raise DataError(f"bad value {value!r} for ({year},{holder},{issuer})")
+        _freeze(self, years=np.int64, holder=np.int32, issuer=np.int32, values=np.float64)
+        v = self.values
+        _validate(self.codes, self.years, (self.holder, self.issuer), v,
+                  [(self.holder == self.issuer, "self-holding record {record}"),
+                   ((v < 0) | ~np.isfinite(v), "bad value {value!r} for {record}")])
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.years)
 
 
 @dataclass(frozen=True)
 class GdpPanel:
-    """GDP by (year, country), in millions of USD."""
+    """GDP in file order, in millions of USD: row k is ``codes[country[k]]``'s
+    GDP ``gdp[k]`` in ``years[k]``."""
 
-    records: dict[tuple[int, str], float]
+    codes: tuple[str, ...]
+    years: np.ndarray
+    country: np.ndarray
+    gdp: np.ndarray
 
     def __post_init__(self) -> None:
-        for (year, country), gdp in self.records.items():
-            if gdp <= 0 or not math.isfinite(gdp):
-                raise DataError(f"nonpositive gdp {gdp!r} for ({year},{country})")
+        _freeze(self, years=np.int64, country=np.int32, gdp=np.float64)
+        g = self.gdp
+        _validate(self.codes, self.years, (self.country,), g,
+                  [(~(g > 0) | ~np.isfinite(g), "nonpositive gdp {value!r} for {record}")])
 
 
 @dataclass(frozen=True)
@@ -108,96 +160,135 @@ class AssetSlice:
 
 
 def _read_text(stream: IO[bytes] | IO[str] | bytes | str) -> str:
-    if isinstance(stream, bytes):
-        return stream.decode("utf-8")
-    if isinstance(stream, str):
-        return stream
-    data = stream.read()
+    data = stream if isinstance(stream, (bytes, str)) else stream.read()
     if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    return data.removeprefix("\ufeff")
 
 
-def _parse_float(text: str, lineno: int, what: str) -> float:
+def _columns(lines: list[str], header: tuple[str, ...]) -> tuple:
+    """A table's sorted code table, year column, one index column per code
+    field and amount column, from its lines, BLOCK_LINES rows at a time.
+    Raises ValueError or OverflowError when some check fails."""
+    width, stride = len(header), len(header) + 1
+    if tuple(field.strip() for field in lines[0].split(",")) != header:
+        raise ValueError("unknown or missing header")
+    lines = list(filter(None, lines))
+    # Years and codes are interned as read; each distinct one is converted once.
+    seen: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    parts = [[np.empty(0, np.int32)] for _ in range(width - 1)] + [[np.empty(0)]]
+    for start in range(1, len(lines), BLOCK_LINES):
+        rows = lines[start:start + BLOCK_LINES]
+        block = ",\n,".join(rows)
+        fields = block.split(",")
+        fields.append("\n")
+        # A row with the wrong field count changes the block's count or moves
+        # some row's "\n" field into a column, where it is no year or amount
+        # and strips to an empty code, which a panel rejects.
+        if len(fields) != stride * len(rows):
+            raise ValueError("a row has the wrong field count")
+        for k in range(width - 1):
+            table, column = seen[k > 0], fields[k::stride]
+            for raw in set(column).difference(table):
+                table[raw] = len(table)
+            parts[k].append(np.fromiter(map(table.__getitem__, column), np.int32))
+        amounts = fields[width - 1::stride]
+        # float() skips the whitespace str.strip() does, except \x1c-\x1f.
+        if any(c in block for c in "\x1c\x1d\x1e\x1f"):
+            amounts = map(str.strip, amounts)
+        parts[-1].append(np.fromiter(map(float, amounts), np.float64))
+    year_of = np.array([int(raw.strip()) for raw in seen[0]], dtype=np.int64)
+    stripped = [code.strip() for code in seen[1]]
+    codes = sorted(set(stripped))
+    rank = {code: k for k, code in enumerate(codes)}
+    code_of = np.array([rank[code] for code in stripped], dtype=np.int32)
+    years, *indices, amount = (np.concatenate(part) for part in parts)
+    return tuple(codes), year_of[years], *(code_of[column] for column in indices), amount
+
+
+def _row_key(lineno: int, row: list[str]) -> tuple:
+    """The key of one stripped data row, or the DataError of its first fault."""
+    year_s, *codes, amount_s = row
     try:
-        value = float(text)
+        year = int(year_s)
     except ValueError:
-        raise DataError(f"line {lineno}: malformed {what} {text!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"line {lineno}: non-finite {what} {text!r}")
-    return value
-
-
-def _parse_year(text: str, lineno: int) -> int:
+        raise DataError(f"line {lineno}: malformed year {year_s!r}") from None
+    if not -2**63 <= year < 2**63:
+        raise DataError(f"line {lineno}: year {year_s!r} out of range")
+    if not all(codes):
+        raise DataError(f"line {lineno}: empty country code")
+    if len(codes) == 2 and codes[0] == codes[1]:
+        raise DataError(f"line {lineno}: self-holding {codes[0]}->{codes[1]} not allowed")
+    what, fault = ("value", "negative") if len(codes) == 2 else ("gdp", "nonpositive")
     try:
-        return int(text)
+        amount = float(amount_s)
     except ValueError:
-        raise DataError(f"line {lineno}: malformed year {text!r}") from None
+        raise DataError(f"line {lineno}: malformed {what} {amount_s!r}") from None
+    if not math.isfinite(amount):
+        raise DataError(f"line {lineno}: non-finite {what} {amount_s!r}")
+    if amount < 0 or (amount == 0 and what == "gdp"):
+        raise DataError(f"line {lineno}: {fault} {what} {amount_s!r}")
+    return (year, *codes)
 
 
-def _iter_rows(text: str, header: tuple[str, ...]) -> Iterable[tuple[int, list[str]]]:
+def _checked_lines(text: str, header: tuple[str, ...]) -> list[str]:
+    """Read the rows one by one as csv.reader does and raise the DataError of
+    the first bad line, counting blank lines; else return the rows as plain
+    comma-joined lines."""
     reader = csv.reader(io.StringIO(text))
+    seen: set[tuple] = set()
+    lineno = 0
     try:
-        first = next(reader)
-    except StopIteration:
-        raise DataError(f"missing header; expected {','.join(header)}") from None
-    if tuple(field.strip() for field in first) != header:
-        raise DataError(f"unknown column header {','.join(first)!r}; expected {','.join(header)}")
-    # The outputs write codes as bare CSV fields, so no field may hold a
-    # comma, a double quote or a line break. Only a quoted field can hold
-    # one (the reader rejects a bare line break), so only a text with a
-    # double quote needs the field check.
-    quoted = '"' in text
-    lineno = 1
-    try:
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"missing header; expected {','.join(header)}")
+        if tuple(field.strip() for field in first) != header:
+            raise DataError(f"unknown column header {','.join(first)!r}; expected {','.join(header)}")
+        lines = [",".join(first)]
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
+            lines.append(",".join(row))
             if not row:
                 continue
             if len(row) != len(header):
                 raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            if quoted:
-                for field in row:
-                    if not _CSV_SPECIAL.isdisjoint(field):
-                        raise DataError(f"line {lineno}: field {field!r} holds a comma, a double quote or a line break")
-            yield lineno, [field.strip() for field in row]
+            # The outputs write codes as bare CSV fields; only a quoted field can hold these.
+            for field in row:
+                if not _CSV_SPECIAL.isdisjoint(field):
+                    raise DataError(f"line {lineno}: field {field!r} holds a comma, a double quote or a line break")
+            key = _row_key(lineno, [field.strip() for field in row])
+            if key in seen:
+                raise DataError(f"line {lineno}: duplicate record for ({','.join(map(str, key))})")
+            seen.add(key)
     except csv.Error as exc:
         raise DataError(f"line {lineno + 1}: {exc}") from None
+    return lines
+
+
+def _parse(stream: IO[bytes] | IO[str] | bytes | str, header: tuple[str, ...], panel: type):
+    text = _read_text(stream)
+    plain = text.replace("\r\n", "\n") if "\r" in text else text
+    # Quoted fields and stray carriage returns follow the csv module's rules.
+    lines = _checked_lines(text, header) if '"' in text or "\r" in plain else plain.split("\n")
+    try:
+        return panel(*_columns(lines, header))
+    except (ValueError, OverflowError):  # DataError is a ValueError
+        _checked_lines(text, header)
+        raise RuntimeError("the block checks reject a table that every row check accepts") from None
 
 
 def parse_asset_table(stream: IO[bytes] | IO[str] | bytes | str) -> AssetPanel:
     """Parse a bilateral asset CSV (``year,holder,issuer,value_musd``)."""
-    records: dict[tuple[int, str, str], float] = {}
-    for lineno, (year_s, holder, issuer, value_s) in _iter_rows(_read_text(stream), ASSET_HEADER):
-        year = _parse_year(year_s, lineno)
-        if not holder or not issuer:
-            raise DataError(f"line {lineno}: empty country code")
-        if holder == issuer:
-            raise DataError(f"line {lineno}: self-holding {holder}->{issuer} not allowed")
-        value = _parse_float(value_s, lineno, "value")
-        if value < 0:
-            raise DataError(f"line {lineno}: negative value {value_s!r}")
-        key = (year, holder, issuer)
-        if key in records:
-            raise DataError(f"line {lineno}: duplicate record for ({year},{holder},{issuer})")
-        records[key] = value
-    return AssetPanel(records)
+    return _parse(stream, ASSET_HEADER, AssetPanel)
 
 
 def parse_gdp_table(stream: IO[bytes] | IO[str] | bytes | str) -> GdpPanel:
     """Parse a GDP CSV (``year,country,gdp_musd``); GDP must be positive."""
-    records: dict[tuple[int, str], float] = {}
-    for lineno, (year_s, country, gdp_s) in _iter_rows(_read_text(stream), GDP_HEADER):
-        year = _parse_year(year_s, lineno)
-        if not country:
-            raise DataError(f"line {lineno}: empty country code")
-        gdp = _parse_float(gdp_s, lineno, "gdp")
-        if gdp <= 0:
-            raise DataError(f"line {lineno}: nonpositive gdp {gdp_s!r}")
-        key = (year, country)
-        if key in records:
-            raise DataError(f"line {lineno}: duplicate record for ({year},{country})")
-        records[key] = gdp
-    return GdpPanel(records)
+    return _parse(stream, GDP_HEADER, GdpPanel)
 
 
 def _read_file(path: str, parse):
@@ -225,31 +316,31 @@ def core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlice:
     by those holders' full reported assets for the year (1.0 when the
     holders report nothing at all).
     """
-    rows = [(holder, issuer, value) for (y, holder, issuer), value in assets.records.items() if y == year]
-    if not rows:
+    rows = assets.years == year
+    if not rows.any():
         raise DataError(f"year {year} absent from asset panel")
-    countries = sorted({holder for holder, _, _ in rows if (year, holder) in gdp.records})
-    if not countries and all(y != year for y, _ in gdp.records):
+    gdp_rows = np.flatnonzero(gdp.years == year)
+    year_gdp = dict(zip([gdp.codes[k] for k in gdp.country[gdp_rows]], gdp.gdp[gdp_rows].tolist()))
+    holder, issuer, values = assets.holder[rows], assets.issuer[rows], assets.values[rows]
+    # The code table is sorted, so the members come out sorted too.
+    reporting = np.flatnonzero(np.bincount(holder, minlength=len(assets.codes))).tolist()
+    members = [k for k in reporting if assets.codes[k] in year_gdp]
+    if not members and not gdp_rows.size:
         raise DataError(f"year {year} absent from gdp panel")
-    if len(countries) < 2:
+    if len(members) < 2:
         raise DataError(f"year {year}: fewer than 2 countries with both assets and gdp")
-    index = {code: i for i, code in enumerate(countries)}
-    n = len(countries)
+    n = len(members)
+    position = np.full(len(assets.codes), -1)
+    position[members] = np.arange(n)
+    mine = position[holder] >= 0
+    i, j, values = position[holder[mine]], position[issuer[mine]], values[mine]
+    inside = j >= 0
     matrix = np.zeros((n, n))
-    # A sequential sum in record order, which fixes the last bit of coverage.
-    holders_total = 0.0
-    outside = False
-    for holder, issuer, value in rows:
-        i = index.get(holder)
-        if i is None:
-            continue
-        holders_total += value
-        j = index.get(issuer)
-        if j is None:
-            outside |= value > 0
-        else:
-            matrix[i, j] = value
+    matrix[i[inside], j[inside]] = values[inside]
+    # cumsum adds left to right in file order, where np.sum adds pairwise;
+    # the order fixes the last bit of coverage.
+    holders_total = float(np.cumsum(values)[-1])
     # With nothing outside the core the ratio is exactly 1, whatever the last bits of the two sums.
-    coverage = float(matrix.sum()) / holders_total if outside else 1.0
-    gdp_vec = np.array([gdp.records[(year, c)] for c in countries])
-    return AssetSlice(year, tuple(countries), matrix, gdp_vec, coverage)
+    coverage = float(matrix.sum()) / holders_total if (values[~inside] > 0).any() else 1.0
+    countries = tuple(assets.codes[k] for k in members)
+    return AssetSlice(year, countries, matrix, np.array([year_gdp[c] for c in countries]), coverage)

@@ -7,6 +7,8 @@ explicit loops, and cascades from randomized one-at-a-time processing.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import combinations, compress, islice
 from pathlib import Path
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel, lgd
+from finnet.ingest import ASSET_HEADER, GDP_HEADER
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -357,33 +360,153 @@ def oracle_knockout(net: BinaryNetwork, strategy: str, seed: int) -> tuple[tuple
     return tuple(order), np.array(series)
 
 
+# ---------------------------------------------------------------------------
+# panels as records
+
+
+def asset_panel(records: dict[tuple[int, str, str], float]) -> AssetPanel:
+    """The columnar panel of (year, holder, issuer) -> value records, rows in dict order."""
+    codes = sorted({code for _, holder, issuer in records for code in (holder, issuer)})
+    index = {code: k for k, code in enumerate(codes)}
+    return AssetPanel(tuple(codes), [y for y, _, _ in records], [index[h] for _, h, _ in records],
+                      [index[i] for _, _, i in records], list(records.values()))
+
+
+def gdp_panel(records: dict[tuple[int, str], float]) -> GdpPanel:
+    """The columnar panel of (year, country) -> gdp records, rows in dict order."""
+    codes = sorted({country for _, country in records})
+    index = {code: k for k, code in enumerate(codes)}
+    return GdpPanel(tuple(codes), [y for y, _ in records], [index[c] for _, c in records], list(records.values()))
+
+
+def asset_records(panel: AssetPanel) -> dict[tuple[int, str, str], float]:
+    """A panel's rows as (year, holder, issuer) -> value records, in file order."""
+    return {
+        (int(y), panel.codes[h], panel.codes[i]): float(v)
+        for y, h, i, v in zip(panel.years, panel.holder, panel.issuer, panel.values)
+    }
+
+
+def gdp_records(panel: GdpPanel) -> dict[tuple[int, str], float]:
+    """A panel's rows as (year, country) -> gdp records, in file order."""
+    return {(int(y), panel.codes[c]): float(g) for y, c, g in zip(panel.years, panel.country, panel.gdp)}
+
+
+# ---------------------------------------------------------------------------
+# the per-line parser: rows are read and checked one at a time into a dict
+
+
+_ORACLE_SPECIAL = frozenset(',"\r\n')
+
+
+def _oracle_float(text: str, lineno: int, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"line {lineno}: malformed {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"line {lineno}: non-finite {what} {text!r}")
+    return value
+
+
+def _oracle_year(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"line {lineno}: malformed year {text!r}") from None
+
+
+def _oracle_rows(data: bytes, header: tuple[str, ...]):
+    text = data.decode("utf-8")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise DataError(f"missing header; expected {','.join(header)}") from None
+    if tuple(field.strip() for field in first) != header:
+        raise DataError(f"unknown column header {','.join(first)!r}; expected {','.join(header)}")
+    quoted = '"' in text
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            if quoted:
+                for field in row:
+                    if not _ORACLE_SPECIAL.isdisjoint(field):
+                        raise DataError(f"line {lineno}: field {field!r} holds a comma, a double quote or a line break")
+            yield lineno, [field.strip() for field in row]
+    except csv.Error as exc:
+        raise DataError(f"line {lineno + 1}: {exc}") from None
+
+
+def oracle_parse_asset_table(data: bytes) -> dict[tuple[int, str, str], float]:
+    """Asset records of a UTF-8 CSV, read one line at a time."""
+    records: dict[tuple[int, str, str], float] = {}
+    for lineno, (year_s, holder, issuer, value_s) in _oracle_rows(data, ASSET_HEADER):
+        year = _oracle_year(year_s, lineno)
+        if not holder or not issuer:
+            raise DataError(f"line {lineno}: empty country code")
+        if holder == issuer:
+            raise DataError(f"line {lineno}: self-holding {holder}->{issuer} not allowed")
+        value = _oracle_float(value_s, lineno, "value")
+        if value < 0:
+            raise DataError(f"line {lineno}: negative value {value_s!r}")
+        key = (year, holder, issuer)
+        if key in records:
+            raise DataError(f"line {lineno}: duplicate record for ({year},{holder},{issuer})")
+        records[key] = value
+    return records
+
+
+def oracle_parse_gdp_table(data: bytes) -> dict[tuple[int, str], float]:
+    """GDP records of a UTF-8 CSV, read one line at a time."""
+    records: dict[tuple[int, str], float] = {}
+    for lineno, (year_s, country, gdp_s) in _oracle_rows(data, GDP_HEADER):
+        year = _oracle_year(year_s, lineno)
+        if not country:
+            raise DataError(f"line {lineno}: empty country code")
+        gdp = _oracle_float(gdp_s, lineno, "gdp")
+        if gdp <= 0:
+            raise DataError(f"line {lineno}: nonpositive gdp {gdp_s!r}")
+        key = (year, country)
+        if key in records:
+            raise DataError(f"line {lineno}: duplicate record for ({year},{country})")
+        records[key] = gdp
+    return records
+
+
 def oracle_core_slice(assets: AssetPanel, gdp: GdpPanel, year: int) -> AssetSlice:
-    """Core slice by separate full scans for the years, the holders and the
-    matrix, summing the holders' total sequentially in record order; the
-    coverage is exactly 1 when no holder has a positive value outside."""
-    if year not in {y for (y, _, _) in assets.records}:
+    """Core slice by separate full scans of the records for the years, the
+    holders and the matrix, summing the holders' total sequentially in
+    record order; the coverage is exactly 1 when no holder has a positive
+    value outside."""
+    asset_rows, gdp_rows = asset_records(assets), gdp_records(gdp)
+    if year not in {y for (y, _, _) in asset_rows}:
         raise DataError(f"year {year} absent from asset panel")
-    if year not in {y for (y, _) in gdp.records}:
+    if year not in {y for (y, _) in gdp_rows}:
         raise DataError(f"year {year} absent from gdp panel")
-    holders = {h for (y, h, _) in assets.records if y == year}
-    countries = sorted(h for h in holders if (year, h) in gdp.records)
+    holders = {h for (y, h, _) in asset_rows if y == year}
+    countries = sorted(h for h in holders if (year, h) in gdp_rows)
     if len(countries) < 2:
         raise DataError(f"year {year}: fewer than 2 countries with both assets and gdp")
     index = {code: i for i, code in enumerate(countries)}
     matrix = np.zeros((len(countries), len(countries)))
     holders_total = 0.0
-    for (y, holder, issuer), value in assets.records.items():
+    for (y, holder, issuer), value in asset_rows.items():
         if y != year or holder not in index:
             continue
         holders_total += value
         if issuer in index:
             matrix[index[holder], index[issuer]] = value
     outside = any(
-        value > 0 for (y, holder, issuer), value in assets.records.items()
+        value > 0 for (y, holder, issuer), value in asset_rows.items()
         if y == year and holder in index and issuer not in index
     )
     coverage = float(matrix.sum()) / holders_total if outside else 1.0
-    gdp_vec = np.array([gdp.records[(year, c)] for c in countries])
+    gdp_vec = np.array([gdp_rows[(year, c)] for c in countries])
     return AssetSlice(year, tuple(countries), matrix, gdp_vec, coverage)
 
 

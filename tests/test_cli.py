@@ -558,3 +558,46 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_setup_probe_reads_a_benchmark_panel(tmp_path, monkeypatch):
+    # The probe perfbench/run.py times as setup_s: import, parse both files, cut each year's slice.
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from panel import YEARS, core_size, write
+    from run import SETUP_CODE
+
+    from finnet.ingest import read_asset_file
+
+    assets, gdp = write(1, tmp_path)
+    years = ",".join(map(str, YEARS))
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run([sys.executable, "-c", SETUP_CODE, str(assets), str(gdp), years], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    info = json.loads(result.stdout)
+    assert Path(info["module"]).resolve().is_relative_to(root / "src")
+    assert info["n"] == {str(year): core_size(year) for year in YEARS}
+    data_rows = assets.read_text().count("\n") - 1
+    assert len(read_asset_file(str(assets))) == data_rows
+
+
+def test_non_utf8_input_exits_1_naming_line_and_byte(fixture_data_dir, tmp_path, capsys):
+    data = (fixture_data_dir / "assets.csv").read_bytes()
+    at = data.index(b"2007,BBB,")
+    bad = tmp_path / "assets.csv"
+    bad.write_bytes(data[:at] + b"2007,B\xe9B," + data[at + len(b"2007,BBB,"):])
+    rc = main(["build", "--year", "2007", "--assets", str(bad), "--gdp", str(fixture_data_dir / "gdp.csv"),
+               "--out", str(tmp_path / "net.csv")])
+    assert rc == 1
+    line = data[:at].count(b"\n") + 1
+    assert capsys.readouterr().err == f"error: line {line}: byte 0xe9 is not UTF-8\n"
+
+
+def test_byte_order_marks_leave_the_output_unchanged(fixture_data_dir, tmp_path):
+    for name in ("assets.csv", "gdp.csv"):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (fixture_data_dir / name).read_bytes())
+    args = ["build", "--year", "2007", "--rule", "B"]
+    assert run(args, fixture_data_dir, "plain.csv")[0] == 0
+    assert run(args, tmp_path, "marked.csv")[0] == 0
+    assert (tmp_path / "marked.csv").read_bytes() == (fixture_data_dir / "plain.csv").read_bytes()
