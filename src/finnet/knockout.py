@@ -8,6 +8,9 @@ single node (whose value is the cap, 4.0, by convention). The attack
 trials of one network share each surviving set's ASPL and candidates, so
 repeated sets are computed once; a trace does not depend on which
 trials shared them. Error trials seldom revisit a set and share nothing.
+Once the survivors have no edge, neither has any smaller set: every
+value left is the cap and every survivor ties at degree 0, so the trace
+ends in closed form and such a set never reaches the ASPL kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MEASURE_NAMES, MeasureVector, measure_vector, modified_aspl_adj
+from .metrics import MEASURE_NAMES, SPL_CAP, MeasureVector, measure_vector, modified_aspl_adj
 from .netbuild import BinaryNetwork
 from .nullmodels import NullModelSpec
 from .parallel import run_tasks
@@ -60,8 +63,14 @@ def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | 
     drives both error selection and attack tie-breaking. ``cache`` maps a
     surviving set (a bitmask over the network's nodes) to its ASPL and,
     for attack, the positions of its max-degree nodes among the
-    survivors. Trials of one network and one strategy may share it; the
-    trace does not depend on what it already holds.
+    survivors, or to None when the set has no edge. Trials of one network
+    and one strategy may share it; the trace does not depend on what it
+    already holds.
+
+    An edgeless survivor set ends the walk: it and every smaller set score
+    ``SPL_CAP`` without reaching the kernel, and each remaining victim is
+    one uniform draw over the survivors, the draw both strategies make
+    when every survivor ties.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -80,12 +89,16 @@ def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | 
             if adj is None:
                 index = np.array(nodes)
                 adj = net.adj[index][:, index]
-            sums = adj.sum(axis=0) + adj.sum(axis=1) if strategy == "attack" else None
-            cache[mask] = modified_aspl_adj(adj), None if sums is None else np.flatnonzero(sums == sums.max())
-        aspl, best = cache[mask]
-        series.append(aspl)
-        if len(nodes) == 1:
+            if adj.any():
+                sums = adj.sum(axis=0) + adj.sum(axis=1) if strategy == "attack" else None
+                cache[mask] = modified_aspl_adj(adj), None if sums is None else np.flatnonzero(sums == sums.max())
+            else:
+                cache[mask] = None
+        entry = cache[mask]
+        if entry is None:
             break
+        aspl, best = entry
+        series.append(aspl)
         if strategy == "error":
             victim = int(rng.integers(len(nodes)))
         else:
@@ -96,6 +109,9 @@ def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | 
         if adj is not None:
             adj = np.concatenate((adj[:victim], adj[victim + 1:]))
             adj = np.concatenate((adj[:, :victim], adj[:, victim + 1:]), axis=1)
+    series += [SPL_CAP] * len(nodes)
+    while len(nodes) > 1:
+        order.append(net.countries[nodes.pop(int(rng.integers(len(nodes))))])
     return KnockoutTrace(strategy, tuple(order), np.array(series), seed)
 
 

@@ -88,6 +88,13 @@ def sample_rewired(
     with no valid swap come back as a copy. The only random draw is one
     ``rng.integers(0, m, size=(swap_factor * m, 2))``; row t holds the
     two edges, numbered in row-major order, of attempt t.
+
+    The chain stays in the start's swap component, which can be smaller
+    than the set of all digraphs with its degrees: directed swaps need a
+    3-cycle reorientation move to connect that set (Berger &
+    Müller-Hannemann 2010). A directed 3-cycle, for one, has no valid
+    swap and comes back unchanged, though its reverse has the same
+    degrees.
     """
     if swap_factor < 1:
         raise ValueError("swap_factor must be >= 1")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import combinations, compress, islice
+from itertools import combinations, compress, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +331,44 @@ def oracle_rewired(net: BinaryNetwork, rng: np.random.Generator, swap_factor: in
     idx = np.array(edges)
     adj[idx[:, 0], idx[:, 1]] = True
     return BinaryNetwork(net.countries, adj, label, net.source_year)
+
+
+def oracle_degree_class(adj: np.ndarray) -> set[bytes]:
+    """Every loopless digraph with adj's in- and out-degree sequences, as
+    ``adj.tobytes()`` keys, by enumerating all 2^(n(n-1)) edge sets; n <= 4."""
+    n = adj.shape[0]
+    assert n <= 4
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out_deg, in_deg = adj.sum(axis=1), adj.sum(axis=0)
+    found = set()
+    for bits in product((False, True), repeat=len(slots)):
+        cand = np.zeros((n, n), dtype=bool)
+        for (i, j), bit in zip(slots, bits):
+            cand[i, j] = bit
+        if np.array_equal(cand.sum(axis=1), out_deg) and np.array_equal(cand.sum(axis=0), in_deg):
+            found.add(cand.tobytes())
+    return found
+
+
+def oracle_swap_component(adj: np.ndarray) -> set[bytes]:
+    """The digraphs reachable from adj by double-edge swaps a->b, c->d to
+    a->d, c->b that make no self-loop and no duplicate edge, by BFS, as
+    ``adj.tobytes()`` keys."""
+    adj = np.asarray(adj, dtype=bool)
+    seen = {adj.tobytes()}
+    queue = [adj]
+    while queue:
+        cur = queue.pop()
+        for (a, b), (c, d) in combinations(zip(*np.nonzero(cur)), 2):
+            if a == d or c == b or cur[a, d] or cur[c, b]:
+                continue
+            nxt = cur.copy()
+            nxt[a, b] = nxt[c, d] = False
+            nxt[a, d] = nxt[c, b] = True
+            if nxt.tobytes() not in seen:
+                seen.add(nxt.tobytes())
+                queue.append(nxt)
+    return seen
 
 
 def oracle_knockout(net: BinaryNetwork, strategy: str, seed: int) -> tuple[tuple[str, ...], np.ndarray]:

@@ -157,6 +157,73 @@ def test_shared_cache_traces_match_shrinking_matrix_oracle(net):
             assert trace.aspl_series.tobytes() == series.tobytes()
 
 
+def disjoint_stars(leaves, bidirectional=False):
+    """Disjoint out-stars, one per entry of ``leaves``: a star with one leaf
+    is a matched pair, one with none an isolated node."""
+    adj = np.zeros((sum(leaves) + len(leaves),) * 2, dtype=bool)
+    center = 0
+    for k in leaves:
+        adj[center, center + 1:center + 1 + k] = True
+        center += k + 1
+    return net_from_adj(adj | adj.T if bidirectional else adj)
+
+
+def assert_trace_matches_oracle(net, strategy, seed, cache):
+    trace = run_knockout(net, strategy, seed, cache=cache)
+    order, series = oracle_knockout(net, strategy, seed)
+    assert trace.removal_order == order
+    assert trace.aspl_series.tobytes() == series.tobytes()
+
+
+@pytest.mark.parametrize("net", [
+    disjoint_stars([1] * 12),
+    disjoint_stars([1] * 6, bidirectional=True),
+    disjoint_stars([5, 3, 3, 1, 1, 0, 0]),
+    disjoint_stars([8, 2, 0, 0, 0], bidirectional=True),
+    empty_net(7),
+    empty_net(2),
+    load_scalefree64(),
+], ids=["matching24", "matching12-bidir", "stars20", "stars16-bidir", "empty7", "empty2", "scalefree64"])
+def test_edgeless_tail_matches_oracle(net, monkeypatch):
+    """Traces that run out of edges while many nodes survive finish with the
+    oracle's draws and series, and no edgeless set reaches the kernel.
+    Attack trials share one cache, in which the edgeless sets they reach
+    are marked."""
+    import finnet.knockout as knockout
+
+    kernel = knockout.modified_aspl_adj
+
+    def edged_kernel(adj):
+        assert adj.any()
+        return kernel(adj)
+
+    monkeypatch.setattr(knockout, "modified_aspl_adj", edged_kernel)
+    for seed in range(6):
+        assert_trace_matches_oracle(net, "error", seed, None)
+    cache = {}
+    for seed in range(6):
+        assert_trace_matches_oracle(net, "attack", seed, cache)
+    assert None in cache.values()
+    if net.num_edges == 0:
+        assert cache == {(1 << net.n) - 1: None}
+
+
+def test_attack_trials_branch_off_at_a_cached_edgeless_set(monkeypatch):
+    """Every attack on a star removes the centre first. The first trial
+    marks the leaves as edgeless; every later trial hits both cached sets,
+    so it never misses, rebuilds a submatrix or calls the kernel."""
+    import finnet.knockout as knockout
+
+    net = star_net(11, bidirectional=True)
+    cache = {}
+    assert_trace_matches_oracle(net, "attack", 0, cache)
+    monkeypatch.setattr(knockout, "modified_aspl_adj", None)
+    for seed in range(1, 8):
+        assert_trace_matches_oracle(net, "attack", seed, cache)
+    full = (1 << net.n) - 1
+    assert cache.keys() == {full, full ^ 1} and cache[full ^ 1] is None
+
+
 def test_attack_series_seed_independent_on_symmetric_graph():
     series = {tuple(run_knockout(complete_net(5), "attack", seed=s).aspl_series) for s in range(10)}
     assert len(series) == 1

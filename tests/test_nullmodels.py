@@ -22,7 +22,14 @@ from finnet import (
 )
 from finnet.nullmodels import NullModelSpec, sample_lognormal_matrix
 
-from conftest import net_from_adj, oracle_rewired, random_net, random_slice
+from conftest import (
+    net_from_adj,
+    oracle_degree_class,
+    oracle_rewired,
+    oracle_swap_component,
+    random_net,
+    random_slice,
+)
 
 
 def labels(n):
@@ -116,6 +123,48 @@ def test_rewired_two_edge_graph_reaches_both_configurations():
     original = (("C00", "C01"), ("C02", "C03"))
     swapped = (("C00", "C03"), ("C02", "C01"))
     assert seen == {original, swapped}
+
+
+def edge_adj(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = True
+    return adj
+
+
+def test_rewired_directed_three_cycle_unchanged():
+    """The reversed 3-cycle has the same degrees, but every swap between
+    two edges of the cycle makes a self-loop: the swap chain cannot leave it."""
+    adj = edge_adj(3, [(0, 1), (1, 2), (2, 0)])
+    assert oracle_degree_class(adj) == {adj.tobytes(), adj.T.tobytes()}
+    assert oracle_swap_component(adj) == {adj.tobytes()}
+    net = net_from_adj(adj)
+    for seed in range(100):
+        assert np.array_equal(sample_rewired(net, np.random.default_rng(seed)).adj, adj)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    (4, [(0, 1), (1, 2), (2, 3)]),
+    (4, [(0, 1), (1, 2), (2, 0), (0, 3)]),
+    (4, [(0, 1), (1, 2), (2, 0), (3, 0), (1, 3)]),
+    (4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)]),
+    (6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (0, 4), (5, 1)]),
+])
+def test_rewired_reaches_exactly_its_swap_component(n, edges):
+    """Every rewired network lies in the start's swap component, which on
+    four nodes can be smaller than its degree class (a 3-cycle with a node
+    sending to all three never reaches its reverse). A small component is
+    reached whole."""
+    adj = edge_adj(n, edges)
+    component = oracle_swap_component(adj)
+    if n <= 4:
+        assert component <= oracle_degree_class(adj)
+    net = net_from_adj(adj)
+    reached = {sample_rewired(net, np.random.default_rng(seed)).adj.tobytes() for seed in range(300)}
+    assert reached <= component
+    if len(component) <= 10:
+        assert reached == component
 
 
 @given(seed=st.integers(0, 10_000), p=st.floats(0.05, 0.6))
