@@ -122,15 +122,17 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
     return np.interp(CURVE_GRID, removed_fraction, series)
 
 
-def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, str, list[tuple[int, int]]]) -> list[np.ndarray]:
-    """Curves of one source's trials, given as (trial index, seed) pairs.
-    A network's attack trials share one cache; error trials, which seldom
-    revisit a surviving set, and a spec's trials share nothing."""
-    source, strategy, trials = task
-    if isinstance(source, NullModelSpec):
-        return [_interp_curve(run_knockout(source.sample(j), strategy, seed).aspl_series) for j, seed in trials]
-    cache = {} if strategy == "attack" else None
-    return [_interp_curve(run_knockout(source, strategy, seed, cache=cache).aspl_series) for _, seed in trials]
+def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, str, int, int, range]) -> np.ndarray:
+    """Stacked curves of trials ``js`` of source ``i``, trial j traced with
+    seed ``child_seed(master_seed, i, j)``. A network's attack trials share
+    one cache; error trials, which seldom revisit a surviving set, and a
+    spec's trials share nothing."""
+    source, strategy, master_seed, i, js = task
+    spec = isinstance(source, NullModelSpec)
+    cache = None if spec or strategy == "error" else {}
+    traces = (run_knockout(source.sample(j) if spec else source, strategy, child_seed(master_seed, i, j), cache=cache)
+              for j in js)
+    return np.vstack([_interp_curve(trace.aspl_series) for trace in traces])
 
 
 def ensemble_knockout(
@@ -153,11 +155,11 @@ def ensemble_knockout(
     splits = min(trials, -(-jobs // max(1, len(sources))))
     bounds = [trials * k // splits for k in range(splits + 1)]
     tasks = [
-        (source, strategy, [(j, child_seed(master_seed, i, j)) for j in range(lo, hi)])
+        (source, strategy, master_seed, i, range(lo, hi))
         for i, source in enumerate(sources)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    stack = np.vstack([curve for curves in run_tasks(_trace_curves, tasks, jobs) for curve in curves])
+    stack = np.vstack(run_tasks(_trace_curves, tasks, jobs))
     return CurveSummary(strategy, CURVE_GRID.copy(), stack.mean(axis=0), stack.std(axis=0), stack.shape[0])
 
 
@@ -237,8 +239,7 @@ def ci_compare(
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     chunk = max(50, samples // 64)
-    bounds = list(range(0, samples, chunk)) + [samples]
-    tasks = [(spec, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    tasks = [(spec, lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
     matrix = np.vstack(run_tasks(_measure_chunk, tasks, jobs))
     empirical_values = empirical.as_array()
     entries = []
@@ -267,17 +268,6 @@ def ci_table(reports: list[CiReport]) -> list[dict]:
             for report in group:
                 counts[report.entry(name).position] += 1
             years = len(group)
-            rows.append(
-                {
-                    "measure": name,
-                    "model": model,
-                    "rule": rule,
-                    "score": (counts["above"] - counts["below"]) / years,
-                    "below": counts["below"],
-                    "within": counts["within"],
-                    "above": counts["above"],
-                    "undefined": counts["undefined"],
-                    "years": years,
-                }
-            )
+            score = (counts["above"] - counts["below"]) / years
+            rows.append({"measure": name, "model": model, "rule": rule, "score": score, **counts, "years": years})
     return rows

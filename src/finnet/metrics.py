@@ -9,7 +9,9 @@ One kernel, `measure_vector`, computes all six statistics from one float
 cast of the adjacency and one walk-count product ``w2 = a @ a``, which
 the distance counts, the reciprocal-edge counts and transitivity share.
 Products and sums of 0/1 matrices hold exact integers in float64, so
-sharing or reordering them changes no bit of any statistic.
+sharing or reordering them changes no bit of any statistic. Distances
+are counted with ``np.count_nonzero`` on reachability masks, and
+assortativity reads the endpoint degrees without listing the edges.
 """
 
 from __future__ import annotations
@@ -69,26 +71,25 @@ class MeasureVector:
 def _capped_measures(adj: np.ndarray, a: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
     """Fractions of ordered pairs within distance 2 and 3, and the capped ASPL.
 
-    ``a`` is ``adj`` as float and ``w2`` is ``a @ a``. A pair is within
-    distance k exactly when a walk of length <= k exists, so the walk
-    counts of lengths 1 to 3 give the pairs at each distance.
+    ``a`` is ``adj`` (False diagonal) as float and ``w2`` is ``a @ a``. A
+    pair is within distance k exactly when a walk of length <= k exists,
+    so the walk counts of lengths 1 to 3 give the pairs at each distance.
+    A node on a 2- or 3-cycle reaches itself; that diagonal cell is taken off.
     """
     n = adj.shape[0]
-    w3 = w2 @ a
-    off = ~np.eye(n, dtype=bool)
-    le1 = adj & off
-    le2 = (le1 | (w2 > 0)) & off
-    le3 = (le2 | (w3 > 0)) & off
-    c1 = int(le1.sum())
-    c2 = int(le2.sum()) - c1
-    c3 = int(le3.sum()) - c1 - c2
+    le2 = adj | (w2 > 0)
+    le3 = le2 | (w2 @ a > 0)
+    c1 = np.count_nonzero(adj)
+    c2 = np.count_nonzero(le2) - np.count_nonzero(np.diagonal(le2)) - c1
+    c3 = np.count_nonzero(le3) - np.count_nonzero(np.diagonal(le3)) - c1 - c2
     pairs = n * (n - 1)
     aspl = (c1 + 2 * c2 + 3 * c3 + SPL_CAP * (pairs - c1 - c2 - c3)) / pairs
     return (c1 + c2) / pairs, (c1 + c2 + c3) / pairs, aspl
 
 
 def modified_aspl_adj(adj: np.ndarray) -> float:
-    """Capped mean shortest path length on a raw adjacency matrix.
+    """Capped mean shortest path length on a boolean adjacency matrix
+    with a False diagonal, as every ``BinaryNetwork`` has.
 
     Graphs with fewer than two nodes have no ordered pairs and return the
     cap value, the convention knockout simulations rely on.
@@ -122,11 +123,11 @@ def measure_vector(net: BinaryNetwork) -> MeasureVector:
     out_deg = a.sum(axis=1)
     in_deg = a.sum(axis=0)
 
-    srcs, dsts = np.nonzero(adj)
-    x = out_deg[srcs]
-    y = in_deg[dsts]
+    # Endpoint degrees of the edges in row-major order, as np.nonzero lists them.
+    x = np.repeat(out_deg, out_deg.astype(np.intp))
+    y = np.broadcast_to(in_deg, adj.shape)[adj]
     assortativity = math.nan
-    if srcs.size and np.ptp(x) > 0 and np.ptp(y) > 0:
+    if x.size and np.ptp(x) > 0 and np.ptp(y) > 0:
         xc = x - x.mean()
         yc = y - y.mean()
         assortativity = float((xc * yc).sum() / math.sqrt((xc * xc).sum() * (yc * yc).sum()))

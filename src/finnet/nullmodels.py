@@ -10,7 +10,7 @@ whose generated slices are re-thresholded into binary networks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +89,13 @@ def sample_rewired(
     ``rng.integers(0, m, size=(swap_factor * m, 2))``; row t holds the
     two edges, numbered in row-major order, of attempt t.
 
+    Each edge is its flat cell ``src * n + dst`` of a byte table with the
+    diagonal marked occupied. For edges a->b, c->d and ``k = (a - c) * n``,
+    a->d is ``cell[i2] + k`` and c->b is ``cell[i1] - k``: a swap is two
+    byte tests, and the table is the result. A self-loop lands on the
+    diagonal; two edges of one source (or one edge twice) have k = 0, so
+    a->d is the live edge c->d: each fails the test.
+
     The chain stays in the start's swap component, which can be smaller
     than the set of all digraphs with its degrees: directed swaps need a
     3-cycle reorientation move to connect that set (Berger &
@@ -105,27 +112,25 @@ def sample_rewired(
         return BinaryNetwork(net.countries, net.adj, label, net.source_year)
     n = net.n
     picks = rng.integers(0, m, size=(swap_factor * m, 2))
-    # Swaps keep every source. With the diagonal marked occupied, a
-    # self-loop (a == d, c == b) or a pick of one edge twice fails the
-    # duplicate test, since then a->d is the live edge a->b.
-    occupied = net.adj.copy()
-    np.fill_diagonal(occupied, True)
-    occupied = bytearray(occupied.tobytes())
-    dst = cols.tolist()
-    src = rows * n
-    for i1, i2, s1, s2 in zip(*picks.T.tolist(), *src[picks].T.tolist()):
-        b = dst[i1]
-        d = dst[i2]
-        if occupied[s1 + d] or occupied[s2 + b]:
+    occupied = bytearray((net.adj | np.eye(n, dtype=bool)).tobytes())
+    src = (rows * n).tolist()
+    cell = (rows * n + cols).tolist()
+    for i1, i2 in zip(*picks.T.tolist()):
+        k = src[i1] - src[i2]
+        ad = cell[i2] + k
+        if occupied[ad]:
             continue
-        occupied[s1 + b] = 0
-        occupied[s2 + d] = 0
-        occupied[s1 + d] = 1
-        occupied[s2 + b] = 1
-        dst[i1] = d
-        dst[i2] = b
-    adj = np.zeros((n, n), dtype=bool)
-    adj[rows, dst] = True
+        cb = cell[i1] - k
+        if occupied[cb]:
+            continue
+        occupied[cell[i1]] = 0
+        occupied[cell[i2]] = 0
+        occupied[ad] = 1
+        occupied[cb] = 1
+        cell[i1] = ad
+        cell[i2] = cb
+    adj = np.frombuffer(occupied, dtype=bool).reshape(n, n)
+    np.fill_diagonal(adj, False)
     return BinaryNetwork(net.countries, adj, label, net.source_year)
 
 
@@ -397,12 +402,12 @@ def jarque_bera(residuals: np.ndarray) -> tuple[float, float]:
 class NullModelSpec:
     """One null-model family over the empirical network ``base``.
 
-    ``sample(index)`` reads the family's statistic from ``base`` when it
-    draws: er its mean out-degree, out-degree and in-degree its degree
-    sequences, rewiring the network itself (``swap_factor`` swaps per
-    edge), log-normal the slice model ``fit`` re-thresholded by ``rule``.
-    The (seed, index) pair fully determines the draw, so ensembles are
-    reproducible under any scheduling.
+    The spec reads the family's statistic from ``base`` once: er its mean
+    out-degree, out-degree and in-degree its degree sequences, rewiring
+    the network itself (``swap_factor`` swaps per edge), log-normal the
+    slice model ``fit`` re-thresholded by ``rule``. The (seed, index)
+    pair fully determines the draw, so ensembles are reproducible under
+    any scheduling.
     """
 
     kind: str
@@ -411,22 +416,26 @@ class NullModelSpec:
     swap_factor: int = DEFAULT_SWAP_FACTOR
     fit: LogNormalFit | None = None
     rule: ThresholdRule | None = None
+    statistic: float | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in NULL_MODEL_KINDS:
             raise ValueError(f"unknown null-model kind {self.kind!r}")
         if self.kind == "log-normal" and (self.fit is None or self.rule is None):
             raise ValueError("log-normal model needs a fit and a thresholding rule")
+        if self.kind == "er":
+            object.__setattr__(self, "statistic", self.base.num_edges / self.base.n)
+        elif self.kind in ("out-degree", "in-degree"):
+            degrees = self.base.out_degrees if self.kind == "out-degree" else self.base.in_degrees
+            object.__setattr__(self, "statistic", degrees())
 
     def sample(self, index: int) -> BinaryNetwork:
         rng = child_rng(self.seed, index)
         base = self.base
         if self.kind == "er":
-            return sample_er(base.n, base.num_edges / base.n, rng, base.countries)
-        if self.kind == "out-degree":
-            return sample_outdegree(base.out_degrees(), rng, base.countries)
-        if self.kind == "in-degree":
-            return sample_indegree(base.in_degrees(), rng, base.countries)
+            return sample_er(base.n, self.statistic, rng, base.countries)
+        if self.kind in ("out-degree", "in-degree"):
+            return _degree_sampled(self.statistic, rng, base.countries, int(self.kind == "in-degree"))
         if self.kind == "rewiring":
             return sample_rewired(base, rng, self.swap_factor)
         return self.rule.apply(sample_lognormal_slice(self.fit, rng))

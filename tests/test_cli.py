@@ -560,6 +560,43 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
+def test_benchmark_tracer_spans_every_draw_and_trace(fixture_data_dir, tmp_path):
+    """perfbench/tracer.py, run on small ci-table and knockout commands, sees
+    one span per null draw, per child generator, per measured network and
+    per attack trace, so a fast path that bypasses the traced names fails here."""
+    root = Path(__file__).resolve().parent.parent
+    io_args = ["--assets", str(fixture_data_dir / "assets.csv"), "--gdp", str(fixture_data_dir / "gdp.csv")]
+    years, rules, samples, trials = ("2006", "2007"), ("A", "B"), 100, 7
+    runs = [
+        {"id": "ci", "argv": ["ci-table", *io_args, "--out", str(tmp_path / "ci.csv"), "--years", ",".join(years),
+                              "--rules", ",".join(rules), "--models", "all", "--samples", str(samples)]},
+        {"id": "ko", "argv": ["knockout", *io_args, "--out", str(tmp_path / "ko.csv"), "--years", ",".join(years),
+                              "--rule", "A", "--strategy", "attack", "--trials", str(trials)]},
+    ]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"runs": runs, "out": str(tmp_path / "trace.json")}))
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), str(job)],
+                            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["codes"] == {"ci": 0, "ko": 0}
+    spans = trace["spans"]
+    counts = {}
+    for name, _, _, _, run in spans:
+        counts[run, name] = counts.get((run, name), 0) + 1
+    cells = len(years) * len(rules)
+    for kind in ("er", "out-degree", "in-degree", "rewiring", "log-normal"):
+        assert counts["ci", f"nullmodels.sample.{kind}"] == cells * samples
+    draws = 5 * cells * samples
+    assert counts["ci", "seeding.child_rng"] == draws
+    assert all(spans[parent][0].startswith("nullmodels.sample.")
+               for name, _, _, parent, _ in spans if name == "seeding.child_rng")
+    # One measured network per draw, plus each (year, rule)'s empirical network.
+    assert counts["ci", "metrics.measure_vector"] == draws + cells
+    assert counts["ko", "knockout.trace.attack"] == len(years) * trials
+
+
 def test_benchmark_setup_probe_reads_a_benchmark_panel(tmp_path, monkeypatch):
     # The probe perfbench/run.py times as setup_s: import, parse both files, cut each year's slice.
     root = Path(__file__).resolve().parent.parent

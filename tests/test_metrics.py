@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from finnet import MEASURE_NAMES, fraction_spl_le, measure_vector, modified_aspl
-from finnet.metrics import modified_aspl_adj
+from finnet.metrics import _capped_measures, modified_aspl_adj
 
 from conftest import (
     chain_net,
@@ -123,6 +123,37 @@ def test_capped_measures_small_graphs_against_enumeration():
         assert fraction_spl_le(net, 3) == oracle_fraction_le(net.adj, 3)
 
 
+@st.composite
+def cycle_digraphs(draw):
+    """Disjoint directed 2- and 3-cycles over the nodes in a drawn order, and
+    a few more edges: each cycle node reaches itself in two or three steps."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    adj = np.zeros((n, n), dtype=bool)
+    start = 0
+    while n - start >= 2:
+        cycle = order[start:start + min(draw(st.sampled_from([2, 3])), n - start)]
+        adj[cycle, cycle[1:] + cycle[:1]] = True
+        start += len(cycle)
+    for i, j in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        adj[i, j] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+@given(adj=cycle_digraphs())
+@example(adj=np.array([[0, 1], [1, 0]], dtype=bool))
+@example(adj=np.roll(np.eye(3, dtype=bool), 1, axis=1))
+@example(adj=np.roll(np.eye(5, dtype=bool), 1, axis=1) | np.roll(np.eye(5, dtype=bool), -1, axis=1))
+@settings(max_examples=200, deadline=None)
+def test_capped_measures_take_cycles_off_the_diagonal(adj):
+    a = adj.astype(float)
+    w2 = a @ a
+    assert np.diagonal(w2).any() or np.diagonal(w2 @ a).any()
+    assert _capped_measures(adj, a, w2) == (
+        oracle_fraction_le(adj, 2), oracle_fraction_le(adj, 3), oracle_modified_aspl(adj))
+
+
 def test_aspl_fraction_identity():
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -159,12 +190,21 @@ def test_measures_invariant_under_relabeling(seed):
         assert (math.isnan(original) and math.isnan(permuted)) or original == pytest.approx(permuted, abs=1e-12)
 
 
-@given(n=st.integers(3, 12), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-@example(n=3, density=0.0, seed=0)
-@example(n=12, density=1.0, seed=0)
+@given(n=st.integers(3, 12), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       sinks=st.sets(st.integers(0, 11)), sources=st.sets(st.integers(0, 11)))
+@example(n=3, density=0.0, seed=0, sinks=set(), sources=set())
+@example(n=12, density=1.0, seed=0, sinks=set(), sources=set())
+@example(n=6, density=1.0, seed=0, sinks=set(range(1, 6)), sources=set())
+@example(n=6, density=1.0, seed=0, sinks={3, 4, 5}, sources={0, 1, 2})
+@example(n=7, density=0.5, seed=1, sinks={0, 6}, sources={0, 3})
 @settings(max_examples=300)
-def test_measure_vector_matches_referee_bitwise(n, density, seed):
-    net = random_net(n, density, np.random.default_rng(seed))
+def test_measure_vector_matches_referee_bitwise(n, density, seed, sinks, sources):
+    """Bit for bit against the referee, also with nodes of zero out-degree
+    (``sinks``) or zero in-degree (``sources``), which no edge endpoint lists."""
+    adj = random_net(n, density, np.random.default_rng(seed)).adj.copy()
+    adj[[v for v in sinks if v < n], :] = False
+    adj[:, [v for v in sources if v < n]] = False
+    net = net_from_adj(adj)
     vec = measure_vector(net)
     assert vec.as_array().tobytes() == oracle_measure_vector(net.adj).tobytes()
     assert [field.name for field in fields(vec)] == list(MEASURE_NAMES)

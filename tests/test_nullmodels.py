@@ -180,15 +180,31 @@ def test_rewired_preserves_degree_sequences(seed, p):
 
 @st.composite
 def digraphs(draw):
-    """Edge sets of every size from 0 up, or their complements (near-complete graphs)."""
+    """Edge sets of every size from 0 up, their complements (near-complete
+    graphs), or a few edges beside one source that links to most nodes."""
     n = draw(st.integers(2, 8))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    shape = draw(st.sampled_from(["sparse", "complement", "hub"]))
     adj = np.zeros((n, n), dtype=bool)
-    for i, j in draw(st.sets(pairs, max_size=n * (n - 1))):
+    for i, j in draw(st.sets(pairs, max_size=n // 2 if shape == "hub" else n * (n - 1))):
         adj[i, j] = True
-    if draw(st.booleans()):
+    if shape == "complement":
         adj = ~adj
-        np.fill_diagonal(adj, False)
+    elif shape == "hub":
+        hub = draw(st.integers(0, n - 1))
+        adj[hub] = True
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=n // 3)):
+            adj[hub, j] = False
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def out_star(n, *extra):
+    """Node 0 links to every other node, plus the ``extra`` (i, j) edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[0, 1:] = True
+    for i, j in extra:
+        adj[i, j] = True
     return adj
 
 
@@ -199,6 +215,9 @@ def digraphs(draw):
 @example(adj=np.array([[0, 1], [1, 0]], dtype=bool), swap_factor=20, seed=3, year=None)
 @example(adj=np.array([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=bool),
          swap_factor=2, seed=4, year=2007)
+@example(adj=out_star(6), swap_factor=1, seed=5, year=None)
+@example(adj=out_star(6, (3, 1), (4, 0)), swap_factor=1, seed=6, year=None)
+@example(adj=~np.eye(5, dtype=bool), swap_factor=1, seed=7, year=None)
 @settings(max_examples=300, deadline=None)
 def test_rewired_matches_oracle_exactly(adj, swap_factor, seed, year):
     net = BinaryNetwork(labels(adj.shape[0]), adj, "A", year)
@@ -408,6 +427,21 @@ def test_null_spec_validation_and_sampling():
         b = spec.sample(3)
         assert np.array_equal(a.adj, b.adj)  # (seed, index) fully determines the draw
         assert a.countries == net.countries
+
+
+def test_null_spec_reads_its_statistic_once(monkeypatch):
+    net = random_net(8, 0.4, np.random.default_rng(20))
+    specs = [NullModelSpec(kind, 7, net) for kind in ("er", "out-degree", "in-degree")]
+    want = [spec.sample(i).adj for spec in specs for i in range(3)]
+
+    def fail(self):
+        raise AssertionError("a draw recomputed the family's statistic")
+
+    monkeypatch.setattr(BinaryNetwork, "num_edges", property(fail))
+    monkeypatch.setattr(BinaryNetwork, "out_degrees", fail)
+    monkeypatch.setattr(BinaryNetwork, "in_degrees", fail)
+    got = [spec.sample(i).adj for spec in specs for i in range(3)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_null_spec_lognormal_round_trip():
