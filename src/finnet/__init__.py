@@ -19,10 +19,8 @@ from .netbuild import (
     DEFAULT_GDP_THRESHOLD,
     BinaryNetwork,
     ThresholdRule,
-    above_average_network,
     average_gdp_exposure,
     export_graph,
-    gdp_threshold_network,
 )
 from .metrics import (
     MEASURE_NAMES,
@@ -39,10 +37,7 @@ from .nullmodels import (
     fit_lognormal,
     fit_lognormal_pooled,
     jarque_bera,
-    sample_er,
-    sample_indegree,
     sample_lognormal_slice,
-    sample_outdegree,
     sample_rewired,
 )
 from .knockout import (

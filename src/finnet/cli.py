@@ -119,7 +119,7 @@ def _bounded(convert, ok, requirement: str):
 def _gdp_threshold(text: str) -> float:
     """A float that ThresholdRule accepts as rule B's t."""
     value = float(text)
-    ThresholdRule("gdp-fraction", value)
+    ThresholdRule("B", value)
     return value
 
 
@@ -145,9 +145,10 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _spec_grid(field: str, text: str) -> str:
-    """A comma list of `field` values; kept as text for the header echo."""
-    for value in text.split(","):
-        _spec_value(field, value)
+    """A comma list of distinct `field` values; kept as text for the header echo."""
+    values = [_spec_value(field, value) for value in text.split(",")]
+    if len(set(values)) < len(values):
+        raise ValueError("repeats a value")
     return text
 
 
@@ -156,6 +157,14 @@ def _check_lgd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     across two flags, which no single argparse type can make."""
     if all(d1 == d2 == 0.0 for d1 in _floats(args.d1_grid) for d2 in _floats(args.d2_grid)):
         parser.error("the threshold grids hold no point besides d1 = d2 = 0, which is skipped")
+
+
+def _check_pigs_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject an axis whose points repeat, as several over [0, 0] do; its cells would be written twice."""
+    for axis in ("d1", "d2"):
+        values = np.linspace(0.0, getattr(args, f"{axis}_max"), getattr(args, f"{axis}_points"))
+        if np.unique(values).size < values.size:
+            parser.error(f"--{axis}-max and --{axis}-points repeat a grid point")
 
 
 def _meta(command: str, args: argparse.Namespace, extra: dict) -> dict:
@@ -208,7 +217,7 @@ def _null_spec(
 def cmd_build(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    net = ThresholdRule.from_name(args.rule, args.t).apply(slice_)
+    net = ThresholdRule(args.rule, args.t).apply(slice_)
     mean_out = net.num_edges / net.n
     extra = {
         "year": args.year,
@@ -227,7 +236,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    net = ThresholdRule.from_name(args.rule, args.t).apply(slice_)
+    net = ThresholdRule(args.rule, args.t).apply(slice_)
     payload = export_graph(net, slice_, args.format)
     meta = _meta("export", args, {"year": args.year, "rule": net.rule, "format": args.format})
     header = _header(meta, "//" if args.format == "dot" else "#")
@@ -250,7 +259,7 @@ def cmd_fit_lognormal(args: argparse.Namespace) -> int:
 def cmd_gen_null(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
-    rule = ThresholdRule.from_name(args.rule, args.t)
+    rule = ThresholdRule(args.rule, args.t)
     spec = _null_spec(args.model, slice_, rule, args.seed, args.swap_factor, args.correction)
     rows = []
     for index in range(args.count):
@@ -264,7 +273,7 @@ def cmd_gen_null(args: argparse.Namespace) -> int:
 def cmd_knockout(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slices = [core_slice(assets, gdp, year) for year in args.years]
-    rule = ThresholdRule.from_name(args.rule, args.t)
+    rule = ThresholdRule(args.rule, args.t)
     sources = [
         rule.apply(s) if args.model == "empirical"
         else _null_spec(args.model, s, rule, child_seed(args.seed, i), args.swap_factor, args.correction)
@@ -292,7 +301,7 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
         slice_ = core_slice(assets, gdp, year)
         fit = fit_lognormal(slice_, correction_factor=args.correction) if "log-normal" in args.models else None
         for ri, rule_name in enumerate(args.rules):
-            rule = ThresholdRule.from_name(rule_name, args.t)
+            rule = ThresholdRule(rule_name, args.t)
             net = rule.apply(slice_)
             empirical = measure_vector(net)
             for mi, model in enumerate(args.models):
@@ -522,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2-max", type=D2, default=FINE_D2_MAX)
     p.add_argument("--d2-points", type=POSITIVE, default=FINE_D2_POINTS)
     p.add_argument("--haircut", type=HAIRCUT, default=1.0)
-    p.set_defaults(func=cmd_pigs_grid)
+    p.set_defaults(func=cmd_pigs_grid, check=partial(_check_pigs_grid, p))
 
     return parser
 

@@ -71,52 +71,38 @@ class BinaryNetwork:
 
 @dataclass(frozen=True)
 class ThresholdRule:
-    """Network construction rule: ``above-average`` (A) or ``gdp-fraction`` (B)."""
+    """Network construction rule ``A`` or ``B``; ``t`` is rule B's GDP fraction."""
 
-    kind: str
-    t: float | None = None
+    name: str
+    t: float = DEFAULT_GDP_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.kind not in ("above-average", "gdp-fraction"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "gdp-fraction" and (self.t is None or not 0 < self.t < math.inf):
-            raise ValueError("gdp-fraction rule needs a finite threshold t > 0")
+        if self.name not in ("A", "B"):
+            raise ValueError(f"unknown rule name {self.name!r}; expected A or B")
+        if self.name == "B" and not 0 < self.t < math.inf:
+            raise ValueError("rule B needs a finite threshold t > 0")
 
     @property
     def label(self) -> str:
-        if self.kind == "above-average":
+        if self.name == "A":
             return "A"
         return f"B(t={self.t:g})"
 
     @classmethod
     def from_name(cls, name: str, t: float = DEFAULT_GDP_THRESHOLD) -> "ThresholdRule":
-        if name == "A":
-            return cls("above-average")
-        if name == "B":
-            return cls("gdp-fraction", t)
-        raise ValueError(f"unknown rule name {name!r}; expected A or B")
+        """``ThresholdRule(name, t)``, kept under the name that perfbench/record.py calls."""
+        return cls(name, t)
 
     def apply(self, slice_: AssetSlice) -> BinaryNetwork:
-        if self.kind == "above-average":
-            return above_average_network(slice_)
-        return gdp_threshold_network(slice_, self.t)
-
-
-def above_average_network(slice_: AssetSlice) -> BinaryNetwork:
-    """Rule A: edge i->j when s_ij strictly exceeds row i's mean exposure."""
-    row_mean = slice_.assets.sum(axis=1) / (slice_.n - 1)
-    adj = slice_.assets > row_mean[:, None]
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(slice_.countries, adj, "A", slice_.year)
-
-
-def gdp_threshold_network(slice_: AssetSlice, t: float = DEFAULT_GDP_THRESHOLD) -> BinaryNetwork:
-    """Rule B: edge i->j when s_ij / gdp_i strictly exceeds t."""
-    if not 0 < t < math.inf:
-        raise ValueError("threshold t must be finite and positive")
-    adj = slice_.assets / slice_.gdp[:, None] > t
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(slice_.countries, adj, f"B(t={t:g})", slice_.year)
+        """Rule A: edge i->j when s_ij strictly exceeds row i's mean exposure.
+        Rule B: edge i->j when s_ij / gdp_i strictly exceeds t."""
+        if self.name == "A":
+            row_mean = slice_.assets.sum(axis=1) / (slice_.n - 1)
+            adj = slice_.assets > row_mean[:, None]
+        else:
+            adj = slice_.assets / slice_.gdp[:, None] > self.t
+        np.fill_diagonal(adj, False)
+        return BinaryNetwork(slice_.countries, adj, self.label, slice_.year)
 
 
 def average_gdp_exposure(slice_: AssetSlice) -> float:

@@ -25,56 +25,6 @@ CENSOR_FLOOR_MUSD = 0.5
 NULL_MODEL_KINDS = ("er", "out-degree", "in-degree", "rewiring", "log-normal")
 
 
-def _generic_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"N{i:02d}" for i in range(n))
-
-
-def sample_er(
-    n: int,
-    mean_out_degree: float,
-    rng: np.random.Generator,
-    countries: tuple[str, ...] | None = None,
-) -> BinaryNetwork:
-    """Uniform-probability digraph with edge probability d_bar / (n - 1)."""
-    p = mean_out_degree / (n - 1)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0, 1]")
-    adj = rng.random((n, n)) < p
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(countries or _generic_labels(n), adj, "er")
-
-
-def _degree_sampled(seq: np.ndarray, rng: np.random.Generator,
-                    countries: tuple[str, ...] | None, axis: int) -> BinaryNetwork:
-    """Edge i->j with probability seq[i] (axis 0) or seq[j] (axis 1) over n - 1."""
-    kind = ("out-degree", "in-degree")[axis]
-    seq = np.asarray(seq)
-    n = seq.size
-    if np.any(seq < 0) or np.any(seq > n - 1):
-        raise ValueError(f"{kind}s must lie in [0, n - 1]")
-    adj = rng.random((n, n)) < (seq / (n - 1)).reshape((n, 1) if axis == 0 else (1, n))
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(countries or _generic_labels(n), adj, kind)
-
-
-def sample_outdegree(
-    out_seq: np.ndarray,
-    rng: np.random.Generator,
-    countries: tuple[str, ...] | None = None,
-) -> BinaryNetwork:
-    """Row-probability digraph: edge i->j with probability out_seq[i] / (n - 1)."""
-    return _degree_sampled(out_seq, rng, countries, 0)
-
-
-def sample_indegree(
-    in_seq: np.ndarray,
-    rng: np.random.Generator,
-    countries: tuple[str, ...] | None = None,
-) -> BinaryNetwork:
-    """Column-probability digraph: edge i->j with probability in_seq[j] / (n - 1)."""
-    return _degree_sampled(in_seq, rng, countries, 1)
-
-
 def sample_rewired(
     net: BinaryNetwork,
     rng: np.random.Generator,
@@ -402,12 +352,14 @@ def jarque_bera(residuals: np.ndarray) -> tuple[float, float]:
 class NullModelSpec:
     """One null-model family over the empirical network ``base``.
 
-    The spec reads the family's statistic from ``base`` once: er its mean
-    out-degree, out-degree and in-degree its degree sequences, rewiring
-    the network itself (``swap_factor`` swaps per edge), log-normal the
-    slice model ``fit`` re-thresholded by ``rule``. The (seed, index)
-    pair fully determines the draw, so ensembles are reproducible under
-    any scheduling.
+    er, out-degree and in-degree are one Bernoulli digraph: the spec reads
+    its edge probability ``prob`` from ``base`` once, as the mean
+    out-degree over n - 1 (a scalar), the out-degrees over n - 1 (a column,
+    one per source) or the in-degrees over n - 1 (a row, one per target).
+    Rewiring swaps the network itself (``swap_factor`` swaps per edge),
+    log-normal re-thresholds the slice model ``fit`` by ``rule``. The
+    (seed, index) pair fully determines the draw, so ensembles are
+    reproducible under any scheduling.
     """
 
     kind: str
@@ -416,26 +368,28 @@ class NullModelSpec:
     swap_factor: int = DEFAULT_SWAP_FACTOR
     fit: LogNormalFit | None = None
     rule: ThresholdRule | None = None
-    statistic: float | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    prob: float | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in NULL_MODEL_KINDS:
             raise ValueError(f"unknown null-model kind {self.kind!r}")
         if self.kind == "log-normal" and (self.fit is None or self.rule is None):
             raise ValueError("log-normal model needs a fit and a thresholding rule")
+        n = self.base.n
         if self.kind == "er":
-            object.__setattr__(self, "statistic", self.base.num_edges / self.base.n)
-        elif self.kind in ("out-degree", "in-degree"):
-            degrees = self.base.out_degrees if self.kind == "out-degree" else self.base.in_degrees
-            object.__setattr__(self, "statistic", degrees())
+            object.__setattr__(self, "prob", self.base.num_edges / n / (n - 1))
+        elif self.kind == "out-degree":
+            object.__setattr__(self, "prob", (self.base.out_degrees() / (n - 1))[:, None])
+        elif self.kind == "in-degree":
+            object.__setattr__(self, "prob", (self.base.in_degrees() / (n - 1))[None, :])
 
     def sample(self, index: int) -> BinaryNetwork:
         rng = child_rng(self.seed, index)
         base = self.base
-        if self.kind == "er":
-            return sample_er(base.n, self.statistic, rng, base.countries)
-        if self.kind in ("out-degree", "in-degree"):
-            return _degree_sampled(self.statistic, rng, base.countries, int(self.kind == "in-degree"))
+        if self.prob is not None:
+            adj = rng.random((base.n, base.n)) < self.prob
+            np.fill_diagonal(adj, False)
+            return BinaryNetwork(base.countries, adj, self.kind)
         if self.kind == "rewiring":
             return sample_rewired(base, rng, self.swap_factor)
         return self.rule.apply(sample_lognormal_slice(self.fit, rng))

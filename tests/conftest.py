@@ -18,6 +18,7 @@ import pytest
 
 from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel, lgd
 from finnet.ingest import ASSET_HEADER, GDP_HEADER
+from finnet.netbuild import DEFAULT_GDP_THRESHOLD
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -54,6 +55,15 @@ def empty_net(n: int) -> BinaryNetwork:
 def random_net(n: int, p: float, rng: np.random.Generator) -> BinaryNetwork:
     adj = rng.random((n, n)) < p
     np.fill_diagonal(adj, False)
+    return net_from_adj(adj)
+
+
+def degree_net(out_seq) -> BinaryNetwork:
+    """Loopless digraph in which node i links to the first out_seq[i] other nodes."""
+    n = len(out_seq)
+    adj = np.zeros((n, n), dtype=bool)
+    for i, d in enumerate(out_seq):
+        adj[i, [j for j in range(n) if j != i][:d]] = True
     return net_from_adj(adj)
 
 
@@ -298,6 +308,42 @@ def oracle_enumerate_impacts(slice_: AssetSlice, spec: lgd.LgdSpec, k_max: int =
             )
         )
     return summaries
+
+
+def oracle_bernoulli_null(base: BinaryNetwork, kind: str, rng: np.random.Generator) -> BinaryNetwork:
+    """An er, out-degree or in-degree null draw, cell by cell from one
+    rng.random((n, n)) matrix: edge i->j when i != j and its uniform falls
+    below d_bar / (n - 1) with d_bar the mean out-degree (er), below
+    out_i / (n - 1) (out-degree) or below in_j / (n - 1) (in-degree)."""
+    n = base.n
+    d_bar = float(base.out_degrees().mean())
+    out, into = base.out_degrees().tolist(), base.in_degrees().tolist()
+    cell_prob = {
+        "er": lambda i, j: d_bar / (n - 1),
+        "out-degree": lambda i, j: out[i] / (n - 1),
+        "in-degree": lambda i, j: into[j] / (n - 1),
+    }[kind]
+    uniforms = rng.random((n, n))
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in product(range(n), repeat=2):
+        adj[i, j] = i != j and uniforms[i, j] < cell_prob(i, j)
+    return BinaryNetwork(base.countries, adj, kind)
+
+
+def oracle_threshold_network(slice_: AssetSlice, name: str, t: float = DEFAULT_GDP_THRESHOLD) -> BinaryNetwork:
+    """Rule A or B by a loop over the cells i != j: edge i->j when s_ij
+    strictly exceeds the mean of row i over its n - 1 counterparties (A),
+    or when s_ij / gdp_i strictly exceeds t (B)."""
+    n = slice_.n
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in product(range(n), repeat=2):
+        if i == j:
+            continue
+        if name == "A":
+            adj[i, j] = slice_.assets[i, j] > sum(slice_.assets[i, k] for k in range(n) if k != i) / (n - 1)
+        else:
+            adj[i, j] = slice_.assets[i, j] / slice_.gdp[i] > t
+    return BinaryNetwork(slice_.countries, adj, "A" if name == "A" else f"B(t={t:g})", slice_.year)
 
 
 def oracle_rewired(net: BinaryNetwork, rng: np.random.Generator, swap_factor: int) -> BinaryNetwork:

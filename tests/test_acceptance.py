@@ -35,15 +35,13 @@ from finnet.netbuild import ThresholdRule
 from finnet.nullmodels import (
     NullModelSpec,
     estimate_sigma_correction,
-    sample_er,
-    sample_indegree,
-    sample_outdegree,
     sample_rewired,
 )
 
 from conftest import (
     chain_net,
     complete_net,
+    degree_net,
     empty_net,
     load_scalefree64,
     net_from_adj,
@@ -113,21 +111,19 @@ def test_criterion_3_null_model_statistics():
     draws = 10_000
     alpha = 0.001
 
-    n, d_bar = 8, 3.0
-    rng = np.random.default_rng(301)
-    counts = np.zeros((n, n))
-    for _ in range(draws):
-        counts += sample_er(n, d_bar, rng).adj
+    def count_edges(kind, base, seed):
+        spec = NullModelSpec(kind, seed, base)
+        return sum(spec.sample(i).adj.astype(int) for i in range(draws))
+
+    n, d_bar = 8, 3
+    counts = count_edges("er", degree_net([d_bar] * n), 301)
     p = np.full((n, n), d_bar / (n - 1))
     np.fill_diagonal(p, 0.0)
     stat, dof = _gof_statistic(counts, draws, p)
     assert stat < stats.chi2.ppf(1 - alpha, dof)
 
     seq = np.arange(8)
-    rng = np.random.default_rng(302)
-    counts = np.zeros((8, 8))
-    for _ in range(draws):
-        counts += sample_outdegree(seq, rng).adj
+    counts = count_edges("out-degree", degree_net(seq), 302)
     p = np.repeat((seq / 7)[:, None], 8, axis=1)
     np.fill_diagonal(p, 0.0)
     stat_out, dof = _gof_statistic(counts, draws, p)
@@ -135,10 +131,7 @@ def test_criterion_3_null_model_statistics():
     full_rows = counts[7, :7]
     assert np.all(full_rows == draws)  # p = 1 cells are deterministic
 
-    rng = np.random.default_rng(303)
-    counts = np.zeros((8, 8))
-    for _ in range(draws):
-        counts += sample_indegree(seq, rng).adj
+    counts = count_edges("in-degree", net_from_adj(degree_net(seq).adj.T), 303)
     p = np.repeat((seq / 7)[None, :], 8, axis=0)
     np.fill_diagonal(p, 0.0)
     stat_in, dof = _gof_statistic(counts, draws, p)
@@ -288,7 +281,7 @@ def test_criterion_8_real_data_checks():
     # edge transitivity above the 95% interval of all five families, with at
     # most one deviating year per (model, rule) cell
     for rule_name in ("A", "B"):
-        rule = ThresholdRule.from_name(rule_name)
+        rule = ThresholdRule(rule_name)
         for model in ("er", "out-degree", "in-degree", "rewiring", "log-normal"):
             above = 0
             for yi, year in enumerate(years):

@@ -332,12 +332,27 @@ def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     ["pigs-grid", "--year", "2007", "--group", ""],
     ["lgd", "--year", "2007", "--initial", "AAA,,BBB", "--d1", "0.1", "--d2", "0.1"],
     ["lgd", "--year", "2007", "--initial", "AAA, AAA", "--d1", "0.1", "--d2", "0.1"],
+    ["lgd-sweep", "--years", "2007", "--d1-grid", "0.25,0.25", "--d2-grid", "0.05"],
+    ["lgd-sweep", "--years", "2007", "--d1-grid", "0.25,0.250", "--d2-grid", "0.05"],
+    ["lgd-sweep", "--years", "2007", "--d2-grid", "0.1,0.2,1e-1"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d1-max", "0", "--d1-points", "3"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d2-max", "0.0", "--d2-points", "2"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d1-max", "1e-323", "--d1-points", "4"],
 ])
 def test_bad_cascade_and_year_flags_exit_2(fixture_data_dir, args):
     with pytest.raises(SystemExit) as exc:
         run(args, fixture_data_dir, "bad.csv")
     assert exc.value.code == 2
     assert not (fixture_data_dir / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d1-max", "0", "--d1-points", "1"],
+    ["pigs-grid", "--year", "2007", "--group", "AAA", "--d2-max", "1e-3", "--d2-points", "2"],
+    ["lgd-sweep", "--years", "2007", "--d1-grid", "0.25,0.3", "--d2-grid", "0,0.05"],
+])
+def test_grids_without_repeated_points_reach_the_data(args):
+    assert not exits_2_before_reading(args)
 
 
 @given(text=st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=6)))
@@ -452,7 +467,7 @@ def ci_compare_accepts(samples=100, alpha=0.05):
 def null_specs_accept(models):
     slice_ = random_slice(6, np.random.default_rng(0))
     for model in models:
-        _null_spec(model, slice_, ThresholdRule.from_name("A"), 0, DEFAULT_SWAP_FACTOR, DEFAULT_SIGMA_CORRECTION)
+        _null_spec(model, slice_, ThresholdRule("A"), 0, DEFAULT_SWAP_FACTOR, DEFAULT_SIGMA_CORRECTION)
 
 
 KNOCKOUT = ["knockout", "--years", "2007", "--strategy", "error"]
@@ -480,7 +495,7 @@ NUMERIC_AND_LIST_FLAGS = {
                  lambda trials: ensemble_knockout([complete_net(3)], "error", trials, 0)),
     "--alpha": ([CI_TABLE], st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), st.text(max_size=4)),
                 lambda alpha: ci_compare_accepts(alpha=alpha)),
-    "--rules": ([CI_TABLE], name_texts, lambda rules: [ThresholdRule.from_name(r) for r in rules]),
+    "--rules": ([CI_TABLE], name_texts, lambda rules: [ThresholdRule(r) for r in rules]),
     "--models": ([CI_TABLE], name_texts, null_specs_accept),
 }
 

@@ -18,7 +18,7 @@ from finnet import (
 from finnet.knockout import CURVE_GRID, STRATEGIES, CiEntry, CiReport, _interp_curve
 from finnet.metrics import MEASURE_NAMES
 from finnet.netbuild import ThresholdRule
-from finnet.nullmodels import NullModelSpec, sample_er
+from finnet.nullmodels import NullModelSpec
 
 from conftest import (
     DATA_DIR,
@@ -246,7 +246,7 @@ def test_ensemble_attack_zero_std_when_series_tie_free():
 
 
 def test_error_curve_flat_and_matches_golden():
-    net = sample_er(64, 0.2 * 63, np.random.default_rng(555))
+    net = random_net(64, 0.2, np.random.default_rng(555))
     summary = ensemble_knockout([net], "error", 300, 556)
     # robustness to error: the mean curve barely moves over the first 20%
     assert abs(summary.mean[20] - summary.mean[0]) < 0.15
@@ -261,7 +261,7 @@ def test_attack_hurts_more_than_error_on_stored_graphs(fixture):
     if fixture == "scalefree":
         net = load_scalefree64()
     else:
-        net = sample_er(64, 0.2 * 63, np.random.default_rng(555))
+        net = random_net(64, 0.2, np.random.default_rng(555))
     trials = 300
     attack = ensemble_knockout([net], "attack", trials, master_seed=9)
     error = ensemble_knockout([net], "error", trials, master_seed=10)
@@ -345,7 +345,7 @@ def test_classify_position_bounds_match_sort_oracle():
 def test_ci_compare_deterministic_null_within():
     slice_ = random_slice(8, np.random.default_rng(15), zero_frac=0.2)
     fit = replace(fit_lognormal(slice_), sigma_corrected=0.0)
-    rule = ThresholdRule.from_name("A")
+    rule = ThresholdRule("A")
     from finnet.nullmodels import sample_lognormal_slice
 
     deterministic = sample_lognormal_slice(fit, np.random.default_rng(0))

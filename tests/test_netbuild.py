@@ -9,12 +9,12 @@ from finnet import (
     AssetSlice,
     BinaryNetwork,
     ThresholdRule,
-    above_average_network,
     average_gdp_exposure,
     export_graph,
-    gdp_threshold_network,
 )
 from finnet.netbuild import DEFAULT_GDP_THRESHOLD, weight_class
+
+from conftest import oracle_threshold_network
 
 
 def slice3(row_aa=(0.0, 10.0, 10.0), gdp=(100.0, 100.0, 100.0)):
@@ -24,12 +24,12 @@ def slice3(row_aa=(0.0, 10.0, 10.0), gdp=(100.0, 100.0, 100.0)):
 
 
 def test_rule_a_tie_produces_no_edge():
-    net = above_average_network(slice3((0.0, 10.0, 10.0)))
+    net = ThresholdRule("A").apply(slice3((0.0, 10.0, 10.0)))
     assert net.edges() == []  # row mean 10, 10 > 10 is false
 
 
 def test_rule_a_single_above_average_edge():
-    net = above_average_network(slice3((0.0, 30.0, 10.0)))
+    net = ThresholdRule("A").apply(slice3((0.0, 30.0, 10.0)))
     assert net.edges() == [("AA", "BB")]
 
 
@@ -37,27 +37,25 @@ def test_rule_a_uniform_matrix_empty():
     assets = np.full((4, 4), 7.0)
     np.fill_diagonal(assets, 0.0)
     slice_ = AssetSlice(2007, ("A", "B", "C", "D"), assets, np.ones(4), 1.0)
-    assert above_average_network(slice_).num_edges == 0
+    assert ThresholdRule("A").apply(slice_).num_edges == 0
 
 
 def test_rule_b_hand_values():
     slice_ = slice3((0.0, 5.0, 4.17))
-    net = gdp_threshold_network(slice_, 0.0417)
+    net = ThresholdRule("B", 0.0417).apply(slice_)
     assert ("AA", "BB") in net.edges()  # 0.05 > 0.0417
     assert ("AA", "CC") not in net.edges()  # 0.0417 > 0.0417 is false
 
 
 def test_rule_b_huge_threshold_empty():
     slice_ = slice3((0.0, 5.0, 4.17))
-    assert gdp_threshold_network(slice_, 1e12).num_edges == 0
+    assert ThresholdRule("B", 1e12).apply(slice_).num_edges == 0
 
 
 def test_rule_b_requires_positive_t():
     for t in (0.0, -0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            gdp_threshold_network(slice3(), t)
-        with pytest.raises(ValueError):
-            ThresholdRule("gdp-fraction", t)
+        with pytest.raises(ValueError, match="finite threshold"):
+            ThresholdRule("B", t)
 
 
 def test_average_gdp_exposure_hand_value():
@@ -82,8 +80,8 @@ def test_rule_a_scale_invariant(scale, seed):
     np.fill_diagonal(assets, 0.0)
     gdp = rng.uniform(1, 100, 5)
     labels = tuple("ABCDE")
-    base = above_average_network(AssetSlice(2007, labels, assets, gdp, 1.0))
-    scaled = above_average_network(AssetSlice(2007, labels, assets * scale, gdp, 1.0))
+    base = ThresholdRule("A").apply(AssetSlice(2007, labels, assets, gdp, 1.0))
+    scaled = ThresholdRule("A").apply(AssetSlice(2007, labels, assets * scale, gdp, 1.0))
     assert np.array_equal(base.adj, scaled.adj)
 
 
@@ -95,8 +93,8 @@ def test_rule_b_joint_scale_invariant(scale, seed):
     np.fill_diagonal(assets, 0.0)
     gdp = rng.uniform(1, 100, 5)
     labels = tuple("ABCDE")
-    base = gdp_threshold_network(AssetSlice(2007, labels, assets, gdp, 1.0), 0.3)
-    scaled = gdp_threshold_network(AssetSlice(2007, labels, assets * scale, gdp * scale, 1.0), 0.3)
+    base = ThresholdRule("B", 0.3).apply(AssetSlice(2007, labels, assets, gdp, 1.0))
+    scaled = ThresholdRule("B", 0.3).apply(AssetSlice(2007, labels, assets * scale, gdp * scale, 1.0))
     assert np.array_equal(base.adj, scaled.adj)
 
 
@@ -107,8 +105,8 @@ def test_rule_b_monotone_in_threshold(seed, t, factor):
     assets = rng.uniform(0, 100, (6, 6))
     np.fill_diagonal(assets, 0.0)
     slice_ = AssetSlice(2007, tuple("ABCDEF"), assets, rng.uniform(50, 500, 6), 1.0)
-    loose = gdp_threshold_network(slice_, t)
-    tight = gdp_threshold_network(slice_, t * factor)
+    loose = ThresholdRule("B", t).apply(slice_)
+    tight = ThresholdRule("B", t * factor).apply(slice_)
     assert set(tight.edges()) <= set(loose.edges())
 
 
@@ -119,7 +117,7 @@ def test_rule_a_positive_row_properties(seed):
     assets = rng.uniform(0.1, 100, (5, 5))
     np.fill_diagonal(assets, 0.0)
     slice_ = AssetSlice(2007, tuple("ABCDE"), assets, np.ones(5), 1.0)
-    net = above_average_network(slice_)
+    net = ThresholdRule("A").apply(slice_)
     out = net.out_degrees()
     for i in range(5):
         row = np.delete(assets[i], i)
@@ -127,6 +125,21 @@ def test_rule_a_positive_row_properties(seed):
             assert out[i] >= 1  # strict mean comparison beats at least one entry
         elif len(set(row)) == 1 and row[0] > 0:
             assert out[i] == 0
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 7), name=st.sampled_from("AB"),
+       t=st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 1.0]))
+@settings(max_examples=100)
+def test_threshold_rule_matches_the_cell_loop_oracle(seed, n, name, t):
+    # Integer positions and GDPs keep row sums exact and make ties common.
+    rng = np.random.default_rng(seed)
+    assets = rng.integers(0, 6, (n, n)).astype(float)
+    np.fill_diagonal(assets, 0.0)
+    gdp = rng.integers(1, 40, n).astype(float)
+    slice_ = AssetSlice(2003, tuple(f"K{i}" for i in range(n)), assets, gdp, 1.0)
+    got, want = ThresholdRule(name, t).apply(slice_), oracle_threshold_network(slice_, name, t)
+    assert got.adj.tobytes() == want.adj.tobytes()
+    assert (got.countries, got.rule, got.source_year) == (want.countries, want.rule, want.source_year)
 
 
 def test_weight_class_boundaries():
@@ -140,7 +153,7 @@ def test_weight_class_boundaries():
 
 def test_export_empty_network_header_only():
     slice_ = slice3((0.0, 10.0, 10.0))
-    net = above_average_network(slice_)
+    net = ThresholdRule("A").apply(slice_)
     assert export_graph(net, slice_, "edge-list") == b"holder,issuer,weight_class\n"
 
 
@@ -149,7 +162,7 @@ def test_export_weight_classes():
     assets = np.array([[0.0, 60.0, 4.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
     labels = ("AA", "BB", "CC", "DD")
     slice_ = AssetSlice(2007, labels, assets, np.full(4, 10.0), 1.0)
-    net = above_average_network(slice_)
+    net = ThresholdRule("A").apply(slice_)
     text = export_graph(net, slice_, "edge-list").decode()
     # AA average = 64 / (n - 1) = 21.33; 60 / 21.33 = 2.8x in [2, 4) -> class 2
     assert "AA,BB,2" in text
@@ -160,7 +173,7 @@ def test_export_respects_ratios():
     assets = np.zeros((4, 4))
     assets[0] = [0.0, 9.0, 1.5, 1.5]  # mean 4.0; 9/4 = 2.25 -> class 2
     slice_ = AssetSlice(2007, ("A", "B", "C", "D"), assets, np.ones(4), 1.0)
-    net = above_average_network(slice_)
+    net = ThresholdRule("A").apply(slice_)
     assert export_graph(net, slice_, "edge-list").decode().strip().splitlines()[1:] == ["A,B,2"]
 
 
@@ -168,7 +181,7 @@ def test_export_below_average_edge_is_class_1():
     # rule B can keep edges below the row's average exposure
     assets = np.array([[0.0, 5.0, 95.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     slice_ = AssetSlice(2007, ("AA", "BB", "CC"), assets, np.full(3, 10.0), 1.0)
-    net = gdp_threshold_network(slice_, 0.3)  # both 5/10 and 95/10 exceed t
+    net = ThresholdRule("B", 0.3).apply(slice_)  # both 5/10 and 95/10 exceed t
     # AA average = 100 / (n - 1) = 50; AA->BB: 5 / 50 = 0.1x, below 1 -> class 1;
     # AA->CC: 95 / 50 = 1.9x, below the first bound 2 -> class 1
     rows = export_graph(net, slice_, "edge-list").decode().strip().splitlines()[1:]
@@ -177,7 +190,7 @@ def test_export_below_average_edge_is_class_1():
 
 def test_export_dot_format():
     slice_ = slice3((0.0, 30.0, 10.0))
-    net = above_average_network(slice_)
+    net = ThresholdRule("A").apply(slice_)
     text = export_graph(net, slice_, "dot").decode()
     assert text.startswith("digraph {\n")
     assert '"AA" -> "BB" [class=' in text
@@ -192,10 +205,12 @@ def test_export_mismatched_countries():
 
 
 def test_threshold_rule_labels():
-    assert ThresholdRule.from_name("A").label == "A"
-    assert ThresholdRule.from_name("B").label == f"B(t={DEFAULT_GDP_THRESHOLD:g})"
-    with pytest.raises(ValueError):
-        ThresholdRule.from_name("C")
+    assert ThresholdRule("A").label == "A"
+    assert ThresholdRule("B").label == f"B(t={DEFAULT_GDP_THRESHOLD:g})"
+    assert ThresholdRule("B", 0.25).label == "B(t=0.25)"
+    for name in ("C", "above-average", "gdp-fraction"):
+        with pytest.raises(ValueError, match="expected A or B"):
+            ThresholdRule(name)
 
 
 def test_network_validation():

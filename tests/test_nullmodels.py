@@ -14,16 +14,17 @@ from finnet import (
     fit_lognormal,
     fit_lognormal_pooled,
     jarque_bera,
-    sample_er,
-    sample_indegree,
     sample_lognormal_slice,
-    sample_outdegree,
     sample_rewired,
 )
 from finnet.nullmodels import NullModelSpec, sample_lognormal_matrix
 
 from conftest import (
+    complete_net,
+    degree_net,
+    empty_net,
     net_from_adj,
+    oracle_bernoulli_null,
     oracle_degree_class,
     oracle_rewired,
     oracle_swap_component,
@@ -54,40 +55,34 @@ def high_mu_params(n, rng):
     return rng.normal(7.0, 0.5, n), rng.normal(4.0, 0.5, n)
 
 
+def bernoulli_draws(kind, base, seed, draws):
+    spec = NullModelSpec(kind, seed, base)
+    return (spec.sample(i) for i in range(draws))
+
+
 def test_er_degenerate_cases():
-    rng = np.random.default_rng(0)
-    assert sample_er(6, 0.0, rng).num_edges == 0
-    assert sample_er(6, 5.0, rng).num_edges == 30
-
-
-def test_er_out_of_range_probability():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_er(6, 6.0, rng)
-    with pytest.raises(ValueError):
-        sample_er(6, -0.5, rng)
+    assert NullModelSpec("er", 0, empty_net(6)).sample(0).num_edges == 0
+    assert NullModelSpec("er", 0, complete_net(6)).sample(0).num_edges == 30
 
 
 def test_er_mean_edge_count_within_three_se():
-    rng = np.random.default_rng(1)
-    n, d_bar, draws = 64, 12.0, 10_000
+    n, d_bar, draws = 64, 12, 10_000
     p = d_bar / (n - 1)
-    counts = [sample_er(n, d_bar, rng).num_edges for _ in range(draws)]
+    counts = [net.num_edges for net in bernoulli_draws("er", degree_net([d_bar] * n), 1, draws)]
     expected = n * (n - 1) * p  # 64 * 12 expected edges
     se = math.sqrt(n * (n - 1) * p * (1 - p) / draws)
     assert abs(np.mean(counts) - expected) < 3 * se
 
 
 def test_outdegree_degenerate_and_moments():
-    rng = np.random.default_rng(2)
-    assert sample_outdegree(np.zeros(5, dtype=int), rng).num_edges == 0
-    full = sample_outdegree(np.array([4, 0, 0, 0, 0]), rng)
+    assert NullModelSpec("out-degree", 2, empty_net(5)).sample(0).num_edges == 0
+    full = NullModelSpec("out-degree", 2, degree_net([4, 0, 0, 0, 0])).sample(0)
     assert full.out_degrees()[0] == 4
     seq = np.array([0, 1, 2, 3, 4, 5, 6, 7])
     draws = 10_000
     totals = np.zeros(8)
-    for _ in range(draws):
-        totals += sample_outdegree(seq, rng).out_degrees()
+    for net in bernoulli_draws("out-degree", degree_net(seq), 2, draws):
+        totals += net.out_degrees()
     p = seq / 7
     se = np.sqrt(7 * p * (1 - p) / draws)
     observed = totals / draws
@@ -97,12 +92,9 @@ def test_outdegree_degenerate_and_moments():
 
 
 def test_indegree_mirror():
-    rng = np.random.default_rng(3)
-    assert sample_indegree(np.zeros(5, dtype=int), rng).num_edges == 0
-    full = sample_indegree(np.array([4, 0, 0, 0, 0]), rng)
-    assert full.in_degrees()[0] == 4
-    with pytest.raises(ValueError):
-        sample_indegree(np.array([5, 0, 0, 0, 0]), rng)
+    assert NullModelSpec("in-degree", 3, empty_net(5)).sample(0).num_edges == 0
+    star = net_from_adj(degree_net([4, 0, 0, 0, 0]).adj.T)
+    assert NullModelSpec("in-degree", 3, star).sample(0).in_degrees()[0] == 4
 
 
 def test_rewired_two_cycle_unchanged():
@@ -432,6 +424,11 @@ def test_null_spec_validation_and_sampling():
 def test_null_spec_reads_its_statistic_once(monkeypatch):
     net = random_net(8, 0.4, np.random.default_rng(20))
     specs = [NullModelSpec(kind, 7, net) for kind in ("er", "out-degree", "in-degree")]
+    er, out, into = (spec.prob for spec in specs)
+    assert er == net.num_edges / 8 / 7
+    assert out.shape == (8, 1) and np.array_equal(out[:, 0], net.out_degrees() / 7)
+    assert into.shape == (1, 8) and np.array_equal(into[0], net.in_degrees() / 7)
+    assert NullModelSpec("rewiring", 7, net).prob is None
     want = [spec.sample(i).adj for spec in specs for i in range(3)]
 
     def fail(self):
@@ -449,7 +446,7 @@ def test_null_spec_lognormal_round_trip():
     alpha, beta = high_mu_params(8, rng)
     slice_ = synthetic_slice(alpha, beta, 1.0, rng)
     fit = fit_lognormal(slice_)
-    rule = ThresholdRule.from_name("A")
+    rule = ThresholdRule("A")
     net = rule.apply(slice_)
     spec = NullModelSpec("log-normal", 11, net, fit=fit, rule=rule)
     sampled = spec.sample(0)
@@ -469,13 +466,13 @@ def test_null_spec_sample_is_the_family_sampler_on_child_rng(kind):
     from finnet.seeding import child_rng
 
     slice_ = random_slice(9, np.random.default_rng(24))
-    rule = ThresholdRule.from_name("B")
+    rule = ThresholdRule("B")
     net = rule.apply(slice_)
     seed, swap_factor, correction = 25, 3, 1.1
     direct = {
-        "er": lambda r: sample_er(net.n, float(net.out_degrees().mean()), r, net.countries),
-        "out-degree": lambda r: sample_outdegree(net.out_degrees(), r, net.countries),
-        "in-degree": lambda r: sample_indegree(net.in_degrees(), r, net.countries),
+        "er": lambda r: oracle_bernoulli_null(net, "er", r),
+        "out-degree": lambda r: oracle_bernoulli_null(net, "out-degree", r),
+        "in-degree": lambda r: oracle_bernoulli_null(net, "in-degree", r),
         "rewiring": lambda r: sample_rewired(net, r, swap_factor),
         "log-normal": lambda r: rule.apply(sample_lognormal_slice(fit_lognormal(slice_, correction), r)),
     }[kind]
