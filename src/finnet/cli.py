@@ -296,7 +296,7 @@ def cmd_knockout(args: argparse.Namespace) -> int:
 
 def cmd_ci_table(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
-    reports = []
+    cells = []
     for yi, year in enumerate(args.years):
         slice_ = core_slice(assets, gdp, year)
         fit = fit_lognormal(slice_, correction_factor=args.correction) if "log-normal" in args.models else None
@@ -307,7 +307,8 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
             for mi, model in enumerate(args.models):
                 spec = NullModelSpec(model, child_seed(args.seed, yi, ri, mi), net, args.swap_factor,
                                      fit if model == "log-normal" else None, rule)
-                reports.append(ci_compare(empirical, spec, args.samples, args.alpha, jobs=args.jobs))
+                cells.append((empirical, spec))
+    reports = ci_compare(cells, args.samples, args.alpha, jobs=args.jobs)
     extra = {
         "years": ",".join(str(y) for y in args.years),
         "rules": ",".join(args.rules),
@@ -485,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=POSITIVE, default=DEFAULT_TRIALS,
                    help="knockout traces per network (default %(default)s)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="null ensemble size used by interval comparisons (default %(default)s)")
+                   help="unused by knockout; only echoed in the output header (default %(default)s)")
     _add_null_params(p)
     p.add_argument("--jobs", type=POSITIVE, default=1, help="max parallel workers (default %(default)s)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

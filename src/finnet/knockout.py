@@ -122,12 +122,29 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
     return np.interp(CURVE_GRID, removed_fraction, series)
 
 
-def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, str, int, int, range]) -> np.ndarray:
+def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args) -> list[np.ndarray]:
+    """Each source's stacked kernel rows for items 0..count-1, in item order.
+
+    ``kernel((source, i, items, *args))`` returns one row per item of the
+    range ``items`` of source ``i``. A whole source is one task, split
+    into equal item ranges only where that leaves a worker idle. Every
+    task goes to one ``run_tasks`` call, and every source's rows are held
+    at once until it returns.
+    """
+    splits = min(count, -(-max(1, jobs) // max(1, len(sources))))
+    bounds = [count * k // splits for k in range(splits + 1)]
+    tasks = [(source, i, range(lo, hi), *args)
+             for i, source in enumerate(sources) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    blocks = run_tasks(kernel, tasks, jobs)
+    return [np.vstack(blocks[i * splits:(i + 1) * splits]) for i in range(len(sources))]
+
+
+def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, int, range, str, int]) -> np.ndarray:
     """Stacked curves of trials ``js`` of source ``i``, trial j traced with
     seed ``child_seed(master_seed, i, j)``. A network's attack trials share
     one cache; error trials, which seldom revisit a surviving set, and a
     spec's trials share nothing."""
-    source, strategy, master_seed, i, js = task
+    source, i, js, strategy, master_seed = task
     spec = isinstance(source, NullModelSpec)
     cache = None if spec or strategy == "error" else {}
     traces = (run_knockout(source.sample(j) if spec else source, strategy, child_seed(master_seed, i, j), cache=cache)
@@ -151,15 +168,7 @@ def ensemble_knockout(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # One task per source, split only where that leaves a worker idle.
-    splits = min(trials, -(-jobs // max(1, len(sources))))
-    bounds = [trials * k // splits for k in range(splits + 1)]
-    tasks = [
-        (source, strategy, master_seed, i, range(lo, hi))
-        for i, source in enumerate(sources)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    stack = np.vstack(run_tasks(_trace_curves, tasks, jobs))
+    stack = np.vstack(_run_ensemble(_trace_curves, sources, trials, jobs, strategy, master_seed))
     return CurveSummary(strategy, CURVE_GRID.copy(), stack.mean(axis=0), stack.std(axis=0), stack.shape[0])
 
 
@@ -216,39 +225,41 @@ class CiReport:
         raise KeyError(measure)
 
 
-def _measure_chunk(task: tuple[NullModelSpec, int, int]) -> np.ndarray:
-    spec, start, stop = task
-    return np.vstack([measure_vector(spec.sample(i)).as_array() for i in range(start, stop)])
+def _measure_rows(task: tuple[NullModelSpec, int, range]) -> np.ndarray:
+    """Stacked measure vectors of samples ``js`` of one spec."""
+    spec, _, js = task
+    return np.vstack([measure_vector(spec.sample(j)).as_array() for j in js])
 
 
 def ci_compare(
-    empirical: MeasureVector,
-    spec: NullModelSpec,
+    cells: list[tuple[MeasureVector, NullModelSpec]],
     samples: int = 10000,
     alpha: float = 0.05,
     jobs: int = 1,
-) -> CiReport:
-    """Classify each empirical measure against a sampled null ensemble.
+) -> list[CiReport]:
+    """Classify each cell's empirical measures against its spec's sampled
+    null ensemble; one report per (empirical, spec) cell, in cell order.
 
     Undefined (NaN) null samples are excluded per measure and counted in
     the report; a measure with no defined samples is itself undefined.
-    The report's rule and year are those of ``spec.base``.
+    A report's rule and year are those of its ``spec.base``. All cells
+    share one task list, and every cell's samples x 6 matrix is held at
+    once: 8 bytes per value, so 43 MB for 90 cells of 10,000 samples.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    chunk = max(50, samples // 64)
-    tasks = [(spec, lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    matrix = np.vstack(run_tasks(_measure_chunk, tasks, jobs))
-    empirical_values = empirical.as_array()
-    entries = []
-    for m, name in enumerate(MEASURE_NAMES):
-        column = matrix[:, m]
-        n_undefined = int(np.isnan(column).sum())
-        lower, upper, position = classify_position(float(empirical_values[m]), column, alpha)
-        entries.append(CiEntry(name, lower, upper, float(empirical_values[m]), position, n_undefined))
-    return CiReport(spec.kind, spec.base.rule, spec.base.source_year, alpha, samples, tuple(entries))
+    matrices = _run_ensemble(_measure_rows, [spec for _, spec in cells], samples, jobs)
+    reports = []
+    for (empirical, spec), matrix in zip(cells, matrices):
+        entries = []
+        for m, (name, value) in enumerate(zip(MEASURE_NAMES, empirical.as_array().tolist())):
+            column = matrix[:, m]
+            lower, upper, position = classify_position(value, column, alpha)
+            entries.append(CiEntry(name, lower, upper, value, position, int(np.isnan(column).sum())))
+        reports.append(CiReport(spec.kind, spec.base.rule, spec.base.source_year, alpha, samples, tuple(entries)))
+    return reports
 
 
 def ci_table(reports: list[CiReport]) -> list[dict]:

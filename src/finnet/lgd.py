@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, islice, repeat
 
@@ -118,24 +117,6 @@ def cascade_rounds(
         rounds[moving] = block
         held |= newly
     return rounds
-
-
-def _blocked_rounds(
-    slice_: AssetSlice,
-    initial_sets: Iterable[tuple[int, ...]],
-    d1: Iterable[float],
-    d2: Iterable[float],
-    haircut: float,
-) -> Iterator[np.ndarray]:
-    """Stream zipped (initial index set, d1, d2) rows through
-    `cascade_rounds` BLOCK_ROWS at a time, yielding each block's round
-    matrix. All initial sets must have the same size."""
-    rows = zip(initial_sets, d1, d2)
-    while block := list(islice(rows, BLOCK_ROWS)):
-        sets, d1s, d2s = zip(*block)
-        initial = np.zeros((len(block), slice_.n), dtype=bool)
-        initial[np.arange(len(block))[:, None], np.array(sets)] = True
-        yield cascade_rounds(slice_, initial, np.array(d1s), np.array(d2s), haircut)
 
 
 def cascade(slice_: AssetSlice, initial: set[str] | frozenset[str], spec: LgdSpec) -> CascadeResult:
@@ -307,21 +288,23 @@ def fine_grid(
         LgdSpec(d1, 0.0, haircut)
     for d2 in d2_values.tolist():
         LgdSpec(0.0, d2, haircut)
-    d1_cells = np.repeat(d1_values, d2_values.size).tolist()
-    d2_cells = np.tile(d2_values, d1_values.size).tolist()
+    d1_cells = np.repeat(d1_values, d2_values.size)
+    d2_cells = np.tile(d2_values, d1_values.size)
     members = sorted(group)
     indices = [slice_.index(code) for code in members]
     cells = []
     for size in range(1, min(FINE_MAX_SUBSET, len(members)) + 1):
         for combo in combinations(range(len(members)), size):
-            subset = tuple(members[i] for i in combo)
-            initial = tuple(indices[i] for i in combo)
-            impacts: list[float] = []
-            n_rounds: list[int] = []
-            for rounds in _blocked_rounds(slice_, repeat(initial), d1_cells, d2_cells, haircut):
+            initial = np.zeros(slice_.n, dtype=bool)
+            initial[[indices[i] for i in combo]] = True
+            impacts, n_rounds = [], []
+            for lo in range(0, d1_cells.size, BLOCK_ROWS):
+                d1, d2 = d1_cells[lo:lo + BLOCK_ROWS], d2_cells[lo:lo + BLOCK_ROWS]
+                rounds = cascade_rounds(slice_, np.broadcast_to(initial, (d1.size, slice_.n)), d1, d2, haircut)
                 impacts.extend((np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist())
                 n_rounds.extend(rounds.max(axis=1).tolist())
-            cells.extend(map(FineGridCell, repeat(subset), d1_cells, d2_cells, impacts, n_rounds))
+            subset = tuple(members[i] for i in combo)
+            cells.extend(map(FineGridCell, repeat(subset), d1_cells.tolist(), d2_cells.tolist(), impacts, n_rounds))
     return cells
 
 

@@ -289,7 +289,7 @@ def test_criterion_8_real_data_checks():
                 net = rule.apply(slice_)
                 fit = fit_lognormal(slice_) if model == "log-normal" else None
                 spec = NullModelSpec(model, 800 + yi, net, fit=fit, rule=rule)
-                report = ci_compare(measure_vector(net), spec, samples=10_000)
+                (report,) = ci_compare([(measure_vector(net), spec)], samples=10_000)
                 above += report.entry("edge_transitivity").position == "above"
             assert above >= len(years) - 1, f"{model}/{rule_name}: above in {above}/9 years"
 

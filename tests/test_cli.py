@@ -22,15 +22,13 @@ from finnet.seeding import child_seed
 from conftest import DATA_DIR, complete_net, random_slice
 
 
+def inputs(fixture_data_dir):
+    return ["--assets", str(fixture_data_dir / "assets.csv"), "--gdp", str(fixture_data_dir / "gdp.csv")]
+
+
 def run(args, fixture_data_dir, out_name="out", extra=()):
     out = fixture_data_dir / out_name
-    argv = args + [
-        "--assets", str(fixture_data_dir / "assets.csv"),
-        "--gdp", str(fixture_data_dir / "gdp.csv"),
-        "--out", str(out),
-        *extra,
-    ]
-    return main(argv), out
+    return main(args + inputs(fixture_data_dir) + ["--out", str(out), *extra]), out
 
 
 def test_build_writes_edge_list(fixture_data_dir, capsys):
@@ -339,11 +337,12 @@ def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     ["pigs-grid", "--year", "2007", "--group", "AAA", "--d2-max", "0.0", "--d2-points", "2"],
     ["pigs-grid", "--year", "2007", "--group", "AAA", "--d1-max", "1e-323", "--d1-points", "4"],
 ])
-def test_bad_cascade_and_year_flags_exit_2(fixture_data_dir, args):
+def test_bad_cascade_and_year_flags_exit_2(fixture_data_dir, tmp_path, args):
+    out = tmp_path / "bad.csv"
     with pytest.raises(SystemExit) as exc:
-        run(args, fixture_data_dir, "bad.csv")
+        main(args + inputs(fixture_data_dir) + ["--out", str(out)])
     assert exc.value.code == 2
-    assert not (fixture_data_dir / "bad.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -461,7 +460,7 @@ class StubSpec:
 
 def ci_compare_accepts(samples=100, alpha=0.05):
     with pytest.raises(Accepted):
-        ci_compare(measure_vector(complete_net(3)), StubSpec(), samples, alpha)
+        ci_compare([(measure_vector(complete_net(3)), StubSpec())], samples, alpha)
 
 
 def null_specs_accept(models):
@@ -523,6 +522,29 @@ def test_repeat_runs_byte_identical(fixture_data_dir):
         rc2, out = run(args, fixture_data_dir, name)
         assert rc1 == rc2 == 0
         assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("args", [
+    ["ci-table", "--years", "2006,2007", "--rules", "A,B", "--models", "er,rewiring,log-normal", "--samples", "100"],
+    # One cell: fewer sources than workers, so its samples are split between tasks.
+    ["ci-table", "--years", "2007", "--rules", "B", "--models", "rewiring", "--samples", "100"],
+    ["knockout", "--years", "2006,2007", "--rule", "A", "--strategy", "attack", "--trials", "5"],
+    ["knockout", "--years", "2007", "--rule", "B", "--strategy", "error", "--model", "er", "--trials", "5"],
+])
+def test_outputs_match_across_jobs(fixture_data_dir, tmp_path, monkeypatch, args):
+    import finnet.knockout
+
+    calls = []
+    run_tasks = finnet.knockout.run_tasks
+    monkeypatch.setattr(finnet.knockout, "run_tasks", lambda *a: calls.append(a) or run_tasks(*a))
+    outputs = []
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}.csv"
+        calls.clear()
+        assert main(args + inputs(fixture_data_dir) + ["--out", str(out), "--jobs", str(jobs)]) == 0
+        assert len(calls) == 1  # one task list per run, so at most one worker pool
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_env_data_dir_resolution(fixture_data_dir, monkeypatch):

@@ -15,7 +15,7 @@ from finnet import (
     measure_vector,
     run_knockout,
 )
-from finnet.knockout import CURVE_GRID, STRATEGIES, CiEntry, CiReport, _interp_curve
+from finnet.knockout import CURVE_GRID, STRATEGIES, CiEntry, CiReport, _interp_curve, _run_ensemble
 from finnet.metrics import MEASURE_NAMES
 from finnet.netbuild import ThresholdRule
 from finnet.nullmodels import NullModelSpec
@@ -352,7 +352,7 @@ def test_ci_compare_deterministic_null_within():
     empirical = measure_vector(rule.apply(deterministic))
     net = rule.apply(deterministic)
     spec = NullModelSpec("log-normal", 16, net, fit=fit, rule=rule)
-    report = ci_compare(empirical, spec, samples=100, alpha=0.05)
+    (report,) = ci_compare([(empirical, spec)], samples=100, alpha=0.05)
     for entry in report.entries:
         if not math.isnan(entry.empirical):
             assert entry.position == "within"
@@ -362,7 +362,7 @@ def test_ci_compare_deterministic_null_within():
 def test_ci_compare_forced_above():
     empirical = measure_vector(empty_net(5))  # modified ASPL 4.0
     dense = NullModelSpec("er", 17, circulant_net(5, 4, tuple("ABCDE")))
-    report = ci_compare(empirical, dense, samples=100)
+    (report,) = ci_compare([(empirical, dense)], samples=100)
     assert report.entry("modified_aspl").position == "above"
     # complete digraphs have constant degrees: every assortativity sample is NaN
     assert report.entry("assortativity").n_undefined == 100
@@ -371,11 +371,32 @@ def test_ci_compare_forced_above():
 
 def test_ci_compare_jobs_deterministic():
     net = random_net(10, 0.4, np.random.default_rng(18))
-    spec = NullModelSpec("rewiring", 19, net)
-    empirical = measure_vector(net)
-    serial = ci_compare(empirical, spec, samples=128, jobs=1)
-    parallel = ci_compare(empirical, spec, samples=128, jobs=2)
-    assert serial == parallel
+    cells = [(measure_vector(net), NullModelSpec(kind, 19, net)) for kind in ("rewiring", "er")]
+    serial = ci_compare(cells, samples=128, jobs=1)
+    assert [report.model for report in serial] == ["rewiring", "er"]
+    for jobs in (2, 3):
+        assert ci_compare(cells, samples=128, jobs=jobs) == serial
+    assert ci_compare(cells[:1], samples=128, jobs=2) == serial[:1]
+
+
+def _item_rows(task):
+    source, i, items, scale = task
+    return np.array([[source, i, j, scale] for j in items], dtype=float)
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", range(1, 8))
+def test_run_ensemble_matches_serial_per_item_loop(n_sources, count):
+    """Whatever its split, the runner hands back each source's rows for
+    items 0..count-1 in item order, as a serial per-item loop makes them."""
+    sources = [10 * (i + 1) for i in range(n_sources)]
+    expected = [np.vstack([_item_rows((source, i, range(j, j + 1), 0.5)) for j in range(count)])
+                for i, source in enumerate(sources)]
+    for jobs in (1, 2, 3):
+        rows = _run_ensemble(_item_rows, sources, count, jobs, 0.5)
+        assert len(rows) == n_sources
+        for got, want in zip(rows, expected):
+            assert got.tobytes() == want.tobytes()
 
 
 def _report(year, positions):
