@@ -29,6 +29,7 @@ from .seeding import child_seed
 STRATEGIES = ("error", "attack")
 POSITIONS = ("below", "within", "above", "undefined")
 MIN_SAMPLES = 100
+SPEC_BLOCK = 500  # most draws of one null-model spec in one worker task
 
 # Alignment grid for ensembles over networks of different sizes: the
 # fraction of nodes removed, 0% to 100% in 1% steps.
@@ -126,17 +127,19 @@ def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args) -> list[n
     """Each source's stacked kernel rows for items 0..count-1, in item order.
 
     ``kernel((source, i, items, *args))`` returns one row per item of the
-    range ``items`` of source ``i``. A whole source is one task, split
-    into equal item ranges only where that leaves a worker idle. Every
-    task goes to one ``run_tasks`` call, and every source's rows are held
-    at once until it returns.
+    range ``items`` of source ``i``. A network is one task, so its items
+    can share a cache; a spec, whose draws share nothing, goes out in
+    equal ranges of at most ``SPEC_BLOCK`` items, so that sources of
+    uneven cost spread over the workers. Either is cut further where a
+    worker would idle. One ``run_tasks`` call runs every task, and every
+    source's rows are held at once until it returns.
     """
-    splits = min(count, -(-max(1, jobs) // max(1, len(sources))))
-    bounds = [count * k // splits for k in range(splits + 1)]
-    tasks = [(source, i, range(lo, hi), *args)
-             for i, source in enumerate(sources) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    blocks = run_tasks(kernel, tasks, jobs)
-    return [np.vstack(blocks[i * splits:(i + 1) * splits]) for i in range(len(sources))]
+    idle = -(-max(1, jobs) // max(1, len(sources)))
+    splits = [min(count, max(idle, -(-count // SPEC_BLOCK) if isinstance(s, NullModelSpec) else 1)) for s in sources]
+    tasks = [(source, i, range(count * k // n, count * (k + 1) // n), *args)
+             for i, (source, n) in enumerate(zip(sources, splits)) for k in range(n)]
+    blocks = iter(run_tasks(kernel, tasks, jobs))
+    return [np.vstack([next(blocks) for _ in range(n)]) for n in splits]
 
 
 def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, int, range, str, int]) -> np.ndarray:

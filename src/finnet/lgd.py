@@ -290,6 +290,7 @@ def fine_grid(
         LgdSpec(0.0, d2, haircut)
     d1_cells = np.repeat(d1_values, d2_values.size)
     d2_cells = np.tile(d2_values, d1_values.size)
+    d1_list, d2_list = d1_cells.tolist(), d2_cells.tolist()
     members = sorted(group)
     indices = [slice_.index(code) for code in members]
     cells = []
@@ -304,7 +305,7 @@ def fine_grid(
                 impacts.extend((np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist())
                 n_rounds.extend(rounds.max(axis=1).tolist())
             subset = tuple(members[i] for i in combo)
-            cells.extend(map(FineGridCell, repeat(subset), d1_cells.tolist(), d2_cells.tolist(), impacts, n_rounds))
+            cells.extend(map(FineGridCell, repeat(subset), d1_list, d2_list, impacts, n_rounds))
     return cells
 
 

@@ -528,6 +528,8 @@ def test_repeat_runs_byte_identical(fixture_data_dir):
     ["ci-table", "--years", "2006,2007", "--rules", "A,B", "--models", "er,rewiring,log-normal", "--samples", "100"],
     # One cell: fewer sources than workers, so its samples are split between tasks.
     ["ci-table", "--years", "2007", "--rules", "B", "--models", "rewiring", "--samples", "100"],
+    # Cells of more than SPEC_BLOCK samples: each spec goes out in several ranges.
+    ["ci-table", "--years", "2007", "--rules", "A", "--models", "er,out-degree", "--samples", "1001"],
     ["knockout", "--years", "2006,2007", "--rule", "A", "--strategy", "attack", "--trials", "5"],
     ["knockout", "--years", "2007", "--rule", "B", "--strategy", "error", "--model", "er", "--trials", "5"],
 ])

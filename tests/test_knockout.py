@@ -15,6 +15,7 @@ from finnet import (
     measure_vector,
     run_knockout,
 )
+from finnet import knockout
 from finnet.knockout import CURVE_GRID, STRATEGIES, CiEntry, CiReport, _interp_curve, _run_ensemble
 from finnet.metrics import MEASURE_NAMES
 from finnet.netbuild import ThresholdRule
@@ -381,22 +382,37 @@ def test_ci_compare_jobs_deterministic():
 
 def _item_rows(task):
     source, i, items, scale = task
-    return np.array([[source, i, j, scale] for j in items], dtype=float)
+    kind = isinstance(source, NullModelSpec)
+    return np.array([[kind, i, j, scale] for j in items], dtype=float)
 
 
 @pytest.mark.parametrize("n_sources", [1, 2, 3, 4])
 @pytest.mark.parametrize("count", range(1, 8))
-def test_run_ensemble_matches_serial_per_item_loop(n_sources, count):
+def test_run_ensemble_matches_serial_per_item_loop(n_sources, count, monkeypatch):
     """Whatever its split, the runner hands back each source's rows for
     items 0..count-1 in item order, as a serial per-item loop makes them."""
-    sources = [10 * (i + 1) for i in range(n_sources)]
+    net = complete_net(3)
+    sources = [NullModelSpec("er", i, net) if i % 2 else net for i in range(n_sources)]
     expected = [np.vstack([_item_rows((source, i, range(j, j + 1), 0.5)) for j in range(count)])
                 for i, source in enumerate(sources)]
+    monkeypatch.setattr(knockout, "SPEC_BLOCK", 2)
     for jobs in (1, 2, 3):
         rows = _run_ensemble(_item_rows, sources, count, jobs, 0.5)
         assert len(rows) == n_sources
         for got, want in zip(rows, expected):
             assert got.tobytes() == want.tobytes()
+
+
+def test_run_ensemble_cuts_only_spec_sources_into_blocks(monkeypatch):
+    """A network stays one task, so its trials can share a cache; a spec's
+    draws go out in equal ranges of at most SPEC_BLOCK items."""
+    calls = []
+    monkeypatch.setattr(knockout, "run_tasks", lambda fn, tasks, jobs: calls.append(tasks) or list(map(fn, tasks)))
+    monkeypatch.setattr(knockout, "SPEC_BLOCK", 4)
+    net = complete_net(3)
+    _run_ensemble(_item_rows, [net, NullModelSpec("er", 1, net)], 9, 1, 0.5)
+    (tasks,) = calls
+    assert [(i, items) for _, i, items, _ in tasks] == [(0, range(9)), (1, range(3)), (1, range(3, 6)), (1, range(6, 9))]
 
 
 def _report(year, positions):
