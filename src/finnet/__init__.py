@@ -20,7 +20,7 @@ from .netbuild import (
     BinaryNetwork,
     ThresholdRule,
     average_gdp_exposure,
-    export_graph,
+    weighted_edges,
 )
 from .metrics import (
     MEASURE_NAMES,

@@ -35,9 +35,9 @@ from .lgd import (
     severity_sorted,
     sweep_grid,
 )
-from .knockout import MIN_SAMPLES, ci_compare, ci_table, ensemble_knockout
+from .knockout import MIN_SAMPLES, STRATEGIES, ci_compare, ci_table, ensemble_knockout
 from .metrics import measure_vector
-from .netbuild import DEFAULT_GDP_THRESHOLD, ThresholdRule, export_graph
+from .netbuild import DEFAULT_GDP_THRESHOLD, RULE_NAMES, ThresholdRule, weighted_edges
 from .nullmodels import (
     DEFAULT_SIGMA_CORRECTION,
     DEFAULT_SWAP_FACTOR,
@@ -237,10 +237,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     assets, gdp = _load_panels(args)
     slice_ = core_slice(assets, gdp, args.year)
     net = ThresholdRule(args.rule, args.t).apply(slice_)
-    payload = export_graph(net, slice_, args.format)
+    rows = weighted_edges(net, slice_)
     meta = _meta("export", args, {"year": args.year, "rule": net.rule, "format": args.format})
-    header = _header(meta, "//" if args.format == "dot" else "#")
-    _emit(args.out, header.encode("utf-8") + payload)
+    if args.format == "edge-list":
+        _emit_table(args.out, meta, ["holder", "issuer", "weight_class"], rows)
+    else:
+        edges = [f'  "{holder}" -> "{issuer}" [class={cls}];\n' for holder, issuer, cls in rows]
+        _emit(args.out, "".join([_header(meta, "//"), "digraph {\n", *edges, "}\n"]).encode("utf-8"))
     return EXIT_OK
 
 
@@ -419,7 +422,7 @@ def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
 
 
 def _add_rule(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rule", choices=("A", "B"), default="A",
+    parser.add_argument("--rule", choices=RULE_NAMES, default="A",
                         help="thresholding rule (default %(default)s)")
     parser.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD,
                         help="rule-B GDP fraction threshold (default %(default)s)")
@@ -436,7 +439,7 @@ HAIRCUT = _checked(partial(_spec_value, "haircut"))
 POSITIVE = _bounded(int, lambda v: v >= 1, "must be >= 1")
 SEED = _bounded(int, lambda v: v >= 0, "must be >= 0")
 NAMES = _checked(partial(_distinct, None))
-RULES = _checked(partial(_distinct, ("A", "B")))
+RULES = _checked(partial(_distinct, RULE_NAMES))
 MODELS = _checked(lambda text: list(NULL_MODEL_KINDS) if text == "all" else _distinct(NULL_MODEL_KINDS, text))
 SAMPLES = _bounded(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
 ALPHA = _bounded(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
@@ -481,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knockout", help="error/attack knockout curves")
     _add_common(p, years=True)
     _add_rule(p)
-    p.add_argument("--strategy", choices=("error", "attack"), required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--model", choices=("empirical",) + NULL_MODEL_KINDS, default="empirical")
     p.add_argument("--trials", type=POSITIVE, default=DEFAULT_TRIALS,
                    help="knockout traces per network (default %(default)s)")

@@ -23,7 +23,6 @@ import numpy as np
 from .metrics import MEASURE_NAMES, SPL_CAP, MeasureVector, measure_vector, modified_aspl_adj
 from .netbuild import BinaryNetwork
 from .nullmodels import NullModelSpec
-from .parallel import run_tasks
 from .seeding import child_seed
 
 STRATEGIES = ("error", "attack")
@@ -121,6 +120,21 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
     n = series.size
     removed_fraction = np.arange(n) / n
     return np.interp(CURVE_GRID, removed_fraction, series)
+
+
+def run_tasks(fn, tasks: list, jobs: int = 1) -> list:
+    """``[fn(task) for task in tasks]`` on at most ``jobs`` worker processes,
+    each taking one task at a time, so the task list is the only split of
+    the work. ``fn`` must be picklable (module-level) when jobs > 1."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    # Imported here, so that serial runs do not pay for the pool modules at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=ctx) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args) -> list[np.ndarray]:

@@ -8,7 +8,6 @@ strictly exceeds a fraction t. Ties never produce an edge.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ DEFAULT_GDP_THRESHOLD = 0.0417
 # Exposure-to-row-average ratios that bump an exported edge one class up.
 WEIGHT_CLASS_BOUNDS = (2.0, 4.0, 8.0, 16.0)
 
-EXPORT_FORMATS = ("edge-list", "dot")
+RULE_NAMES = ("A", "B")
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class ThresholdRule:
     t: float = DEFAULT_GDP_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.name not in ("A", "B"):
+        if self.name not in RULE_NAMES:
             raise ValueError(f"unknown rule name {self.name!r}; expected A or B")
         if self.name == "B" and not 0 < self.t < math.inf:
             raise ValueError("rule B needs a finite threshold t > 0")
@@ -126,35 +125,19 @@ def weight_class(exposure: float, row_average: float) -> int:
     return 1 + sum(ratio >= bound for bound in WEIGHT_CLASS_BOUNDS)
 
 
-def export_graph(net: BinaryNetwork, slice_: AssetSlice, format: str = "edge-list") -> bytes:
-    """Serialize a network with exposure weight classes.
-
-    Output is deterministic: edges sorted lexicographically by
-    (holder, issuer) code. Formats: ``edge-list`` CSV with a
-    ``holder,issuer,weight_class`` header, or Graphviz ``dot``.
+def weighted_edges(net: BinaryNetwork, slice_: AssetSlice) -> list[tuple[str, str, int]]:
+    """The network's edges as (holder, issuer, weight class) rows, sorted
+    lexicographically by (holder, issuer) code.
 
     Each edge's class is its exposure relative to the holder's average
     per-counterparty exposure sum_k s_ik / (n - 1), the same average as
     rule A; see ``weight_class`` for the class bounds.
     """
-    if format not in EXPORT_FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {EXPORT_FORMATS}")
     if net.countries != slice_.countries:
         raise ValueError("network and slice country lists differ")
     row_avg = slice_.assets.sum(axis=1) / (slice_.n - 1)
     index = {code: i for i, code in enumerate(net.countries)}
-    classed = [
+    return [
         (holder, issuer, weight_class(slice_.assets[index[holder], index[issuer]], row_avg[index[holder]]))
         for holder, issuer in net.edges()
     ]
-    out = io.StringIO()
-    if format == "edge-list":
-        out.write("holder,issuer,weight_class\n")
-        for holder, issuer, cls in classed:
-            out.write(f"{holder},{issuer},{cls}\n")
-    else:
-        out.write("digraph {\n")
-        for holder, issuer, cls in classed:
-            out.write(f'  "{holder}" -> "{issuer}" [class={cls}];\n')
-        out.write("}\n")
-    return out.getvalue().encode("utf-8")

@@ -147,35 +147,44 @@ def _offdiag_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _design_matrix(n: int, baseline: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Holder dummies plus issuer dummies with the baseline column dropped."""
-    num_obs = rows.size
-    x = np.zeros((num_obs, 2 * n - 1))
-    x[np.arange(num_obs), rows] = 1.0
-    issuer_col = np.where(cols < baseline, cols, cols - 1)
+    x = np.zeros((rows.size, 2 * n - 1))
+    x[np.arange(rows.size), rows] = 1.0
     keep = cols != baseline
-    x[np.flatnonzero(keep), n + issuer_col[keep]] = 1.0
+    x[keep, n + cols[keep] - (cols[keep] > baseline)] = 1.0
     return x
 
 
+def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and residuals of the least-squares fit of ``y`` (a vector, or a column per fit) on ``x``."""
+    theta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < x.shape[1]:
+        raise ValueError("design matrix rank deficient beyond the dummy redundancy")
+    return theta, y - x @ theta
+
+
 def _fit(
+    slices: list[AssetSlice],
     countries: tuple[str, ...],
-    rows: np.ndarray,
-    cols: np.ndarray,
-    y: np.ndarray,
     correction_factor: float,
     baseline: int,
     year: int | None = None,
     gdp: np.ndarray | None = None,
 ) -> LogNormalFit:
-    """Least-squares fit of y on holder dummies ``rows`` and issuer dummies
-    ``cols``, both indexing ``countries``."""
+    """Least-squares fit of ln(s_ij + 1) over the ordered pairs of every
+    slice, on holder and issuer effects indexed by ``countries``."""
     n = len(countries)
     if n < 3:
         raise ValueError("fit needs at least 3 countries")
-    x = _design_matrix(n, baseline, rows, cols)
-    theta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < 2 * n - 1:
-        raise ValueError("design matrix rank deficient beyond the dummy redundancy")
-    residuals = y - x @ theta
+    index = {c: i for i, c in enumerate(countries)}
+    rows, cols, y = [], [], []
+    for s in slices:
+        i, j = _offdiag_pairs(s.n)
+        local = np.array([index[c] for c in s.countries])
+        rows.append(local[i])
+        cols.append(local[j])
+        y.append(np.log1p(s.assets[i, j]))
+    x = _design_matrix(n, baseline, np.concatenate(rows), np.concatenate(cols))
+    theta, residuals = _least_squares(x, np.concatenate(y))
     sigma_raw = float(np.sqrt((residuals**2).mean()))
     return LogNormalFit(
         countries=countries,
@@ -196,10 +205,8 @@ def fit_lognormal(
     correction_factor: float = DEFAULT_SIGMA_CORRECTION,
     baseline: int = 0,
 ) -> LogNormalFit:
-    """Least-squares fit of ln(s_ij + 1) on holder and issuer effects."""
-    rows, cols = _offdiag_pairs(slice_.n)
-    y = np.log1p(slice_.assets[rows, cols])
-    return _fit(slice_.countries, rows, cols, y, correction_factor, baseline, slice_.year, slice_.gdp)
+    """Least-squares fit of ln(s_ij + 1) on holder and issuer effects, in the slice's country order."""
+    return _fit([slice_], slice_.countries, correction_factor, baseline, slice_.year, slice_.gdp)
 
 
 def fit_lognormal_pooled(
@@ -207,26 +214,15 @@ def fit_lognormal_pooled(
     correction_factor: float = DEFAULT_SIGMA_CORRECTION,
     baseline: int = 0,
 ) -> LogNormalFit:
-    """One fit over several years with country effects shared across years.
+    """One fit over several years with country effects shared across years,
+    over the sorted union of their countries.
 
     Pooled fits have no single year or GDP vector, so they cannot seed
     slice generation; use a per-year fit for that.
     """
     if not slices:
         raise ValueError("need at least one slice")
-    countries = tuple(sorted({c for s in slices for c in s.countries}))
-    index = {c: i for i, c in enumerate(countries)}
-    rows_all, cols_all, y_all = [], [], []
-    for s in slices:
-        rows, cols = _offdiag_pairs(s.n)
-        local = np.array([index[c] for c in s.countries])
-        rows_all.append(local[rows])
-        cols_all.append(local[cols])
-        y_all.append(np.log1p(s.assets[rows, cols]))
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    y = np.concatenate(y_all)
-    return _fit(countries, rows, cols, y, correction_factor, baseline)
+    return _fit(slices, tuple(sorted({c for s in slices for c in s.countries})), correction_factor, baseline)
 
 
 def _censor_and_round(s: np.ndarray, censor_floor: float | None, rounding: bool) -> np.ndarray:
@@ -289,7 +285,11 @@ def estimate_sigma_correction(
     mean of sigma / sigma_refit. The refit sigma uses the
     degrees-of-freedom divisor N - k so an uncensored refit recovers the
     generating sigma in expectation and the returned factor isolates the
-    censoring/rounding bias.
+    censoring/rounding bias; it is finite only with 2 or more degrees of
+    freedom, so n >= 4. All trials are one ``(trials, n(n-1))`` normal
+    draw (the stream of one draw per trial) and one least-squares solve,
+    a column per trial; the matrix is held at once, about 5.7 MB at
+    n = 60 and 200 trials.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -298,27 +298,19 @@ def estimate_sigma_correction(
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     n = alpha.size
-    if beta.size != n or n < 3:
-        raise ValueError("alpha and beta must both have length n >= 3")
+    if beta.size != n or n < 4:
+        raise ValueError("alpha and beta must both have length n >= 4")
     if rng is None:
         rng = np.random.default_rng()
     rows, cols = _offdiag_pairs(n)
-    x = _design_matrix(n, 0, rows, cols)
-    q, _ = np.linalg.qr(x)
     num_obs = rows.size
-    dof = num_obs - (2 * n - 1)
     mu = (alpha[:, None] + beta[None, :])[rows, cols]
-    ratios = np.empty(trials)
-    for trial in range(trials):
-        s = np.expm1(mu + rng.normal(0.0, sigma, size=num_obs))
-        s = _censor_and_round(s, censor_floor, rounding)
-        y = np.log1p(s)
-        z = q.T @ y
-        rss = float(y @ y - z @ z)
-        if rss <= 0:
-            raise ValueError("degenerate refit: censoring removed all variation")
-        ratios[trial] = sigma / math.sqrt(rss / dof)
-    return float(ratios.mean())
+    s = _censor_and_round(np.expm1(mu + rng.normal(0.0, sigma, size=(trials, num_obs))), censor_floor, rounding)
+    _, residuals = _least_squares(_design_matrix(n, 0, rows, cols), np.log1p(s).T)
+    rss = (residuals**2).sum(axis=0)
+    if not np.all(rss > 0):
+        raise ValueError("degenerate refit: censoring removed all variation")
+    return float((sigma / np.sqrt(rss / (num_obs - (2 * n - 1)))).mean())
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:

@@ -189,6 +189,25 @@ def test_export_formats(fixture_data_dir):
     assert "holder,issuer,weight_class" in out.read_text()
 
 
+def export_body(fixture_data_dir, args, out_name):
+    """The export output with its metadata lines (`//` or `#`) taken off."""
+    rc, out = run(["export", "--year", "2007", *args], fixture_data_dir, out_name)
+    assert rc == 0
+    return "".join(line for line in out.read_text().splitlines(keepends=True) if not line.startswith(("//", "#")))
+
+
+def test_export_dot_format(fixture_data_dir):
+    text = export_body(fixture_data_dir, ["--rule", "A", "--format", "dot"], "graph.dot")
+    assert text.startswith("digraph {\n")
+    assert '"AAA" -> "BBB" [class=' in text
+    assert text.endswith("}\n")
+
+
+def test_export_empty_network_header_only(fixture_data_dir):
+    text = export_body(fixture_data_dir, ["--rule", "B", "--t", "1000", "--format", "edge-list"], "empty.csv")
+    assert text == "holder,issuer,weight_class\n"
+
+
 def test_knockout_and_ci_table_json_format(fixture_data_dir):
     rc, out = run(
         ["knockout", "--years", "2007", "--rule", "A", "--strategy", "error",
@@ -276,6 +295,7 @@ def test_ci_table_matches_golden(fixture_data_dir):
     (["fit-lognormal", "--years", "2006-2007"], "golden_fit_lognormal.json"),
     (["fit-lognormal", "--years", "2006-2007", "--pooled"], "golden_fit_lognormal_pooled.json"),
     (["gen-null", "--year", "2007", "--model", "rewiring", "--count", "3"], "golden_gen_null_rewiring.csv"),
+    (["export", "--year", "2007", "--format", "edge-list"], "golden_export_edge_list.csv"),
 ])
 def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     rc = main(args + [

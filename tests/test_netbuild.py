@@ -10,9 +10,9 @@ from finnet import (
     BinaryNetwork,
     ThresholdRule,
     average_gdp_exposure,
-    export_graph,
+    weighted_edges,
 )
-from finnet.netbuild import DEFAULT_GDP_THRESHOLD, weight_class
+from finnet.netbuild import DEFAULT_GDP_THRESHOLD, RULE_NAMES, weight_class
 
 from conftest import oracle_threshold_network
 
@@ -151,10 +151,10 @@ def test_weight_class_boundaries():
     assert weight_class(0.5, 1.0) == 1
 
 
-def test_export_empty_network_header_only():
+def test_export_empty_network_no_rows():
     slice_ = slice3((0.0, 10.0, 10.0))
     net = ThresholdRule("A").apply(slice_)
-    assert export_graph(net, slice_, "edge-list") == b"holder,issuer,weight_class\n"
+    assert weighted_edges(net, slice_) == []
 
 
 def test_export_weight_classes():
@@ -163,9 +163,8 @@ def test_export_weight_classes():
     labels = ("AA", "BB", "CC", "DD")
     slice_ = AssetSlice(2007, labels, assets, np.full(4, 10.0), 1.0)
     net = ThresholdRule("A").apply(slice_)
-    text = export_graph(net, slice_, "edge-list").decode()
     # AA average = 64 / (n - 1) = 21.33; 60 / 21.33 = 2.8x in [2, 4) -> class 2
-    assert "AA,BB,2" in text
+    assert ("AA", "BB", 2) in weighted_edges(net, slice_)
 
 
 def test_export_respects_ratios():
@@ -174,7 +173,7 @@ def test_export_respects_ratios():
     assets[0] = [0.0, 9.0, 1.5, 1.5]  # mean 4.0; 9/4 = 2.25 -> class 2
     slice_ = AssetSlice(2007, ("A", "B", "C", "D"), assets, np.ones(4), 1.0)
     net = ThresholdRule("A").apply(slice_)
-    assert export_graph(net, slice_, "edge-list").decode().strip().splitlines()[1:] == ["A,B,2"]
+    assert weighted_edges(net, slice_) == [("A", "B", 2)]
 
 
 def test_export_below_average_edge_is_class_1():
@@ -184,24 +183,22 @@ def test_export_below_average_edge_is_class_1():
     net = ThresholdRule("B", 0.3).apply(slice_)  # both 5/10 and 95/10 exceed t
     # AA average = 100 / (n - 1) = 50; AA->BB: 5 / 50 = 0.1x, below 1 -> class 1;
     # AA->CC: 95 / 50 = 1.9x, below the first bound 2 -> class 1
-    rows = export_graph(net, slice_, "edge-list").decode().strip().splitlines()[1:]
-    assert rows == ["AA,BB,1", "AA,CC,1"]
+    assert weighted_edges(net, slice_) == [("AA", "BB", 1), ("AA", "CC", 1)]
 
 
-def test_export_dot_format():
-    slice_ = slice3((0.0, 30.0, 10.0))
+def test_export_rows_sorted_by_holder_and_issuer():
+    assets = np.array([[0.0, 1.0, 9.0], [9.0, 0.0, 1.0], [1.0, 9.0, 0.0]])
+    slice_ = AssetSlice(2007, ("CC", "AA", "BB"), assets, np.ones(3), 1.0)
     net = ThresholdRule("A").apply(slice_)
-    text = export_graph(net, slice_, "dot").decode()
-    assert text.startswith("digraph {\n")
-    assert '"AA" -> "BB" [class=' in text
-    assert text.endswith("}\n")
+    # each row average is 5; every 9 is 1.8x, below the first bound 2 -> class 1
+    assert weighted_edges(net, slice_) == [("AA", "CC", 1), ("BB", "AA", 1), ("CC", "BB", 1)]
 
 
 def test_export_mismatched_countries():
     slice_ = slice3()
     net = BinaryNetwork(("X", "Y", "Z"), np.zeros((3, 3), dtype=bool), "test")
     with pytest.raises(ValueError, match="country lists differ"):
-        export_graph(net, slice_, "edge-list")
+        weighted_edges(net, slice_)
 
 
 def test_threshold_rule_labels():
@@ -211,6 +208,7 @@ def test_threshold_rule_labels():
     for name in ("C", "above-average", "gdp-fraction"):
         with pytest.raises(ValueError, match="expected A or B"):
             ThresholdRule(name)
+    assert [ThresholdRule(name).name for name in RULE_NAMES] == ["A", "B"]
 
 
 def test_network_validation():

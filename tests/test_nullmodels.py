@@ -301,6 +301,25 @@ def test_fit_pooled_single_slice_equals_per_year_fit():
     assert (summary["jarque_bera"], summary["p_value"]) == jarque_bera(single.residuals)
 
 
+def test_fit_lognormal_keeps_unsorted_slice_order():
+    rng = np.random.default_rng(16)
+    alpha, beta = high_mu_params(6, rng)
+    base = synthetic_slice(alpha, beta, 1.0, rng)
+    order = [3, 0, 5, 1, 4, 2]
+    slice_ = AssetSlice(2007, tuple(base.countries[i] for i in order), base.assets[np.ix_(order, order)],
+                        base.gdp[order], 1.0)
+    fit = fit_lognormal(slice_)
+    assert fit.countries == slice_.countries != tuple(sorted(slice_.countries))
+    # the same model in sorted order, with the same baseline issuer and the slice's observation order
+    pooled = fit_lognormal_pooled([slice_], baseline=sorted(slice_.countries).index(slice_.countries[0]))
+    assert pooled.countries == tuple(sorted(slice_.countries))
+    at = [slice_.countries.index(c) for c in pooled.countries]
+    assert np.allclose(fit.alpha[at], pooled.alpha, rtol=1e-12, atol=1e-12)
+    assert np.allclose(fit.beta[at], pooled.beta, rtol=1e-12, atol=1e-12)
+    assert np.allclose(fit.residuals, pooled.residuals, rtol=0, atol=1e-12)
+    assert fit.sigma_raw == pytest.approx(pooled.sigma_raw, rel=1e-12)
+
+
 def test_sample_lognormal_sigma_zero_deterministic():
     rng = np.random.default_rng(11)
     alpha = np.array([2.0, 3.0, 1.0])
@@ -373,6 +392,51 @@ def test_sigma_correction_validation():
         estimate_sigma_correction(alpha, alpha, 1.0, trials=10)
     with pytest.raises(ValueError, match="sigma"):
         estimate_sigma_correction(alpha, alpha, 0.0, trials=100)
+    # n = 3 leaves one degree of freedom: the mean of sigma / sigma_refit has no finite expectation
+    with pytest.raises(ValueError, match="n >= 4"):
+        estimate_sigma_correction(np.zeros(3), np.zeros(3), 1.0, trials=100)
+    with pytest.raises(ValueError, match="n >= 4"):
+        estimate_sigma_correction(alpha, np.zeros(4), 1.0, trials=100)
+
+
+def test_sigma_correction_degenerate_refit():
+    # a floor above every draw censors every position to zero: no residual variation is left
+    with pytest.raises(ValueError, match="degenerate refit"):
+        estimate_sigma_correction(np.zeros(5), np.zeros(5), 0.1, censor_floor=1e6, trials=100,
+                                  rng=np.random.default_rng(0))
+
+
+def referee_sigma_correction(alpha, beta, sigma, censor_floor, trials, rng, rounding):
+    """One draw and one lstsq refit per trial, with holder dummies and
+    issuer dummies for every issuer but the first."""
+    n = alpha.size
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    x = np.zeros((rows.size, 2 * n - 1))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        x[k, i] = 1.0
+        if j > 0:
+            x[k, n + j - 1] = 1.0
+    dof = rows.size - x.shape[1]
+    ratios = []
+    for _ in range(trials):
+        s = np.expm1(alpha[rows] + beta[cols] + rng.normal(0.0, sigma, size=rows.size))
+        s = np.where(s < censor_floor, 0.0, s)
+        if rounding:
+            s = np.rint(s)
+        y = np.log1p(s)
+        theta = np.linalg.lstsq(x, y, rcond=None)[0]
+        ratios.append(sigma / math.sqrt(((y - x @ theta) ** 2).sum() / dof))
+    return float(np.mean(ratios))
+
+
+@pytest.mark.parametrize("n, censor_floor, rounding", [(6, 0.5, True), (15, 5.0, False)])
+def test_sigma_correction_matches_per_trial_refits(n, censor_floor, rounding):
+    rng = np.random.default_rng(n)
+    alpha, beta = rng.normal(0.7, 0.5, n), rng.normal(0.3, 0.5, n)
+    args = (alpha, beta, 1.5, censor_floor, 100)
+    want = referee_sigma_correction(*args, np.random.default_rng(3), rounding)
+    got = estimate_sigma_correction(*args, np.random.default_rng(3), rounding)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_jarque_bera_two_point_closed_form():
