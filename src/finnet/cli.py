@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .ingest import AssetPanel, AssetSlice, DataError, GdpPanel, core_slice, read_asset_file, read_gdp_file
+from .ingest import AssetSlice, DataError, core_slice, read_asset_file, read_gdp_file
 from .lgd import (
     COARSE_THRESHOLDS,
     FINE_D1_MAX,
@@ -67,12 +67,14 @@ def _resolve_input(path: str | None, default_name: str) -> str:
     raise DataError(f"no path given for {default_name} and {ENV_DATA_DIR} is not set")
 
 
-def _load_panels(args: argparse.Namespace) -> tuple[AssetPanel, GdpPanel]:
+def _slices(args: argparse.Namespace, years: list[int]) -> list[AssetSlice]:
+    """The core slice of each year, read before any work, so a missing year fails first."""
     asset_path = _resolve_input(args.assets, "assets.csv")
     gdp_path = _resolve_input(args.gdp, "gdp.csv")
     if asset_path == "-" and gdp_path == "-":
         raise DataError("only one of assets/gdp can come from standard input")
-    return read_asset_file(asset_path), read_gdp_file(gdp_path)
+    assets, gdp = read_asset_file(asset_path), read_gdp_file(gdp_path)
+    return [core_slice(assets, gdp, year) for year in years]
 
 
 def _checked(parse):
@@ -215,8 +217,7 @@ def _null_spec(
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
-    slice_ = core_slice(assets, gdp, args.year)
+    (slice_,) = _slices(args, [args.year])
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     mean_out = net.num_edges / net.n
     extra = {
@@ -234,8 +235,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
-    slice_ = core_slice(assets, gdp, args.year)
+    (slice_,) = _slices(args, [args.year])
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     rows = weighted_edges(net, slice_)
     meta = _meta("export", args, {"year": args.year, "rule": net.rule, "format": args.format})
@@ -248,8 +248,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_lognormal(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
-    slices = [core_slice(assets, gdp, year) for year in args.years]
+    slices = _slices(args, args.years)
     if args.pooled:
         fits = [fit_lognormal_pooled(slices, correction_factor=args.correction)]
     else:
@@ -260,8 +259,7 @@ def cmd_fit_lognormal(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_null(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
-    slice_ = core_slice(assets, gdp, args.year)
+    (slice_,) = _slices(args, [args.year])
     rule = ThresholdRule(args.rule, args.t)
     spec = _null_spec(args.model, slice_, rule, args.seed, args.swap_factor, args.correction)
     rows = []
@@ -274,8 +272,7 @@ def cmd_gen_null(args: argparse.Namespace) -> int:
 
 
 def cmd_knockout(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
-    slices = [core_slice(assets, gdp, year) for year in args.years]
+    slices = _slices(args, args.years)
     rule = ThresholdRule(args.rule, args.t)
     sources = [
         rule.apply(s) if args.model == "empirical"
@@ -298,10 +295,8 @@ def cmd_knockout(args: argparse.Namespace) -> int:
 
 
 def cmd_ci_table(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
     cells = []
-    for yi, year in enumerate(args.years):
-        slice_ = core_slice(assets, gdp, year)
+    for yi, slice_ in enumerate(_slices(args, args.years)):
         fit = fit_lognormal(slice_, correction_factor=args.correction) if "log-normal" in args.models else None
         for ri, rule_name in enumerate(args.rules):
             rule = ThresholdRule(rule_name, args.t)
@@ -326,8 +321,7 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
 
 
 def cmd_lgd(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
-    slice_ = core_slice(assets, gdp, args.year)
+    (slice_,) = _slices(args, [args.year])
     spec = LgdSpec(args.d1, args.d2, args.haircut)
     result = cascade(slice_, set(args.initial), spec)
     meta = _meta("lgd", args, {
@@ -352,12 +346,10 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
 
 
 def cmd_lgd_sweep(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
     grid1 = _floats(args.d1_grid)
     grid2 = _floats(args.d2_grid)
     summaries = []
-    for year in args.years:
-        slice_ = core_slice(assets, gdp, year)
+    for slice_ in _slices(args, args.years):
         summaries.extend(sweep_grid(slice_, grid1, grid2, args.k_max, args.haircut))
     ordered = severity_sorted(summaries)
     extra = {
@@ -389,8 +381,7 @@ def cmd_lgd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_pigs_grid(args: argparse.Namespace) -> int:
-    assets, gdp = _load_panels(args)
-    slice_ = core_slice(assets, gdp, args.year)
+    (slice_,) = _slices(args, [args.year])
     group = tuple(args.group)
     d1_values = np.linspace(0.0, args.d1_max, args.d1_points)
     d2_values = np.linspace(0.0, args.d2_max, args.d2_points)

@@ -33,12 +33,14 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-def _freeze(panel, **dtypes) -> None:
-    object.__setattr__(panel, "codes", tuple(panel.codes))
+def _freeze(record, labels: str, **dtypes) -> None:
+    """Store a frozen record's ``labels`` field as a tuple and each named
+    array as a read-only copy of the given dtype."""
+    object.__setattr__(record, labels, tuple(getattr(record, labels)))
     for name, dtype in dtypes.items():
-        column = np.array(getattr(panel, name), dtype=dtype)
-        column.flags.writeable = False
-        object.__setattr__(panel, name, column)
+        array = np.array(getattr(record, name), dtype=dtype)
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)
 
 
 def _validate(codes, years, indices, amount, rules) -> None:
@@ -81,7 +83,7 @@ class AssetPanel:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _freeze(self, years=np.int64, holder=np.int32, issuer=np.int32, values=np.float64)
+        _freeze(self, "codes", years=np.int64, holder=np.int32, issuer=np.int32, values=np.float64)
         v = self.values
         _validate(self.codes, self.years, (self.holder, self.issuer), v,
                   [(self.holder == self.issuer, "self-holding record {record}"),
@@ -102,7 +104,7 @@ class GdpPanel:
     gdp: np.ndarray
 
     def __post_init__(self) -> None:
-        _freeze(self, years=np.int64, country=np.int32, gdp=np.float64)
+        _freeze(self, "codes", years=np.int64, country=np.int32, gdp=np.float64)
         g = self.gdp
         _validate(self.codes, self.years, (self.country,), g,
                   [(~(g > 0) | ~np.isfinite(g), "nonpositive gdp {value!r} for {record}")])
@@ -125,28 +127,22 @@ class AssetSlice:
     coverage: float
 
     def __post_init__(self) -> None:
-        assets = np.array(self.assets, dtype=float)
-        gdp = np.array(self.gdp, dtype=float)
+        _freeze(self, "countries", assets=np.float64, gdp=np.float64)
         n = len(self.countries)
         if n < 2:
             raise DataError("a slice needs at least 2 countries")
-        if assets.shape != (n, n):
-            raise DataError(f"asset matrix shape {assets.shape} does not match {n} countries")
-        if gdp.shape != (n,):
-            raise DataError(f"gdp vector shape {gdp.shape} does not match {n} countries")
-        if np.any(np.diagonal(assets) != 0.0):
+        if self.assets.shape != (n, n):
+            raise DataError(f"asset matrix shape {self.assets.shape} does not match {n} countries")
+        if self.gdp.shape != (n,):
+            raise DataError(f"gdp vector shape {self.gdp.shape} does not match {n} countries")
+        if np.any(np.diagonal(self.assets) != 0.0):
             raise DataError("asset matrix has nonzero diagonal")
-        if np.any(assets < 0) or not np.all(np.isfinite(assets)):
+        if np.any(self.assets < 0) or not np.all(np.isfinite(self.assets)):
             raise DataError("asset values must be finite and nonnegative")
-        if np.any(gdp <= 0) or not np.all(np.isfinite(gdp)):
+        if np.any(self.gdp <= 0) or not np.all(np.isfinite(self.gdp)):
             raise DataError("gdp values must be finite and positive")
         if not 0.0 <= self.coverage <= 1.0:
             raise DataError(f"coverage {self.coverage} outside [0, 1]")
-        assets.flags.writeable = False
-        gdp.flags.writeable = False
-        object.__setattr__(self, "countries", tuple(self.countries))
-        object.__setattr__(self, "assets", assets)
-        object.__setattr__(self, "gdp", gdp)
 
     @property
     def n(self) -> int:

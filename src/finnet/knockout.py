@@ -80,15 +80,11 @@ def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | 
     rng = np.random.default_rng(seed)
     nodes = list(range(net.n))
     mask = (1 << net.n) - 1
-    adj = net.adj  # the survivors' adjacency; dropped on a hit, rebuilt on the next miss
     series, order = [], []
     while True:
-        if mask in cache:
-            adj = None
-        else:
-            if adj is None:
-                index = np.array(nodes)
-                adj = net.adj[index][:, index]
+        if mask not in cache:
+            index = np.array(nodes)
+            adj = net.adj[index][:, index]
             if adj.any():
                 sums = adj.sum(axis=0) + adj.sum(axis=1) if strategy == "attack" else None
                 cache[mask] = modified_aspl_adj(adj), None if sums is None else np.flatnonzero(sums == sums.max())
@@ -106,9 +102,6 @@ def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | 
         node = nodes.pop(victim)
         order.append(net.countries[node])
         mask ^= 1 << node
-        if adj is not None:
-            adj = np.concatenate((adj[:victim], adj[victim + 1:]))
-            adj = np.concatenate((adj[:, :victim], adj[:, victim + 1:]), axis=1)
     series += [SPL_CAP] * len(nodes)
     while len(nodes) > 1:
         order.append(net.countries[nodes.pop(int(rng.integers(len(nodes))))])

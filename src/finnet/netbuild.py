@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AssetSlice
+from .ingest import AssetSlice, _freeze
 
 # Cross-year average GDP-normalized exposure; the stock rule-B threshold.
 DEFAULT_GDP_THRESHOLD = 0.0417
@@ -38,15 +38,12 @@ class BinaryNetwork:
     source_year: int | None = None
 
     def __post_init__(self) -> None:
-        adj = np.array(self.adj, dtype=bool)
+        _freeze(self, "countries", adj=bool)
         n = len(self.countries)
-        if adj.shape != (n, n):
-            raise ValueError(f"adjacency shape {adj.shape} does not match {n} countries")
-        if np.any(np.diagonal(adj)):
+        if self.adj.shape != (n, n):
+            raise ValueError(f"adjacency shape {self.adj.shape} does not match {n} countries")
+        if np.any(np.diagonal(self.adj)):
             raise ValueError("adjacency has self-loops")
-        adj.flags.writeable = False
-        object.__setattr__(self, "countries", tuple(self.countries))
-        object.__setattr__(self, "adj", adj)
 
     @property
     def n(self) -> int:

@@ -90,8 +90,8 @@ class LogNormalFit:
 
     The model is ln(s_ij + 1) = alpha_i + beta_j + eps over ordered pairs
     i != j, with censored zeros included as ln(1) = 0. The issuer effect
-    of ``countries[baseline]`` is pinned to zero to identify the
-    coefficients; residuals and sigma do not depend on that choice.
+    of ``countries[0]`` is pinned to zero to identify the coefficients;
+    residuals and sigma do not depend on that choice.
     ``sigma_raw`` is the maximum-likelihood residual standard deviation
     (divisor N); ``sigma_corrected`` multiplies it by the censoring
     correction factor.
@@ -104,7 +104,6 @@ class LogNormalFit:
     sigma_corrected: float
     correction_factor: float
     residuals: np.ndarray
-    baseline: int
     year: int | None = None
     gdp: np.ndarray | None = None
 
@@ -134,7 +133,7 @@ class LogNormalFit:
             "sigma_raw": self.sigma_raw,
             "sigma_corrected": self.sigma_corrected,
             "correction_factor": self.correction_factor,
-            "baseline_issuer": self.countries[self.baseline],
+            "baseline_issuer": self.countries[0],
             "year": self.year,
             "residual_summary": summary,
         }
@@ -145,12 +144,12 @@ def _offdiag_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~np.eye(n, dtype=bool))
 
 
-def _design_matrix(n: int, baseline: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Holder dummies plus issuer dummies with the baseline column dropped."""
+def _design_matrix(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Holder dummies plus issuer dummies with country 0's issuer column dropped."""
     x = np.zeros((rows.size, 2 * n - 1))
     x[np.arange(rows.size), rows] = 1.0
-    keep = cols != baseline
-    x[keep, n + cols[keep] - (cols[keep] > baseline)] = 1.0
+    keep = cols != 0
+    x[keep, n - 1 + cols[keep]] = 1.0
     return x
 
 
@@ -166,7 +165,6 @@ def _fit(
     slices: list[AssetSlice],
     countries: tuple[str, ...],
     correction_factor: float,
-    baseline: int,
     year: int | None = None,
     gdp: np.ndarray | None = None,
 ) -> LogNormalFit:
@@ -183,37 +181,28 @@ def _fit(
         rows.append(local[i])
         cols.append(local[j])
         y.append(np.log1p(s.assets[i, j]))
-    x = _design_matrix(n, baseline, np.concatenate(rows), np.concatenate(cols))
+    x = _design_matrix(n, np.concatenate(rows), np.concatenate(cols))
     theta, residuals = _least_squares(x, np.concatenate(y))
     sigma_raw = float(np.sqrt((residuals**2).mean()))
     return LogNormalFit(
         countries=countries,
         alpha=theta[:n].copy(),
-        beta=np.insert(theta[n:], baseline, 0.0),
+        beta=np.insert(theta[n:], 0, 0.0),
         sigma_raw=sigma_raw,
         sigma_corrected=correction_factor * sigma_raw,
         correction_factor=correction_factor,
         residuals=residuals,
-        baseline=baseline,
         year=year,
         gdp=gdp,
     )
 
 
-def fit_lognormal(
-    slice_: AssetSlice,
-    correction_factor: float = DEFAULT_SIGMA_CORRECTION,
-    baseline: int = 0,
-) -> LogNormalFit:
+def fit_lognormal(slice_: AssetSlice, correction_factor: float = DEFAULT_SIGMA_CORRECTION) -> LogNormalFit:
     """Least-squares fit of ln(s_ij + 1) on holder and issuer effects, in the slice's country order."""
-    return _fit([slice_], slice_.countries, correction_factor, baseline, slice_.year, slice_.gdp)
+    return _fit([slice_], slice_.countries, correction_factor, slice_.year, slice_.gdp)
 
 
-def fit_lognormal_pooled(
-    slices: list[AssetSlice],
-    correction_factor: float = DEFAULT_SIGMA_CORRECTION,
-    baseline: int = 0,
-) -> LogNormalFit:
+def fit_lognormal_pooled(slices: list[AssetSlice], correction_factor: float = DEFAULT_SIGMA_CORRECTION) -> LogNormalFit:
     """One fit over several years with country effects shared across years,
     over the sorted union of their countries.
 
@@ -222,7 +211,7 @@ def fit_lognormal_pooled(
     """
     if not slices:
         raise ValueError("need at least one slice")
-    return _fit(slices, tuple(sorted({c for s in slices for c in s.countries})), correction_factor, baseline)
+    return _fit(slices, tuple(sorted({c for s in slices for c in s.countries})), correction_factor)
 
 
 def _censor_and_round(s: np.ndarray, censor_floor: float | None, rounding: bool) -> np.ndarray:
@@ -306,7 +295,7 @@ def estimate_sigma_correction(
     num_obs = rows.size
     mu = (alpha[:, None] + beta[None, :])[rows, cols]
     s = _censor_and_round(np.expm1(mu + rng.normal(0.0, sigma, size=(trials, num_obs))), censor_floor, rounding)
-    _, residuals = _least_squares(_design_matrix(n, 0, rows, cols), np.log1p(s).T)
+    _, residuals = _least_squares(_design_matrix(n, rows, cols), np.log1p(s).T)
     rss = (residuals**2).sum(axis=0)
     if not np.all(rss > 0):
         raise ValueError("degenerate refit: censoring removed all variation")

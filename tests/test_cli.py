@@ -577,6 +577,25 @@ def test_env_data_dir_resolution(fixture_data_dir, monkeypatch):
     assert out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["build", "--year", "2099"],
+    ["fit-lognormal", "--years", "2006,2099"],
+    ["knockout", "--years", "2006,2099", "--strategy", "attack", "--trials", "3"],
+    ["ci-table", "--years", "2006,2099", "--samples", "100"],
+    ["lgd-sweep", "--years", "2006,2099"],
+])
+def test_missing_year_exits_1_before_any_work(fixture_data_dir, tmp_path, monkeypatch, capsys, args):
+    def no_work(*_, **__):
+        raise AssertionError("work started before every year was read")
+
+    for name in ("ThresholdRule", "fit_lognormal", "fit_lognormal_pooled", "sweep_grid"):
+        monkeypatch.setattr(f"finnet.cli.{name}", no_work)
+    out = tmp_path / "out.csv"
+    assert main(args + inputs(fixture_data_dir) + ["--out", str(out)]) == 1
+    assert "year 2099" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_paths_and_no_env_is_data_error(monkeypatch, capsys, fixture_data_dir):
     monkeypatch.delenv("FINNET_DATA_DIR", raising=False)
     rc = main(["build", "--year", "2007", "--rule", "A", "--out", str(fixture_data_dir / "z.csv")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finnet import AssetPanel, AssetSlice, DataError, GdpPanel, core_slice, ingest, parse_asset_table, parse_gdp_table
+from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel, core_slice, ingest, parse_asset_table, parse_gdp_table
 from finnet.ingest import ASSET_HEADER as ASSET_COLUMNS
 from finnet.ingest import GDP_HEADER as GDP_COLUMNS
 
@@ -379,6 +379,35 @@ def test_panel_columns_are_read_only_copies():
     with pytest.raises(ValueError):
         panel.values[0] = 5.0
     assert len(panel) == 2
+
+
+# record type, label field, array fields, other fields
+FROZEN_RECORDS = {
+    "AssetPanel": (AssetPanel, "codes", {"years": [2007, 2008], "holder": [0, 1], "issuer": [1, 0],
+                                         "values": [1.0, 2.0]}, {}),
+    "GdpPanel": (GdpPanel, "codes", {"years": [2007, 2008], "country": [0, 1], "gdp": [1.0, 2.0]}, {}),
+    "AssetSlice": (AssetSlice, "countries", {"assets": [[0.0, 2.0], [3.0, 0.0]], "gdp": [1.0, 2.0]},
+                   {"year": 2007, "coverage": 1.0}),
+    "BinaryNetwork": (BinaryNetwork, "countries", {"adj": [[False, True], [False, False]]}, {"rule": "A"}),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_RECORDS)
+def test_frozen_records_hold_read_only_copies_and_label_tuples(name):
+    record_type, labels, columns, rest = FROZEN_RECORDS[name]
+    codes = ["A", "B"]
+    arrays = {field: np.array(values) for field, values in columns.items()}
+    record = record_type(**{labels: codes}, **arrays, **rest)
+    codes.append("C")
+    assert type(getattr(record, labels)) is tuple and getattr(record, labels) == ("A", "B")
+    for field, array in arrays.items():
+        before = array.copy()
+        array.flat[1] = array.flat[0]
+        assert not np.array_equal(array, before)
+        frozen = getattr(record, field)
+        assert np.array_equal(frozen, before)
+        with pytest.raises(ValueError):
+            frozen[...] = array
 
 
 # ---------------------------------------------------------------------------

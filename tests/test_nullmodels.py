@@ -251,16 +251,6 @@ def test_fit_residual_mean_zero():
     assert abs(fit.residuals.mean()) < 1e-8 * fit.residuals.std()
 
 
-def test_fit_residuals_invariant_under_baseline_choice():
-    rng = np.random.default_rng(8)
-    alpha, beta = high_mu_params(10, rng)
-    slice_ = synthetic_slice(alpha, beta, 1.0, rng)
-    fit0 = fit_lognormal(slice_, baseline=0)
-    fit3 = fit_lognormal(slice_, baseline=3)
-    assert np.allclose(fit0.residuals, fit3.residuals, atol=1e-9)
-    assert fit0.sigma_raw == pytest.approx(fit3.sigma_raw, abs=1e-12)
-
-
 def test_fit_consistency_error_shrinks_with_n():
     rng = np.random.default_rng(9)
     errors = []
@@ -310,12 +300,14 @@ def test_fit_lognormal_keeps_unsorted_slice_order():
                         base.gdp[order], 1.0)
     fit = fit_lognormal(slice_)
     assert fit.countries == slice_.countries != tuple(sorted(slice_.countries))
-    # the same model in sorted order, with the same baseline issuer and the slice's observation order
-    pooled = fit_lognormal_pooled([slice_], baseline=sorted(slice_.countries).index(slice_.countries[0]))
+    # the same model in sorted order, in the slice's observation order; each fit pins its own
+    # first issuer, which moves alpha and beta but not the fitted means alpha_i + beta_j
+    pooled = fit_lognormal_pooled([slice_])
     assert pooled.countries == tuple(sorted(slice_.countries))
     at = [slice_.countries.index(c) for c in pooled.countries]
-    assert np.allclose(fit.alpha[at], pooled.alpha, rtol=1e-12, atol=1e-12)
-    assert np.allclose(fit.beta[at], pooled.beta, rtol=1e-12, atol=1e-12)
+    assert fit.beta[0] == pooled.beta[0] == 0.0 and fit.beta[at[0]] != 0.0
+    means = (fit.alpha[:, None] + fit.beta[None, :])[np.ix_(at, at)]
+    assert np.allclose(means, pooled.alpha[:, None] + pooled.beta[None, :], rtol=1e-12, atol=0)
     assert np.allclose(fit.residuals, pooled.residuals, rtol=0, atol=1e-12)
     assert fit.sigma_raw == pytest.approx(pooled.sigma_raw, rel=1e-12)
 
