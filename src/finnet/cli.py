@@ -31,9 +31,11 @@ from .lgd import (
     LgdSpec,
     cascade,
     fine_grid,
+    grid_axis,
     influence_ranking,
     severity_sorted,
     sweep_grid,
+    sweep_specs,
 )
 from .knockout import MIN_SAMPLES, STRATEGIES, ci_compare, ci_table, ensemble_knockout
 from .metrics import measure_vector
@@ -140,33 +142,6 @@ def _distinct(allowed: tuple[str, ...] | None, text: str) -> list[str]:
         raise ValueError(f"expected distinct names from {','.join(allowed)}" if allowed
                          else "expected distinct non-empty names")
     return names
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _spec_grid(field: str, text: str) -> str:
-    """A comma list of distinct `field` values; kept as text for the header echo."""
-    values = [_spec_value(field, value) for value in text.split(",")]
-    if len(set(values)) < len(values):
-        raise ValueError("repeats a value")
-    return text
-
-
-def _check_lgd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject grids whose only point is the skipped d1 = d2 = 0: a check
-    across two flags, which no single argparse type can make."""
-    if all(d1 == d2 == 0.0 for d1 in _floats(args.d1_grid) for d2 in _floats(args.d2_grid)):
-        parser.error("the threshold grids hold no point besides d1 = d2 = 0, which is skipped")
-
-
-def _check_pigs_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject an axis whose points repeat, as several over [0, 0] do; its cells would be written twice."""
-    for axis in ("d1", "d2"):
-        values = np.linspace(0.0, getattr(args, f"{axis}_max"), getattr(args, f"{axis}_points"))
-        if np.unique(values).size < values.size:
-            parser.error(f"--{axis}-max and --{axis}-points repeat a grid point")
 
 
 def _meta(command: str, args: argparse.Namespace, extra: dict) -> dict:
@@ -346,11 +321,10 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
 
 
 def cmd_lgd_sweep(args: argparse.Namespace) -> int:
-    grid1 = _floats(args.d1_grid)
-    grid2 = _floats(args.d2_grid)
+    grids = args.d1_grid.split(","), args.d2_grid.split(",")
     summaries = []
     for slice_ in _slices(args, args.years):
-        summaries.extend(sweep_grid(slice_, grid1, grid2, args.k_max, args.haircut))
+        summaries.extend(sweep_grid(slice_, *grids, args.k_max, args.haircut))
     ordered = severity_sorted(summaries)
     extra = {
         "years": ",".join(str(y) for y in args.years),
@@ -508,15 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgd-sweep", help="impact summaries over a threshold grid")
     _add_common(p, years=True)
-    p.add_argument("--d1-grid", type=_checked(partial(_spec_grid, "d1")),
-                   default=",".join(str(v) for v in COARSE_THRESHOLDS))
-    p.add_argument("--d2-grid", type=_checked(partial(_spec_grid, "d2")),
-                   default=",".join(str(v) for v in COARSE_THRESHOLDS))
+    p.add_argument("--d1-grid", default=",".join(str(v) for v in COARSE_THRESHOLDS))
+    p.add_argument("--d2-grid", default=",".join(str(v) for v in COARSE_THRESHOLDS))
     p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--haircut", type=HAIRCUT, default=1.0)
     p.add_argument("--ranking-out", help="optional CSV of influence rankings")
     p.add_argument("--top-n", type=POSITIVE, default=10)
-    p.set_defaults(func=cmd_lgd_sweep, check=partial(_check_lgd_sweep, p))
+    p.set_defaults(func=cmd_lgd_sweep,
+                   check=lambda a: sweep_specs(a.d1_grid.split(","), a.d2_grid.split(","), a.haircut))
 
     p = sub.add_parser("pigs-grid", help="fine threshold grid for a country group")
     _add_common(p)
@@ -526,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2-max", type=D2, default=FINE_D2_MAX)
     p.add_argument("--d2-points", type=POSITIVE, default=FINE_D2_POINTS)
     p.add_argument("--haircut", type=HAIRCUT, default=1.0)
-    p.set_defaults(func=cmd_pigs_grid, check=partial(_check_pigs_grid, p))
+    p.set_defaults(func=cmd_pigs_grid, check=lambda a: (grid_axis(np.linspace(0.0, a.d1_max, a.d1_points), "d1"),
+                                                        grid_axis(np.linspace(0.0, a.d2_max, a.d2_points), "d2")))
 
     return parser
 
@@ -534,8 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "check" in args:
-        args.check(args)
+    try:
+        if "check" in args:
+            args.check(args)
+    except ValueError as exc:
+        parser.error(f"{args.command}: {exc}")
     try:
         return args.func(args)
     except FileNotFoundError as exc:

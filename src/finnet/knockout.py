@@ -176,6 +176,8 @@ def ensemble_knockout(
     seeds derive from (master_seed, source index, trial index), so the
     summary does not depend on scheduling or worker count.
     """
+    if not sources:
+        raise ValueError("need at least one source")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     stack = np.vstack(_run_ensemble(_trace_curves, sources, trials, jobs, strategy, master_seed))

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, compress, islice, repeat
 
 import numpy as np
@@ -220,26 +221,40 @@ def enumerate_impacts(slice_: AssetSlice, spec: LgdSpec, k_max: int = 3) -> list
     return summaries
 
 
+def grid_axis(values: Iterable[float], field: str) -> tuple[float, ...]:
+    """One threshold-grid axis as floats: nonempty, no value twice, and
+    each value one that LgdSpec accepts as `field` (d1 or d2)."""
+    axis = tuple(map(float, values))
+    if not axis:
+        raise ValueError(f"the {field} grid must be nonempty")
+    for value in axis:
+        replace(LgdSpec(0.0, 0.0), **{field: value})
+    if len(set(axis)) < len(axis):
+        raise ValueError(f"the {field} grid repeats a value")
+    return axis
+
+
+def sweep_specs(d1_values: Iterable[float], d2_values: Iterable[float], haircut: float = 1.0) -> list[LgdSpec]:
+    """The spec of every (d1, d2) grid point but the skipped d1 = d2 = 0,
+    in d1-major order, after checking both axes."""
+    d1_axis, d2_axis = grid_axis(d1_values, "d1"), grid_axis(d2_values, "d2")
+    specs = [LgdSpec(d1, d2, haircut) for d1 in d1_axis for d2 in d2_axis if d1 or d2]
+    if not specs:
+        raise ValueError("the threshold grids hold no point besides d1 = d2 = 0, which is skipped")
+    return specs
+
+
 def sweep_grid(
     slice_: AssetSlice,
-    d1_values: tuple[float, ...] = COARSE_THRESHOLDS,
-    d2_values: tuple[float, ...] = COARSE_THRESHOLDS,
+    d1_values: Iterable[float] = COARSE_THRESHOLDS,
+    d2_values: Iterable[float] = COARSE_THRESHOLDS,
     k_max: int = 3,
     haircut: float = 1.0,
 ) -> list[ImpactSummary]:
     """Impact summaries over the (d1, d2) grid, excluding the trivial
-    all-defaulting point d1 = d2 = 0."""
-    if not d1_values or not d2_values:
-        raise ValueError("threshold grids must be nonempty")
-    summaries = []
-    for d1 in d1_values:
-        for d2 in d2_values:
-            if d1 == 0.0 and d2 == 0.0:
-                continue
-            summaries.extend(enumerate_impacts(slice_, LgdSpec(d1, d2, haircut), k_max))
-    if not summaries:
-        raise ValueError("threshold grids hold no point besides d1 = d2 = 0")
-    return summaries
+    all-defaulting point d1 = d2 = 0. The grid is checked before the
+    first enumeration."""
+    return [s for spec in sweep_specs(d1_values, d2_values, haircut) for s in enumerate_impacts(slice_, spec, k_max)]
 
 
 def severity_sorted(summaries: list[ImpactSummary]) -> list[ImpactSummary]:
@@ -264,30 +279,22 @@ class FineGridCell:
 def fine_grid(
     slice_: AssetSlice,
     group: tuple[str, ...],
-    d1_values: np.ndarray | None = None,
-    d2_values: np.ndarray | None = None,
+    d1_values: Iterable[float] | None = None,
+    d2_values: Iterable[float] | None = None,
     haircut: float = 1.0,
 ) -> list[FineGridCell]:
     """Cascade impact for every nonempty subset (size <= FINE_MAX_SUBSET) of a
     country group over a fine (d1, d2) grid.
 
     Defaults scan d1 in [0, 0.2] at 51 points and d2 in [0, 0.5] at 51
-    points. Every grid value must be one that LgdSpec accepts.
+    points. Each axis must pass grid_axis.
     """
     if not group or len(set(group)) < len(group):
         raise ValueError("group must be nonempty with distinct members")
-    if d1_values is None:
-        d1_values = np.linspace(0.0, FINE_D1_MAX, FINE_D1_POINTS)
-    if d2_values is None:
-        d2_values = np.linspace(0.0, FINE_D2_MAX, FINE_D2_POINTS)
-    d1_values = np.asarray(d1_values, dtype=float)
-    d2_values = np.asarray(d2_values, dtype=float)
-    if not d1_values.size or not d2_values.size:
-        raise ValueError("threshold grids must be nonempty")
-    for d1 in d1_values.tolist():
-        LgdSpec(d1, 0.0, haircut)
-    for d2 in d2_values.tolist():
-        LgdSpec(0.0, d2, haircut)
+    d1_values = np.linspace(0.0, FINE_D1_MAX, FINE_D1_POINTS) if d1_values is None else d1_values
+    d2_values = np.linspace(0.0, FINE_D2_MAX, FINE_D2_POINTS) if d2_values is None else d2_values
+    d1_values, d2_values = np.array(grid_axis(d1_values, "d1")), np.array(grid_axis(d2_values, "d2"))
+    LgdSpec(0.0, 0.0, haircut)
     d1_cells = np.repeat(d1_values, d2_values.size)
     d2_cells = np.tile(d2_values, d1_values.size)
     d1_list, d2_list = d1_cells.tolist(), d2_cells.tolist()

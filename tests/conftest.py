@@ -76,6 +76,18 @@ def random_slice(n: int, rng: np.random.Generator, zero_frac: float = 0.3) -> As
     return AssetSlice(2007, labels, assets, gdp, 1.0)
 
 
+def hand_slice() -> AssetSlice:
+    """B holds 50 in A (portfolio 80, gdp 100); C holds 1 in each (gdp 100)."""
+    assets = np.array(
+        [
+            [0.0, 0.0, 0.0],  # A
+            [50.0, 0.0, 30.0],  # B
+            [1.0, 1.0, 0.0],  # C
+        ]
+    )
+    return AssetSlice(2007, ("A", "B", "C"), assets, np.array([100.0, 100.0, 100.0]), 1.0)
+
+
 def load_scalefree64() -> BinaryNetwork:
     """Stored 64-node hub-heavy fixture used by the robustness tests."""
     text = (DATA_DIR / "scalefree64.csv").read_text().strip().splitlines()

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from finnet.cli import _null_spec, build_parser, main
 from finnet.knockout import ci_compare, ensemble_knockout
-from finnet.lgd import LgdSpec
+from finnet.lgd import LgdSpec, sweep_grid
 from finnet.metrics import measure_vector
 from finnet.netbuild import ThresholdRule
 from finnet.nullmodels import DEFAULT_SIGMA_CORRECTION, DEFAULT_SWAP_FACTOR
 from finnet.seeding import child_seed
 
-from conftest import DATA_DIR, complete_net, random_slice
+from conftest import DATA_DIR, complete_net, hand_slice, random_slice
 
 
 def inputs(fixture_data_dir):
@@ -390,6 +390,26 @@ def test_threshold_flags_accept_exactly_what_lgdspec_accepts(text):
             assert exc.value.code == 2
         else:
             assert getattr(parser.parse_args(argv), dest) == value
+
+
+GRID_TEXTS = st.one_of(
+    st.lists(st.sampled_from(["0", "0.0", "-0.0", "0.1", "1e-1", "0.25", "0.250", "1", "1.5", "-0.1",
+                              "nan", "inf", "", "x", " 0.5"]), min_size=1, max_size=3).map(",".join),
+    st.text(max_size=4),
+)
+
+
+@given(d1_grid=GRID_TEXTS, d2_grid=GRID_TEXTS)
+@settings(max_examples=200, deadline=None)
+def test_grid_flags_exit_2_exactly_when_sweep_grid_raises(d1_grid, d2_grid):
+    try:
+        sweep_grid(hand_slice(), d1_grid.split(","), d2_grid.split(","), k_max=1)
+    except ValueError:
+        rejected = True
+    else:
+        rejected = False
+    argv = ["lgd-sweep", "--years", "2007", f"--d1-grid={d1_grid}", f"--d2-grid={d2_grid}", "--k-max", "1"]
+    assert exits_2_before_reading(argv) == rejected
 
 
 YEAR_LIST_COMMANDS = (

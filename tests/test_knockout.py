@@ -241,6 +241,11 @@ def test_ensemble_single_trace_matches_and_zero_std():
     assert np.allclose(summary.mean, _interp_curve(trace.aspl_series))
 
 
+def test_ensemble_knockout_needs_a_source():
+    with pytest.raises(ValueError, match="need at least one source"):
+        ensemble_knockout([], "attack", trials=3, master_seed=1, jobs=2)
+
+
 def test_ensemble_attack_zero_std_when_series_tie_free():
     summary = ensemble_knockout([complete_net(6)], "attack", trials=25, master_seed=8)
     assert np.allclose(summary.std, 0.0)

@@ -19,23 +19,12 @@ from finnet import lgd
 from finnet.lgd import BLOCK_ROWS, COARSE_THRESHOLDS, cascade_rounds, severity_sorted
 
 from conftest import (
+    hand_slice,
     oracle_enumerate_impacts,
     oracle_sequential_cascade,
     oracle_synchronous_rounds,
     random_slice,
 )
-
-
-def hand_slice():
-    """B holds 50 in A (portfolio 80, gdp 100); C holds 1 in each (gdp 100)."""
-    assets = np.array(
-        [
-            [0.0, 0.0, 0.0],  # A
-            [50.0, 0.0, 30.0],  # B
-            [1.0, 1.0, 0.0],  # C
-        ]
-    )
-    return AssetSlice(2007, ("A", "B", "C"), assets, np.array([100.0, 100.0, 100.0]), 1.0)
 
 
 def test_cascade_hand_example():
@@ -421,6 +410,10 @@ def test_fine_grid_rejects_invalid_grids():
         fine_grid(slice_, ("A",), np.array([0.0]), np.array([0.0]), haircut=0.0)
     with pytest.raises(ValueError, match="nonempty"):
         fine_grid(slice_, ("A",), np.array([]), np.array([0.0]))
+    with pytest.raises(ValueError, match="d1 grid repeats"):
+        fine_grid(slice_, ("A",), np.array([0.1, 0.2, 0.1]), np.array([0.0]))
+    with pytest.raises(ValueError, match="d2 grid repeats"):
+        fine_grid(slice_, ("A",), np.array([0.0]), np.array([0.0, -0.0]))
     with pytest.raises(ValueError, match="nonempty"):
         fine_grid(slice_, ())
     with pytest.raises(ValueError, match="distinct"):
@@ -430,6 +423,32 @@ def test_fine_grid_rejects_invalid_grids():
 def test_sweep_grid_rejects_origin_only_grid():
     with pytest.raises(ValueError, match="d1 = d2 = 0"):
         sweep_grid(hand_slice(), (0.0,), (0.0,), k_max=1)
+    with pytest.raises(ValueError, match="d1 grid repeats"):
+        sweep_grid(hand_slice(), (0.1, 0.1), (0.2,), k_max=1)
+    with pytest.raises(ValueError, match="d2 grid repeats"):
+        sweep_grid(hand_slice(), (0.1,), (0.25, 0.5, 0.250), k_max=1)
+
+
+def test_sweep_grid_checks_every_point_before_enumerating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lgd, "enumerate_impacts", lambda slice_, spec, k_max: calls.append(spec) or [])
+    with pytest.raises(ValueError, match="d1"):
+        sweep_grid(hand_slice(), (0.1, 2.0), (0.1,))
+    assert calls == []
+    sweep_grid(hand_slice(), (0.0, 0.1), (0.0, 0.2), haircut=0.5)
+    assert calls == [LgdSpec(0.0, 0.2, 0.5), LgdSpec(0.1, 0.0, 0.5), LgdSpec(0.1, 0.2, 0.5)]
+
+
+def test_grids_accept_arrays_and_one_shot_iterables():
+    slice_ = hand_slice()
+    d1s, d2s = (0.1, 0.25), (0.1, 0.5)
+    expected = sweep_grid(slice_, d1s, d2s, k_max=1)
+    assert len(expected) == 4
+    assert sweep_grid(slice_, np.array(d1s), np.array(d2s), k_max=1) == expected
+    assert sweep_grid(slice_, iter(d1s), (v for v in d2s), k_max=1) == expected
+    cells = fine_grid(slice_, ("A", "B"), d1s, d2s)
+    assert len(cells) == 3 * 4
+    assert fine_grid(slice_, ("A", "B"), list(d1s), (v for v in d2s)) == cells
 
 
 def make_summary(year, d1, d2, k, argmax):
