@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -69,13 +68,14 @@ def _resolve_input(path: str | None, default_name: str) -> str:
     raise DataError(f"no path given for {default_name} and {ENV_DATA_DIR} is not set")
 
 
-def _slices(args: argparse.Namespace, years: list[int]) -> list[AssetSlice]:
-    """The core slice of each year, read before any work, so a missing year fails first."""
+def _slices(args: argparse.Namespace) -> list[AssetSlice]:
+    """The core slice of each named year, read before any work, so a missing year fails first."""
     asset_path = _resolve_input(args.assets, "assets.csv")
     gdp_path = _resolve_input(args.gdp, "gdp.csv")
     if asset_path == "-" and gdp_path == "-":
         raise DataError("only one of assets/gdp can come from standard input")
     assets, gdp = read_asset_file(asset_path), read_gdp_file(gdp_path)
+    years = args.years if "years" in args else [args.year]
     return [core_slice(assets, gdp, year) for year in years]
 
 
@@ -118,20 +118,6 @@ def _bounded(convert, ok, requirement: str):
         return value
 
     return _checked(parse)
-
-
-def _gdp_threshold(text: str) -> float:
-    """A float that ThresholdRule accepts as rule B's t."""
-    value = float(text)
-    ThresholdRule("B", value)
-    return value
-
-
-def _spec_value(field: str, text: str) -> float:
-    """A float that LgdSpec accepts as its `field` (d1, d2 or haircut)."""
-    value = float(text)
-    replace(LgdSpec(0.0, 0.0), **{field: value})
-    return value
 
 
 def _distinct(allowed: tuple[str, ...] | None, text: str) -> list[str]:
@@ -191,8 +177,8 @@ def _null_spec(
     return NullModelSpec(kind, seed, rule.apply(slice_), swap_factor, fit, rule)
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    (slice_,) = _slices(args, [args.year])
+def cmd_build(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+    (slice_,) = slices
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     mean_out = net.num_edges / net.n
     extra = {
@@ -206,11 +192,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     _emit_table(args.out, _meta("build", args, extra), ["holder", "issuer"], net.edges())
     print(f"build: year={args.year} rule={net.rule} n={net.n} edges={net.num_edges} "
           f"mean_out_degree={mean_out:.4f}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    (slice_,) = _slices(args, [args.year])
+def cmd_export(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+    (slice_,) = slices
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     rows = weighted_edges(net, slice_)
     meta = _meta("export", args, {"year": args.year, "rule": net.rule, "format": args.format})
@@ -219,22 +204,19 @@ def cmd_export(args: argparse.Namespace) -> int:
     else:
         edges = [f'  "{holder}" -> "{issuer}" [class={cls}];\n' for holder, issuer, cls in rows]
         _emit(args.out, "".join([_header(meta, "//"), "digraph {\n", *edges, "}\n"]).encode("utf-8"))
-    return EXIT_OK
 
 
-def cmd_fit_lognormal(args: argparse.Namespace) -> int:
-    slices = _slices(args, args.years)
+def cmd_fit_lognormal(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     if args.pooled:
         fits = [fit_lognormal_pooled(slices, correction_factor=args.correction)]
     else:
         fits = [fit_lognormal(s, correction_factor=args.correction) for s in slices]
     meta = _meta("fit-lognormal", args, {"years": args.years, "pooled": args.pooled})
     _emit_json(args.out, meta, {"fits": [fit.to_json_dict() for fit in fits]})
-    return EXIT_OK
 
 
-def cmd_gen_null(args: argparse.Namespace) -> int:
-    (slice_,) = _slices(args, [args.year])
+def cmd_gen_null(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+    (slice_,) = slices
     rule = ThresholdRule(args.rule, args.t)
     spec = _null_spec(args.model, slice_, rule, args.seed, args.swap_factor, args.correction)
     rows = []
@@ -243,11 +225,9 @@ def cmd_gen_null(args: argparse.Namespace) -> int:
         rows.extend([index, holder, issuer] for holder, issuer in net.edges())
     extra = {"year": args.year, "rule": rule.label, "model": args.model, "count": args.count}
     _emit_table(args.out, _meta("gen-null", args, extra), ["sample", "holder", "issuer"], rows)
-    return EXIT_OK
 
 
-def cmd_knockout(args: argparse.Namespace) -> int:
-    slices = _slices(args, args.years)
+def cmd_knockout(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     rule = ThresholdRule(args.rule, args.t)
     sources = [
         rule.apply(s) if args.model == "empirical"
@@ -266,12 +246,11 @@ def cmd_knockout(args: argparse.Namespace) -> int:
     }
     rows = [[float(g), float(m), float(s)] for g, m, s in zip(summary.grid, summary.mean, summary.std)]
     _emit_table(args.out, _meta("knockout", args, extra), ["grid_point", "mean", "std"], rows, args.format)
-    return EXIT_OK
 
 
-def cmd_ci_table(args: argparse.Namespace) -> int:
+def cmd_ci_table(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     cells = []
-    for yi, slice_ in enumerate(_slices(args, args.years)):
+    for yi, slice_ in enumerate(slices):
         fit = fit_lognormal(slice_, correction_factor=args.correction) if "log-normal" in args.models else None
         for ri, rule_name in enumerate(args.rules):
             rule = ThresholdRule(rule_name, args.t)
@@ -292,11 +271,10 @@ def cmd_ci_table(args: argparse.Namespace) -> int:
     columns = ["measure", "model", "rule", "score", "below", "within", "above", "undefined", "years"]
     rows = [[r[c] for c in columns] for r in ci_table(reports)]
     _emit_table(args.out, _meta("ci-table", args, extra), columns, rows, args.format)
-    return EXIT_OK
 
 
-def cmd_lgd(args: argparse.Namespace) -> int:
-    (slice_,) = _slices(args, [args.year])
+def cmd_lgd(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+    (slice_,) = slices
     spec = LgdSpec(args.d1, args.d2, args.haircut)
     result = cascade(slice_, set(args.initial), spec)
     meta = _meta("lgd", args, {
@@ -310,7 +288,6 @@ def cmd_lgd(args: argparse.Namespace) -> int:
         "num_rounds": result.num_rounds,
     }
     _emit_json(args.out, meta, {"cascade": body})
-    return EXIT_OK
 
 
 def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
@@ -320,10 +297,10 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
     return "|".join(shown)
 
 
-def cmd_lgd_sweep(args: argparse.Namespace) -> int:
+def cmd_lgd_sweep(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     grids = args.d1_grid.split(","), args.d2_grid.split(",")
     summaries = []
-    for slice_ in _slices(args, args.years):
+    for slice_ in slices:
         summaries.extend(sweep_grid(slice_, *grids, args.k_max, args.haircut))
     ordered = severity_sorted(summaries)
     extra = {
@@ -351,15 +328,18 @@ def cmd_lgd_sweep(args: argparse.Namespace) -> int:
         ]
         _emit_table(args.ranking_out, _meta("lgd-sweep/ranking", args, extra),
                     ["k", "combo", "count"], rank_rows)
-    return EXIT_OK
 
 
-def cmd_pigs_grid(args: argparse.Namespace) -> int:
-    (slice_,) = _slices(args, [args.year])
+def _pigs_axes(args: argparse.Namespace) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The checked (d1, d2) axes of pigs-grid: `points` values from 0 to each max."""
+    return (grid_axis(np.linspace(0.0, args.d1_max, args.d1_points), "d1"),
+            grid_axis(np.linspace(0.0, args.d2_max, args.d2_points), "d2"))
+
+
+def cmd_pigs_grid(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+    (slice_,) = slices
     group = tuple(args.group)
-    d1_values = np.linspace(0.0, args.d1_max, args.d1_points)
-    d2_values = np.linspace(0.0, args.d2_max, args.d2_points)
-    cells = fine_grid(slice_, group, d1_values, d2_values, haircut=args.haircut)
+    cells = fine_grid(slice_, group, *_pigs_axes(args), haircut=args.haircut)
     extra = {
         "year": args.year,
         "group": ",".join(group),
@@ -371,7 +351,6 @@ def cmd_pigs_grid(args: argparse.Namespace) -> int:
     }
     rows = [["+".join(c.subset), c.d1, c.d2, c.impact, c.rounds] for c in cells]
     _emit_table(args.out, _meta("pigs-grid", args, extra), ["subset", "d1", "d2", "impact", "rounds"], rows)
-    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
@@ -398,9 +377,9 @@ def _add_null_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION)
 
 
-D1 = _checked(partial(_spec_value, "d1"))
-D2 = _checked(partial(_spec_value, "d2"))
-HAIRCUT = _checked(partial(_spec_value, "haircut"))
+D1 = _checked(lambda text: grid_axis([text], "d1")[0])
+D2 = _checked(lambda text: grid_axis([text], "d2")[0])
+HAIRCUT = _checked(lambda text: grid_axis([text], "haircut")[0])
 POSITIVE = _bounded(int, lambda v: v >= 1, "must be >= 1")
 SEED = _bounded(int, lambda v: v >= 0, "must be >= 0")
 NAMES = _checked(partial(_distinct, None))
@@ -409,7 +388,7 @@ MODELS = _checked(lambda text: list(NULL_MODEL_KINDS) if text == "all" else _dis
 SAMPLES = _bounded(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
 ALPHA = _bounded(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 CORRECTION = _bounded(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
-GDP_THRESHOLD = _checked(_gdp_threshold)
+GDP_THRESHOLD = _checked(lambda text: ThresholdRule("B", float(text)).t)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,13 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2-max", type=D2, default=FINE_D2_MAX)
     p.add_argument("--d2-points", type=POSITIVE, default=FINE_D2_POINTS)
     p.add_argument("--haircut", type=HAIRCUT, default=1.0)
-    p.set_defaults(func=cmd_pigs_grid, check=lambda a: (grid_axis(np.linspace(0.0, a.d1_max, a.d1_points), "d1"),
-                                                        grid_axis(np.linspace(0.0, a.d2_max, a.d2_points), "d2")))
+    p.set_defaults(func=cmd_pigs_grid, check=_pigs_axes)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Check the flags (exit 2), read both files and every named year (exit 1), then run the command."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -514,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(f"{args.command}: {exc}")
     try:
-        return args.func(args)
+        args.func(args, _slices(args))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_DATA_ERROR
@@ -525,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_DATA_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -258,6 +258,8 @@ def ci_compare(
     share one task list, and every cell's samples x 6 matrix is held at
     once: 8 bytes per value, so 43 MB for 90 cells of 10,000 samples.
     """
+    if not cells:
+        raise ValueError("need at least one cell")
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if not 0 < alpha < 1:

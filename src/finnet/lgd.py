@@ -223,7 +223,7 @@ def enumerate_impacts(slice_: AssetSlice, spec: LgdSpec, k_max: int = 3) -> list
 
 def grid_axis(values: Iterable[float], field: str) -> tuple[float, ...]:
     """One threshold-grid axis as floats: nonempty, no value twice, and
-    each value one that LgdSpec accepts as `field` (d1 or d2)."""
+    each value one that LgdSpec accepts as `field` (d1, d2 or haircut)."""
     axis = tuple(map(float, values))
     if not axis:
         raise ValueError(f"the {field} grid must be nonempty")

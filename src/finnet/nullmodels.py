@@ -170,6 +170,8 @@ def _fit(
 ) -> LogNormalFit:
     """Least-squares fit of ln(s_ij + 1) over the ordered pairs of every
     slice, on holder and issuer effects indexed by ``countries``."""
+    if not 0.0 <= correction_factor < math.inf:
+        raise ValueError("correction_factor must be finite and >= 0")
     n = len(countries)
     if n < 3:
         raise ValueError("fit needs at least 3 countries")
@@ -356,6 +358,8 @@ class NullModelSpec:
             raise ValueError(f"unknown null-model kind {self.kind!r}")
         if self.kind == "log-normal" and (self.fit is None or self.rule is None):
             raise ValueError("log-normal model needs a fit and a thresholding rule")
+        if self.swap_factor < 1:
+            raise ValueError("swap_factor must be >= 1")
         n = self.base.n
         if self.kind == "er":
             object.__setattr__(self, "prob", self.base.num_edges / n / (n - 1))

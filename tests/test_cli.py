@@ -603,12 +603,16 @@ def test_env_data_dir_resolution(fixture_data_dir, monkeypatch):
     ["knockout", "--years", "2006,2099", "--strategy", "attack", "--trials", "3"],
     ["ci-table", "--years", "2006,2099", "--samples", "100"],
     ["lgd-sweep", "--years", "2006,2099"],
+    ["export", "--year", "2099"],
+    ["gen-null", "--year", "2099", "--model", "er"],
+    ["lgd", "--year", "2099", "--initial", "AAA", "--d1", "0.1", "--d2", "0.1"],
+    ["pigs-grid", "--year", "2099", "--group", "AAA"],
 ])
 def test_missing_year_exits_1_before_any_work(fixture_data_dir, tmp_path, monkeypatch, capsys, args):
     def no_work(*_, **__):
         raise AssertionError("work started before every year was read")
 
-    for name in ("ThresholdRule", "fit_lognormal", "fit_lognormal_pooled", "sweep_grid"):
+    for name in ("ThresholdRule", "fit_lognormal", "fit_lognormal_pooled", "sweep_grid", "cascade", "fine_grid"):
         monkeypatch.setattr(f"finnet.cli.{name}", no_work)
     out = tmp_path / "out.csv"
     assert main(args + inputs(fixture_data_dir) + ["--out", str(out)]) == 1

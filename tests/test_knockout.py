@@ -246,6 +246,11 @@ def test_ensemble_knockout_needs_a_source():
         ensemble_knockout([], "attack", trials=3, master_seed=1, jobs=2)
 
 
+def test_ci_compare_needs_a_cell():
+    with pytest.raises(ValueError, match="need at least one cell"):
+        ci_compare([], samples=100, jobs=2)
+
+
 def test_ensemble_attack_zero_std_when_series_tie_free():
     summary = ensemble_knockout([complete_net(6)], "attack", trials=25, master_seed=8)
     assert np.allclose(summary.std, 0.0)

@@ -237,6 +237,18 @@ def test_fit_default_correction_factor():
     assert fit.sigma_corrected == pytest.approx(1.183 * fit.sigma_raw)
 
 
+@pytest.mark.parametrize("factor", [-1.0, -1e-12, math.nan, math.inf])
+def test_fits_reject_a_correction_factor_not_finite_and_nonnegative(factor):
+    rng = np.random.default_rng(6)
+    alpha, beta = high_mu_params(8, rng)
+    slice_ = synthetic_slice(alpha, beta, 1.0, rng)
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        fit_lognormal(slice_, correction_factor=factor)
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        fit_lognormal_pooled([slice_], correction_factor=factor)
+    assert fit_lognormal(slice_, correction_factor=0.0).sigma_corrected == 0.0
+
+
 def test_fit_recovers_sigma_fixed_seed():
     rng = np.random.default_rng(20240811)
     alpha, beta = high_mu_params(64, rng)
@@ -469,6 +481,9 @@ def test_null_spec_validation_and_sampling():
     net = random_net(8, 0.4, rng)
     with pytest.raises(ValueError, match="unknown null-model"):
         NullModelSpec("zzz", 1, net)
+    for kind in ("rewiring", "er"):
+        with pytest.raises(ValueError, match="swap_factor must be >= 1"):
+            NullModelSpec(kind, 0, net, swap_factor=0)
     for kind in ("er", "out-degree", "in-degree", "rewiring"):
         spec = NullModelSpec(kind, 7, net)
         a = spec.sample(3)
