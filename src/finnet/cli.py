@@ -298,15 +298,14 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
 
 
 def cmd_lgd_sweep(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
-    grids = args.d1_grid.split(","), args.d2_grid.split(",")
     summaries = []
     for slice_ in slices:
-        summaries.extend(sweep_grid(slice_, *grids, args.k_max, args.haircut))
+        summaries.extend(sweep_grid(slice_, args.d1_grid, args.d2_grid, args.k_max, args.haircut))
     ordered = severity_sorted(summaries)
     extra = {
         "years": ",".join(str(y) for y in args.years),
-        "d1_grid": args.d1_grid,
-        "d2_grid": args.d2_grid,
+        "d1_grid": ",".join(args.d1_grid),
+        "d2_grid": ",".join(args.d2_grid),
         "k_max": args.k_max,
         "haircut": args.haircut,
     }
@@ -461,14 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgd-sweep", help="impact summaries over a threshold grid")
     _add_common(p, years=True)
-    p.add_argument("--d1-grid", default=",".join(str(v) for v in COARSE_THRESHOLDS))
-    p.add_argument("--d2-grid", default=",".join(str(v) for v in COARSE_THRESHOLDS))
+    # Split when parsed: argparse hands over the value of --d1-grid=-- as an empty list.
+    p.add_argument("--d1-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)))
+    p.add_argument("--d2-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)))
     p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--haircut", type=HAIRCUT, default=1.0)
     p.add_argument("--ranking-out", help="optional CSV of influence rankings")
     p.add_argument("--top-n", type=POSITIVE, default=10)
     p.set_defaults(func=cmd_lgd_sweep,
-                   check=lambda a: sweep_specs(a.d1_grid.split(","), a.d2_grid.split(","), a.haircut))
+                   check=lambda a: sweep_specs(a.d1_grid, a.d2_grid, a.haircut))
 
     p = sub.add_parser("pigs-grid", help="fine threshold grid for a country group")
     _add_common(p)

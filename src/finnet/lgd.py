@@ -22,7 +22,9 @@ the two reaches it. A combination S holding a member x that falls in the
 cascade of S - {x} has that cascade as its final set and skips the
 kernel. Monotonicity is exact for integer-valued panels; elsewhere it
 assumes the kernel sums a row in the same order in every batch, so the
-seeded and the unseeded run could part only at the same exact ties.
+seeded and the unseeded run could part only at the same exact ties. A
+batch mixes the rows of several specs, which changes only which rows
+share a matmul, so this caveat applies unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -45,7 +47,9 @@ FINE_MAX_SUBSET = 3
 
 # Cascades per kernel call. Bounded blocks keep the kernel's (B, n)
 # temporaries small however many cascades a caller streams through it.
-BLOCK_ROWS = 256
+# On a 60-country slice, 512 ran a 2- and a 24-spec sweep faster than 256
+# and the 51 x 51 fine grid no slower; 1024 ran the fine grid slower.
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -154,70 +158,81 @@ class ImpactSummary:
     argmax: tuple[tuple[str, ...], ...]
 
 
-def enumerate_impacts(slice_: AssetSlice, spec: LgdSpec, k_max: int = 3) -> list[ImpactSummary]:
-    """Cascade impacts for every initial combination of 1..k_max countries.
+def enumerate_impacts(slice_: AssetSlice, specs: Iterable[LgdSpec], k_max: int = 3) -> list[ImpactSummary]:
+    """Cascade impacts for every initial combination of 1..k_max countries
+    under each of the specs, which must share one haircut.
 
-    Per k, reports the mean impact, the mean of the ceil(0.05 * m) worst
-    impacts, the worst case, and every combination attaining it.
+    Per spec and k, reports the mean impact, the mean of the
+    ceil(0.05 * m) worst impacts, the worst case, and every combination
+    attaining it. The summaries run spec by spec, and by k within a spec.
 
-    Works level by level, BLOCK_ROWS combinations at a time, holding only
-    the previous level's final default masks: a k-combination starts from
-    the union of its (k-1)-subsets' final sets, and skips the kernel when
-    a member already falls in the final set of the others. The module
-    docstring says why this equals running each combination from scratch,
-    exactly on integer-valued panels and elsewhere up to float ties.
+    Works level by level over (combination, spec) rows, combination-major:
+    it seeds 8 x BLOCK_ROWS rows at a time and sends those still moving to
+    the kernel BLOCK_ROWS at a time, so a call mixes specs. It holds only
+    the previous level's final default masks, specs x C(n, k_max - 1) x n
+    bytes (about 2.5 MB for 24 specs at n = 60): a k-combination starts
+    from the union of its (k-1)-subsets' final sets under the same spec,
+    and skips the kernel when a member already falls in the final set of
+    the others. The module docstring says why this equals running each
+    combination from scratch, exactly on integer-valued panels and
+    elsewhere up to float ties.
     """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("need at least one spec")
+    if len({spec.haircut for spec in specs}) > 1:
+        raise ValueError("the specs must share one haircut")
     if k_max not in (1, 2, 3):
         raise ValueError("k_max must be 1, 2 or 3")
-    n = slice_.n
+    n, s, haircut = slice_.n, len(specs), specs[0].haircut
     if k_max > n:
         raise ValueError(f"k_max={k_max} exceeds the {n} countries of the slice")
-    summaries = []
+    d1_specs, d2_specs = np.array([(spec.d1, spec.d2) for spec in specs]).T
+    levels = []
     rank = final = None
     for k in range(1, k_max + 1):
         m = math.comb(n, k)
-        impacts = np.empty(m)
-        subset_rank, subset_finals = rank, final
-        keep = k < k_max
-        # final[rank[combo]] is the final default mask of combo.
-        rank = np.zeros((n,) * k, dtype=np.intp) if keep else None
-        final = np.zeros((m, n), dtype=bool) if keep else None
-        flat = chain.from_iterable(combinations(range(n), k))
-        for start in range(0, m, BLOCK_ROWS):
-            sets = np.fromiter(islice(flat, BLOCK_ROWS * k), np.intp).reshape(-1, k)
-            stop = start + len(sets)
-            rows = np.arange(len(sets))
-            held = np.zeros((len(sets), n), dtype=bool)
-            held[rows[:, None], sets] = True
-            settled = np.zeros(len(sets), dtype=bool)
-            for x in range(k) if k > 1 else ():
-                subset = sets[:, [j for j in range(k) if j != x]]
-                subset_final = subset_finals[subset_rank[tuple(subset.T)]]
-                settled |= subset_final[rows, sets[:, x]]
+        sets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp, m * k).reshape(m, k)
+        # subsets[x][c] is the rank of combination c without its member x.
+        subsets = [rank[tuple(np.delete(sets, x, axis=1).T)] for x in range(k)] if k > 1 else []
+        counts = np.empty(m * s, dtype=np.intp)
+        subset_finals, keep = final, k < k_max
+        # final[rank[combo] * s + j] is the final default mask of combo under specs[j].
+        if keep:
+            rank = np.zeros((n,) * k, dtype=np.intp)
+            rank[tuple(sets.T)] = np.arange(m)
+            final = np.empty((m * s, n), dtype=bool)
+        # A seeded row's bool mask takes an eighth of the bytes of a float64 kernel row.
+        for start in range(0, m * s, 8 * BLOCK_ROWS):
+            stop = min(start + 8 * BLOCK_ROWS, m * s)
+            combo, which = np.divmod(np.arange(start, stop), s)
+            members = sets[combo]
+            rows = np.arange(stop - start)
+            held = np.zeros((stop - start, n), dtype=bool)
+            held[rows[:, None], members] = True
+            settled = np.zeros(stop - start, dtype=bool)
+            for x, subset in enumerate(subsets):
+                subset_final = subset_finals[subset[combo] * s + which]
+                settled |= subset_final[rows, members[:, x]]
                 held |= subset_final
             moving = np.flatnonzero(~settled)
-            d1, d2 = np.full(moving.size, spec.d1), np.full(moving.size, spec.d2)
-            held[moving] = cascade_rounds(slice_, held[moving], d1, d2, spec.haircut) >= 0
-            impacts[start:stop] = np.count_nonzero(held, axis=1) / n
+            for part in np.split(moving, range(BLOCK_ROWS, moving.size, BLOCK_ROWS)):
+                d1, d2 = d1_specs[which[part]], d2_specs[which[part]]
+                held[part] = cascade_rounds(slice_, held[part], d1, d2, haircut) >= 0
+            counts[start:stop] = np.count_nonzero(held, axis=1)
             if keep:
-                rank[tuple(sets.T)] = np.arange(start, stop)
                 final[start:stop] = held
-        worst = float(impacts.max())
-        argmax = tuple(compress(combinations(slice_.countries, k), (impacts == worst).tolist()))
-        top = max(1, math.ceil(0.05 * impacts.size))
-        worst5 = float(np.sort(impacts)[-top:].mean())
-        summaries.append(
-            ImpactSummary(
-                year=slice_.year,
-                spec=spec,
-                k=k,
-                n_combos=impacts.size,
-                mean=float(impacts.mean()),
-                worst5_mean=worst5,
-                worst=worst,
-                argmax=argmax,
-            )
-        )
+        names = list(combinations(slice_.countries, k))
+        levels.append((k, names, np.ascontiguousarray(counts.reshape(m, s).T) / n))
+    summaries = []
+    for j, spec in enumerate(specs):
+        for k, names, level_impacts in levels:
+            impacts = level_impacts[j]
+            worst, top = float(impacts.max()), max(1, math.ceil(0.05 * impacts.size))
+            argmax = tuple(names[i] for i in np.flatnonzero(impacts == worst).tolist())
+            worst5 = float(np.sort(impacts)[-top:].mean())
+            mean = float(impacts.mean())
+            summaries.append(ImpactSummary(slice_.year, spec, k, impacts.size, mean, worst5, worst, argmax))
     return summaries
 
 
@@ -254,7 +269,7 @@ def sweep_grid(
     """Impact summaries over the (d1, d2) grid, excluding the trivial
     all-defaulting point d1 = d2 = 0. The grid is checked before the
     first enumeration."""
-    return [s for spec in sweep_specs(d1_values, d2_values, haircut) for s in enumerate_impacts(slice_, spec, k_max)]
+    return enumerate_impacts(slice_, sweep_specs(d1_values, d2_values, haircut), k_max)
 
 
 def severity_sorted(summaries: list[ImpactSummary]) -> list[ImpactSummary]:

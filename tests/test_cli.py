@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finnet.cli import _null_spec, build_parser, main
@@ -400,6 +400,8 @@ GRID_TEXTS = st.one_of(
 
 
 @given(d1_grid=GRID_TEXTS, d2_grid=GRID_TEXTS)
+@example(d1_grid="", d2_grid="--")  # argparse hands over --d2-grid=-- as an empty list
+@example(d1_grid="--", d2_grid="0.1")
 @settings(max_examples=200, deadline=None)
 def test_grid_flags_exit_2_exactly_when_sweep_grid_raises(d1_grid, d2_grid):
     try:
@@ -719,6 +721,23 @@ def test_benchmark_setup_probe_reads_a_benchmark_panel(tmp_path, monkeypatch):
     assert info["n"] == {str(year): core_size(year) for year in YEARS}
     data_rows = assets.read_text().count("\n") - 1
     assert len(read_asset_file(str(assets))) == data_rows
+
+
+@pytest.mark.parametrize("name", ["lgd-sweep", "pigs-grid"])
+def test_benchmark_cascade_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
+    # The benchmark's cascade commands on its seed-1 panel give the bytes perfbench/baseline.json records.
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import hashlib
+
+    import workloads
+    from panel import write
+
+    recorded = json.loads((root / "perfbench" / "baseline.json").read_text())["digests"][name]["1"]
+    assets, gdp = write(1, tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(workloads.argv(name, workloads.FULL, str(assets), str(gdp), str(out))) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded
 
 
 def test_non_utf8_input_exits_1_naming_line_and_byte(fixture_data_dir, tmp_path, capsys):

@@ -196,10 +196,10 @@ def test_kernel_rows_match_oracle_and_single_runs(seed, haircut, batch):
 
 
 def test_enumerate_impacts_matches_single_cascades_across_blocks():
-    slice_ = random_slice(13, np.random.default_rng(11))
-    assert 13 * 12 * 11 // 6 > BLOCK_ROWS  # k = 3 spans two blocks
+    slice_ = random_slice(31, np.random.default_rng(11))
+    assert 31 * 30 * 29 // 6 > 8 * BLOCK_ROWS  # k = 3 spans two seeding blocks
     spec = LgdSpec(0.05, 0.02, 0.5)
-    for summary in enumerate_impacts(slice_, spec, 3):
+    for summary in enumerate_impacts(slice_, [spec], 3):
         combos = list(itertools.combinations(slice_.countries, summary.k))
         impacts = np.array([cascade(slice_, set(c), spec).impact for c in combos])
         worst = impacts.max()
@@ -240,12 +240,71 @@ def test_enumerate_impacts_matches_unseeded_oracle(slice_, d1, d2, haircut, k_ma
     spec = LgdSpec(d1, d2, haircut)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lgd, "BLOCK_ROWS", 4)
-        seeded = enumerate_impacts(slice_, spec, k_max)
+        seeded = enumerate_impacts(slice_, [spec], k_max)
         unseeded = oracle_enumerate_impacts(slice_, spec, k_max)
     assert [s.k for s in seeded] == list(range(1, k_max + 1))
     for got, want in zip(seeded, unseeded, strict=True):
         for field in dataclasses.fields(got):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+@st.composite
+def shared_haircut_specs(draw):
+    """1-5 specs with one haircut, often holding a repeated spec and a
+    spec componentwise above another."""
+    haircut = draw(st.floats(0.0, 1.0, exclude_min=True))
+    d1 = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.25]), st.floats(0.0, 1.0))
+    d2 = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.25]), st.floats(0.0, 2.0))
+    points = draw(st.lists(st.tuples(d1, d2), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    if draw(st.booleans()):
+        low1, low2 = draw(st.sampled_from(points))
+        points.append((draw(st.floats(low1, 1.0)), draw(st.floats(low2, 2.0))))
+    return [LgdSpec(a, b, haircut) for a, b in draw(st.permutations(points))]
+
+
+@given(
+    slice_=whole_or_tenth_slices(),
+    specs=shared_haircut_specs(),
+    block=st.integers(1, 7),
+    k_max=st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_enumerate_impacts_of_many_specs_matches_oracle_per_spec(slice_, specs, block, k_max):
+    # Kernel calls of 1-7 rows, seeded 8-56 rows at a time, split levels and a
+    # combination's specs across calls.
+    calls = []
+
+    def counting(slice_, initial, d1, d2, haircut):
+        calls.append(len(initial))
+        return cascade_rounds(slice_, initial, d1, d2, haircut)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lgd, "BLOCK_ROWS", block)
+        patch.setattr(lgd, "cascade_rounds", counting)
+        batched = enumerate_impacts(slice_, specs, k_max)
+    assert max(calls) <= block
+    expected = [s for spec in specs for s in oracle_enumerate_impacts(slice_, spec, k_max)]
+    assert [(s.spec, s.k) for s in batched] == [(spec, k) for spec in specs for k in range(1, k_max + 1)]
+    for got, want in zip(batched, expected, strict=True):
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_enumerate_impacts_needs_a_spec():
+    with pytest.raises(ValueError, match="at least one spec"):
+        enumerate_impacts(hand_slice(), [], 1)
+    with pytest.raises(ValueError, match="at least one spec"):
+        enumerate_impacts(hand_slice(), iter(()), 1)
+
+
+def test_enumerate_impacts_needs_one_haircut():
+    # The kernel scales every row of a call by one haircut.
+    specs = [LgdSpec(0.1, 0.1, 0.5), LgdSpec(0.2, 0.1, 0.5), LgdSpec(0.1, 0.1, 1.0)]
+    with pytest.raises(ValueError, match="one haircut"):
+        enumerate_impacts(hand_slice(), specs, 1)
+    assert len(enumerate_impacts(hand_slice(), specs[:2], 1)) == 2
 
 
 def test_enumerate_impacts_skips_rows_inside_a_subset_cascade(monkeypatch):
@@ -262,7 +321,7 @@ def test_enumerate_impacts_skips_rows_inside_a_subset_cascade(monkeypatch):
 
     expected = oracle_enumerate_impacts(slice_, spec, 3)
     monkeypatch.setattr(lgd, "cascade_rounds", counting)
-    assert enumerate_impacts(slice_, spec, 3) == expected
+    assert enumerate_impacts(slice_, [spec], 3) == expected
     # {A, B} and {B, C} lie in a member's cascade; only {A, C} starts from
     # its subsets' union. {A, B, C} skips too, so the last batch is empty.
     assert [len(b) for b in batches] == [3, 1, 0]
@@ -279,13 +338,13 @@ def test_cascade_rounds_takes_an_empty_batch():
 def test_enumerate_impacts_rejects_k_above_n():
     slice_ = random_slice(2, np.random.default_rng(12))
     with pytest.raises(ValueError, match="exceeds"):
-        enumerate_impacts(slice_, LgdSpec(0.1, 0.1), 3)
+        enumerate_impacts(slice_, [LgdSpec(0.1, 0.1)], 3)
 
 
 def test_enumerate_impacts_no_propagation():
     assets = np.zeros((3, 3))
     slice_ = AssetSlice(2007, ("A", "B", "C"), assets, np.ones(3), 1.0)
-    (summary,) = enumerate_impacts(slice_, LgdSpec(0.5, 0.5), k_max=1)
+    (summary,) = enumerate_impacts(slice_, [LgdSpec(0.5, 0.5)], k_max=1)
     assert summary.n_combos == 3
     assert summary.mean == summary.worst5_mean == summary.worst == pytest.approx(1.0 / 3.0)
     assert len(summary.argmax) == 3  # all combinations tie
@@ -299,7 +358,7 @@ def test_enumerate_impacts_identifies_trigger_pair():
     assets[3, 2] = 0.0
     slice_ = AssetSlice(2007, ("A", "B", "C", "D"), assets, np.array([10.0, 10.0, 10.0, 100.0]), 1.0)
     spec = LgdSpec(0.5, 0.1)  # needs loss > 6 (portfolio 12) and > 10 (gdp)
-    summaries = enumerate_impacts(slice_, spec, k_max=2)
+    summaries = enumerate_impacts(slice_, [spec], k_max=2)
     by_k = {s.k: s for s in summaries}
     assert by_k[1].worst == pytest.approx(0.25)
     assert by_k[2].worst == pytest.approx(0.75)  # {A, B} drags D down
@@ -309,14 +368,14 @@ def test_enumerate_impacts_identifies_trigger_pair():
 def test_enumerate_impacts_deterministic():
     slice_ = random_slice(6, np.random.default_rng(4))
     spec = LgdSpec(0.1, 0.1)
-    assert enumerate_impacts(slice_, spec, 3) == enumerate_impacts(slice_, spec, 3)
+    assert enumerate_impacts(slice_, [spec], 3) == enumerate_impacts(slice_, [spec], 3)
 
 
 def test_enumerate_impacts_ordering_invariant():
     rng = np.random.default_rng(5)
     for _ in range(10):
         slice_ = random_slice(6, rng)
-        for summary in enumerate_impacts(slice_, LgdSpec(0.2, 0.1), 3):
+        for summary in enumerate_impacts(slice_, [LgdSpec(0.2, 0.1)], 3):
             assert summary.mean <= summary.worst5_mean + 1e-12
             assert summary.worst5_mean <= summary.worst + 1e-12
 
@@ -431,12 +490,12 @@ def test_sweep_grid_rejects_origin_only_grid():
 
 def test_sweep_grid_checks_every_point_before_enumerating(monkeypatch):
     calls = []
-    monkeypatch.setattr(lgd, "enumerate_impacts", lambda slice_, spec, k_max: calls.append(spec) or [])
+    monkeypatch.setattr(lgd, "enumerate_impacts", lambda slice_, specs, k_max: calls.append(list(specs)) or [])
     with pytest.raises(ValueError, match="d1"):
         sweep_grid(hand_slice(), (0.1, 2.0), (0.1,))
     assert calls == []
     sweep_grid(hand_slice(), (0.0, 0.1), (0.0, 0.2), haircut=0.5)
-    assert calls == [LgdSpec(0.0, 0.2, 0.5), LgdSpec(0.1, 0.0, 0.5), LgdSpec(0.1, 0.2, 0.5)]
+    assert calls == [[LgdSpec(0.0, 0.2, 0.5), LgdSpec(0.1, 0.0, 0.5), LgdSpec(0.1, 0.2, 0.5)]]
 
 
 def test_grids_accept_arrays_and_one_shot_iterables():
