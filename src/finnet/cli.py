@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgd-sweep", help="impact summaries over a threshold grid")
     _add_common(p, years=True)
-    # Split when parsed: argparse hands over the value of --d1-grid=-- as an empty list.
+    # Split when parsed, so that the check hook reads both grids as lists.
     p.add_argument("--d1-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)))
     p.add_argument("--d2-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)))
     p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3))
@@ -488,6 +488,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse hands over the value of --flag=-- as an empty list and never calls the flag's type.
+        for name, value in vars(args).items():
+            if value == []:
+                raise ValueError(f"argument --{name.replace('_', '-')}: expected one value")
         if "check" in args:
             args.check(args)
     except ValueError as exc:

@@ -5,12 +5,22 @@ step; an ``attack`` removes a node with maximal in+out degree, recomputed
 on the surviving graph, with ties broken uniformly at random. The capped
 mean shortest path length is recorded after every removal down to a
 single node (whose value is the cap, 4.0, by convention). The attack
-trials of one network share each surviving set's ASPL and candidates, so
-repeated sets are computed once; a trace does not depend on which
-trials shared them. Error trials seldom revisit a set and share nothing.
-Once the survivors have no edge, neither has any smaller set: every
-value left is the cap and every survivor ties at degree 0, so the trace
-ends in closed form and such a set never reaches the ASPL kernel.
+trials of one network share each surviving set's ASPL and candidates,
+held as a float and a tuple rather than arrays, so repeated sets are
+computed once; a trace does not depend on which trials shared them. Error trials seldom revisit
+a set and share nothing, so an ensemble cuts them into ranges like a
+null spec's draws. Once the survivors have no edge, neither has any
+smaller set: every value left is the cap and every survivor ties at
+degree 0, so the trace ends in closed form and such a set never reaches
+the ASPL kernel.
+
+Victims that do not depend on the graph, an error trace's whole order
+and an attack trace's edgeless tail, are drawn in one call: with t
+survivors, ``rng.integers(np.arange(t, 1, -1))`` gives the values of
+``integers(t), ..., integers(2)`` and leaves the generator in the same
+state. That rests on numpy drawing an array of bounds from the same
+bounded-integer stream as scalar calls, which the oracle tests, drawing
+one victim per call, pin.
 """
 
 from __future__ import annotations
@@ -62,15 +72,15 @@ def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | 
     The trace is fully determined by (network, strategy, seed); the seed
     drives both error selection and attack tie-breaking. ``cache`` maps a
     surviving set (a bitmask over the network's nodes) to its ASPL and,
-    for attack, the positions of its max-degree nodes among the
-    survivors, or to None when the set has no edge. Trials of one network
-    and one strategy may share it; the trace does not depend on what it
-    already holds.
+    for attack, the tuple of its max-degree nodes' positions among the
+    survivors (empty for error), or to None when the set has no edge.
+    Trials of one network and one strategy may share it; the trace does
+    not depend on what it already holds.
 
     An edgeless survivor set ends the walk: it and every smaller set score
     ``SPL_CAP`` without reaching the kernel, and each remaining victim is
     one uniform draw over the survivors, the draw both strategies make
-    when every survivor ties.
+    when every survivor ties. Error draws its whole order up front.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -78,34 +88,38 @@ def run_knockout(net: BinaryNetwork, strategy: str, seed: int, *, cache: dict | 
         raise ValueError("knockout needs at least 2 nodes")
     cache = {} if cache is None else cache
     rng = np.random.default_rng(seed)
+    attack = strategy == "attack"
+    draws = None if attack else iter(rng.integers(np.arange(net.n, 1, -1)).tolist())
     nodes = list(range(net.n))
     mask = (1 << net.n) - 1
     series, order = [], []
     while True:
         if mask not in cache:
-            index = np.array(nodes)
-            adj = net.adj[index][:, index]
-            if adj.any():
-                sums = adj.sum(axis=0) + adj.sum(axis=1) if strategy == "attack" else None
-                cache[mask] = modified_aspl_adj(adj), None if sums is None else np.flatnonzero(sums == sums.max())
+            index = np.fromiter(nodes, np.intp, len(nodes))
+            adj = net.adj.take(index, 0).take(index, 1)
+            if attack:
+                sums = adj.sum(axis=0) + adj.sum(axis=1)
+                top = sums.max()
+                cache[mask] = (modified_aspl_adj(adj), tuple(np.flatnonzero(sums == top).tolist())) if top else None
             else:
-                cache[mask] = None
+                cache[mask] = (modified_aspl_adj(adj), ()) if adj.any() else None
         entry = cache[mask]
         if entry is None:
             break
         aspl, best = entry
         series.append(aspl)
-        if strategy == "error":
-            victim = int(rng.integers(len(nodes)))
+        if attack:
+            victim = best[0] if len(best) == 1 else best[int(rng.integers(len(best)))]
         else:
-            victim = int(best[0] if best.size == 1 else best[rng.integers(best.size)])
+            victim = next(draws)
         node = nodes.pop(victim)
-        order.append(net.countries[node])
+        order.append(node)
         mask ^= 1 << node
     series += [SPL_CAP] * len(nodes)
-    while len(nodes) > 1:
-        order.append(net.countries[nodes.pop(int(rng.integers(len(nodes))))])
-    return KnockoutTrace(strategy, tuple(order), np.array(series), seed)
+    if attack:
+        draws = rng.integers(np.arange(len(nodes), 1, -1)).tolist()
+    order += [nodes.pop(victim) for victim in draws]
+    return KnockoutTrace(strategy, tuple([net.countries[node] for node in order]), np.array(series), seed)
 
 
 def _interp_curve(series: np.ndarray) -> np.ndarray:
@@ -130,33 +144,42 @@ def run_tasks(fn, tasks: list, jobs: int = 1) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args) -> list[np.ndarray]:
+def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args,
+                  shared: list[bool] | None = None) -> list[np.ndarray]:
     """Each source's stacked kernel rows for items 0..count-1, in item order.
 
     ``kernel((source, i, items, *args))`` returns one row per item of the
-    range ``items`` of source ``i``. A network is one task, so its items
-    can share a cache; a spec, whose draws share nothing, goes out in
-    equal ranges of at most ``SPEC_BLOCK`` items, so that sources of
-    uneven cost spread over the workers. Either is cut further where a
-    worker would idle. One ``run_tasks`` call runs every task, and every
-    source's rows are held at once until it returns.
+    range ``items`` of source ``i``. A source whose items share a cache
+    (``shared[i]``; none do by default) is one task. Any other source's
+    items share nothing, so it goes out in equal ranges of at most
+    ``SPEC_BLOCK`` items, and sources of uneven cost spread over the
+    workers. Either is cut further where a worker would idle. One
+    ``run_tasks`` call runs every task, and every source's rows are held
+    at once until it returns.
     """
+    shared = shared or [False] * len(sources)
     idle = -(-max(1, jobs) // max(1, len(sources)))
-    splits = [min(count, max(idle, -(-count // SPEC_BLOCK) if isinstance(s, NullModelSpec) else 1)) for s in sources]
+    splits = [min(count, max(idle, 1 if whole else -(-count // SPEC_BLOCK))) for whole in shared]
     tasks = [(source, i, range(count * k // n, count * (k + 1) // n), *args)
              for i, (source, n) in enumerate(zip(sources, splits)) for k in range(n)]
     blocks = iter(run_tasks(kernel, tasks, jobs))
     return [np.vstack([next(blocks) for _ in range(n)]) for n in splits]
 
 
+def _shares_cache(source: BinaryNetwork | NullModelSpec, strategy: str) -> bool:
+    """Whether the trials of one source share a cache: a network's attack
+    trials do; error trials, which seldom revisit a surviving set, and a
+    spec's trials, each on its own draw, share nothing."""
+    return strategy == "attack" and not isinstance(source, NullModelSpec)
+
+
 def _trace_curves(task: tuple[BinaryNetwork | NullModelSpec, int, range, str, int]) -> np.ndarray:
     """Stacked curves of trials ``js`` of source ``i``, trial j traced with
-    seed ``child_seed(master_seed, i, j)``. A network's attack trials share
-    one cache; error trials, which seldom revisit a surviving set, and a
-    spec's trials share nothing."""
+    seed ``child_seed(master_seed, i, j)``, with one cache for the range
+    when the source's trials share one."""
     source, i, js, strategy, master_seed = task
     spec = isinstance(source, NullModelSpec)
-    cache = None if spec or strategy == "error" else {}
+    cache = {} if _shares_cache(source, strategy) else None
     traces = (run_knockout(source.sample(j) if spec else source, strategy, child_seed(master_seed, i, j), cache=cache)
               for j in js)
     return np.vstack([_interp_curve(trace.aspl_series) for trace in traces])
@@ -180,7 +203,8 @@ def ensemble_knockout(
         raise ValueError("need at least one source")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    stack = np.vstack(_run_ensemble(_trace_curves, sources, trials, jobs, strategy, master_seed))
+    shared = [_shares_cache(source, strategy) for source in sources]
+    stack = np.vstack(_run_ensemble(_trace_curves, sources, trials, jobs, strategy, master_seed, shared=shared))
     return CurveSummary(strategy, CURVE_GRID.copy(), stack.mean(axis=0), stack.std(axis=0), stack.shape[0])
 
 

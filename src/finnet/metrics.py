@@ -10,8 +10,14 @@ cast of the adjacency and one walk-count product ``w2 = a @ a``, which
 the distance counts, the reciprocal-edge counts and transitivity share.
 Products and sums of 0/1 matrices hold exact integers in float64, so
 sharing or reordering them changes no bit of any statistic. Distances
-are counted with ``np.count_nonzero`` on reachability masks, and
-assortativity reads the endpoint degrees without listing the edges.
+are counted with ``np.count_nonzero`` on reachability masks, built in
+place, and assortativity reads the endpoint degrees without listing the
+edges. The capped measures on their own (``modified_aspl_adj``, which
+knockout traces call once per surviving set, and ``fraction_spl_le``)
+cast to float32 instead: a reach mask only asks whether a walk count is
+positive, and a sum of nonnegative integer products is positive exactly
+when one of its terms is, while float32 rounding never turns a sum >= 1
+into 0. So every mask, count and result is the same as in float64.
 """
 
 from __future__ import annotations
@@ -77,8 +83,10 @@ def _capped_measures(adj: np.ndarray, a: np.ndarray, w2: np.ndarray) -> tuple[fl
     A node on a 2- or 3-cycle reaches itself; that diagonal cell is taken off.
     """
     n = adj.shape[0]
-    le2 = adj | (w2 > 0)
-    le3 = le2 | (w2 @ a > 0)
+    le2 = w2 > 0
+    le2 |= adj
+    le3 = w2 @ a > 0
+    le3 |= le2
     c1 = np.count_nonzero(adj)
     c2 = np.count_nonzero(le2) - np.count_nonzero(np.diagonal(le2)) - c1
     c3 = np.count_nonzero(le3) - np.count_nonzero(np.diagonal(le3)) - c1 - c2
@@ -96,7 +104,7 @@ def modified_aspl_adj(adj: np.ndarray) -> float:
     """
     if adj.shape[0] <= 1:
         return SPL_CAP
-    a = adj.astype(float)
+    a = adj.astype(np.float32)
     return _capped_measures(adj, a, a @ a)[2]
 
 
@@ -109,7 +117,7 @@ def fraction_spl_le(net: BinaryNetwork, k: int) -> float:
     """Fraction of ordered pairs i != j at finite distance <= k, k in {2, 3}."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k!r}")
-    a = net.adj.astype(float)
+    a = net.adj.astype(np.float32)
     return _capped_measures(net.adj, a, a @ a)[k - 2]
 
 

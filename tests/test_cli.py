@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -759,3 +760,33 @@ def test_byte_order_marks_leave_the_output_unchanged(fixture_data_dir, tmp_path)
     assert run(args, fixture_data_dir, "plain.csv")[0] == 0
     assert run(args, tmp_path, "marked.csv")[0] == 0
     assert (tmp_path / "marked.csv").read_bytes() == (fixture_data_dir / "plain.csv").read_bytes()
+
+
+REQUIRED_VALUES = {"--year": "2007", "--years": "2007", "--strategy": "error", "--model": "er",
+                   "--initial": "AAA", "--d1": "0.1", "--d2": "0.1", "--group": "AAA"}
+
+
+def value_flags():
+    """(command, flag, required flags) for every option of every subcommand
+    that takes one value."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.nargs is None:
+                required = [a.option_strings[0] for a in parser._actions if a.required]
+                yield command, action.option_strings[0], required
+
+
+@pytest.mark.parametrize("command, flag, required", list(value_flags()),
+                         ids=[f"{c} {f}" for c, f, _ in value_flags()])
+def test_flag_given_double_dash_exits_2_naming_it(command, flag, required, capsys):
+    """argparse hands over the value of --flag=-- as an empty list without
+    calling the flag's type; every such flag is a usage error naming it,
+    also when it repeats a required flag, whose last value counts."""
+    argv = [command] + [f"{other}={REQUIRED_VALUES[other]}" for other in required]
+    assert not exits_2_before_reading(argv)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{flag}=--"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected one value" in capsys.readouterr().err

@@ -413,16 +413,52 @@ def test_run_ensemble_matches_serial_per_item_loop(n_sources, count, monkeypatch
             assert got.tobytes() == want.tobytes()
 
 
-def test_run_ensemble_cuts_only_spec_sources_into_blocks(monkeypatch):
-    """A network stays one task, so its trials can share a cache; a spec's
-    draws go out in equal ranges of at most SPEC_BLOCK items."""
+def test_run_ensemble_cuts_only_unshared_sources_into_blocks(monkeypatch):
+    """A source whose items share a cache stays one task; any other
+    source's items go out in equal ranges of at most SPEC_BLOCK items."""
     calls = []
     monkeypatch.setattr(knockout, "run_tasks", lambda fn, tasks, jobs: calls.append(tasks) or list(map(fn, tasks)))
     monkeypatch.setattr(knockout, "SPEC_BLOCK", 4)
     net = complete_net(3)
-    _run_ensemble(_item_rows, [net, NullModelSpec("er", 1, net)], 9, 1, 0.5)
+    _run_ensemble(_item_rows, [net, NullModelSpec("er", 1, net), net], 9, 1, 0.5, shared=[True, False, False])
     (tasks,) = calls
-    assert [(i, items) for _, i, items, _ in tasks] == [(0, range(9)), (1, range(3)), (1, range(3, 6)), (1, range(6, 9))]
+    assert [(i, items) for _, i, items, _ in tasks] == [
+        (0, range(9)), (1, range(3)), (1, range(3, 6)), (1, range(6, 9)), (2, range(3)), (2, range(3, 6)), (2, range(6, 9))]
+
+
+@pytest.mark.parametrize("strategy, ranges", [("error", [range(500), range(500, 1000)]), ("attack", [range(1000)])])
+def test_ensemble_knockout_splits_error_networks_like_specs(strategy, ranges, monkeypatch):
+    """A network's attack trials share a cache, so the network is one task;
+    its error trials share nothing and go out in SPEC_BLOCK ranges."""
+    calls = []
+
+    def record(fn, tasks, jobs):
+        calls.append(tasks)
+        return [np.zeros((len(items), CURVE_GRID.size)) for _, _, items, *_ in tasks]
+
+    monkeypatch.setattr(knockout, "run_tasks", record)
+    ensemble_knockout([complete_net(4)], strategy, 1000, master_seed=3)
+    (tasks,) = calls
+    assert [items for _, _, items, *_ in tasks] == ranges
+
+
+def paper_size_nets():
+    """Digraphs of the paper's size, 50-70 nodes, at the benchmark panel's
+    rule-A and rule-B densities (about 0.18 and 0.07), and the stored
+    hub-heavy fixture."""
+    rng = np.random.default_rng(2011)
+    return [random_net(int(rng.integers(50, 71)), p, rng) for p in (0.18, 0.07)] + [load_scalefree64()]
+
+
+@pytest.mark.parametrize("net", paper_size_nets(), ids=["dense", "sparse", "scalefree64"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_paper_size_traces_match_shrinking_matrix_oracle(net, strategy):
+    """At the paper's size the one-call draws run with bounds up to n, and
+    attack trials share one cache; every trace matches the oracle's draws
+    and series byte for byte."""
+    cache = {}
+    for seed in range(30):
+        assert_trace_matches_oracle(net, strategy, seed, cache if strategy == "attack" else None)
 
 
 def _report(year, positions):

@@ -123,6 +123,18 @@ def test_capped_measures_small_graphs_against_enumeration():
         assert fraction_spl_le(net, 3) == oracle_fraction_le(net.adj, 3)
 
 
+@pytest.mark.parametrize("n", [30, 60, 100, 150])
+@pytest.mark.parametrize("p", [0.18, 0.07, 1.0], ids=["dense", "sparse", "complete"])
+def test_capped_measures_paper_size_graphs_against_search(n, p):
+    """At and beyond the paper's size, where the ASPL kernel's float32 walk
+    counts reach n**2, every capped measure equals the breadth-first oracle's."""
+    rng = np.random.default_rng(n)
+    for net in [random_net(n, p, rng) for _ in range(3 if p < 1 else 1)]:
+        assert modified_aspl(net) == oracle_modified_aspl(net.adj)
+        assert fraction_spl_le(net, 2) == oracle_fraction_le(net.adj, 2)
+        assert fraction_spl_le(net, 3) == oracle_fraction_le(net.adj, 3)
+
+
 @st.composite
 def cycle_digraphs(draw):
     """Disjoint directed 2- and 3-cycles over the nodes in a drawn order, and
