@@ -367,13 +367,13 @@ def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
 def _add_rule(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rule", choices=RULE_NAMES, default="A",
                         help="thresholding rule (default %(default)s)")
-    parser.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD,
-                        help="rule-B GDP fraction threshold (default %(default)s)")
+    parser.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD, help=T_HELP)
 
 
 def _add_null_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--swap-factor", type=POSITIVE, default=DEFAULT_SWAP_FACTOR)
-    parser.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION)
+    parser.add_argument("--swap-factor", type=POSITIVE, default=DEFAULT_SWAP_FACTOR,
+                        help="rewiring swaps attempted per edge (default %(default)s)")
+    parser.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION, help=CORRECTION_HELP)
 
 
 D1 = _checked(lambda text: grid_axis([text], "d1")[0])
@@ -388,6 +388,9 @@ SAMPLES = _bounded(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
 ALPHA = _bounded(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 CORRECTION = _bounded(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
 GDP_THRESHOLD = _checked(lambda text: ThresholdRule("B", float(text)).t)
+# One help text for each flag that several commands add themselves, so their --help cannot drift.
+T_HELP = "rule-B GDP fraction threshold (default %(default)s)"
+CORRECTION_HELP = "sigma correction factor (default %(default)s)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-lognormal", help="fit the censored log-normal asset model")
     _add_common(p, years=True)
     p.add_argument("--pooled", action="store_true", help="one fit over all years")
-    p.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION,
-                   help="sigma correction factor (default %(default)s)")
+    p.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION, help=CORRECTION_HELP)
     p.set_defaults(func=cmd_fit_lognormal)
 
     p = sub.add_parser("gen-null", help="sample networks from a null-model family")
@@ -441,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ci-table", help="confidence-interval comparison table")
     _add_common(p, years=True)
     p.add_argument("--rules", type=RULES, default="A,B", help="comma list of rules (default %(default)s)")
-    p.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD)
+    p.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD, help=T_HELP)
     p.add_argument("--models", type=MODELS, default="all", help="comma list of null models or 'all'")
     p.add_argument("--samples", type=SAMPLES, default=DEFAULT_SAMPLES)
     p.add_argument("--alpha", type=ALPHA, default=DEFAULT_ALPHA)

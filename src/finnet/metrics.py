@@ -74,15 +74,24 @@ class MeasureVector:
         return np.array([getattr(self, name) for name in MEASURE_NAMES])
 
 
-def _capped_measures(adj: np.ndarray, a: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
+def _capped_measures(adj: np.ndarray, a: np.ndarray | None = None,
+                     w2: np.ndarray | None = None) -> tuple[float, float, float]:
     """Fractions of ordered pairs within distance 2 and 3, and the capped ASPL.
 
-    ``a`` is ``adj`` (False diagonal) as float and ``w2`` is ``a @ a``. A
-    pair is within distance k exactly when a walk of length <= k exists,
-    so the walk counts of lengths 1 to 3 give the pairs at each distance.
-    A node on a 2- or 3-cycle reaches itself; that diagonal cell is taken off.
+    ``a`` is ``adj`` (False diagonal) as float, float32 when not given,
+    and ``w2`` is ``a @ a``. A pair is within distance k exactly when a
+    walk of length <= k exists, so the walk counts of lengths 1 to 3 give
+    the pairs at each distance. A node on a 2- or 3-cycle reaches itself;
+    that diagonal cell is taken off. A graph of fewer than two nodes has
+    no ordered pair: nothing is within reach, so both fractions are 0.0
+    and the ASPL is the cap, the convention knockout simulations rely on.
     """
     n = adj.shape[0]
+    if n <= 1:
+        return 0.0, 0.0, SPL_CAP
+    if a is None:
+        a = adj.astype(np.float32)
+        w2 = a @ a
     le2 = w2 > 0
     le2 |= adj
     le3 = w2 @ a > 0
@@ -97,15 +106,8 @@ def _capped_measures(adj: np.ndarray, a: np.ndarray, w2: np.ndarray) -> tuple[fl
 
 def modified_aspl_adj(adj: np.ndarray) -> float:
     """Capped mean shortest path length on a boolean adjacency matrix
-    with a False diagonal, as every ``BinaryNetwork`` has.
-
-    Graphs with fewer than two nodes have no ordered pairs and return the
-    cap value, the convention knockout simulations rely on.
-    """
-    if adj.shape[0] <= 1:
-        return SPL_CAP
-    a = adj.astype(np.float32)
-    return _capped_measures(adj, a, a @ a)[2]
+    with a False diagonal, as every ``BinaryNetwork`` has."""
+    return _capped_measures(adj)[2]
 
 
 def modified_aspl(net: BinaryNetwork) -> float:
@@ -117,8 +119,7 @@ def fraction_spl_le(net: BinaryNetwork, k: int) -> float:
     """Fraction of ordered pairs i != j at finite distance <= k, k in {2, 3}."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k!r}")
-    a = net.adj.astype(np.float32)
-    return _capped_measures(net.adj, a, a @ a)[k - 2]
+    return _capped_measures(net.adj)[k - 2]
 
 
 def measure_vector(net: BinaryNetwork) -> MeasureVector:

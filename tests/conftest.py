@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel, lgd
-from finnet.ingest import ASSET_HEADER, GDP_HEADER
-from finnet.netbuild import DEFAULT_GDP_THRESHOLD
+from finnet import lgd
+from finnet.ingest import ASSET_HEADER, GDP_HEADER, AssetPanel, AssetSlice, DataError, GdpPanel
+from finnet.netbuild import DEFAULT_GDP_THRESHOLD, BinaryNetwork
 
 DATA_DIR = Path(__file__).parent / "data"
 

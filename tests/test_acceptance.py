@@ -14,27 +14,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from finnet import (
-    LgdSpec,
-    cascade,
-    ci_compare,
-    core_slice,
-    fine_grid,
-    fit_lognormal,
-    fraction_spl_le,
-    jarque_bera,
-    measure_vector,
-    modified_aspl,
-    sweep_grid,
-)
 from finnet.cli import main
-from finnet.ingest import AssetSlice, read_asset_file, read_gdp_file
-from finnet.knockout import ensemble_knockout
-from finnet.lgd import COARSE_THRESHOLDS
+from finnet.ingest import AssetSlice, core_slice, read_asset_file, read_gdp_file
+from finnet.knockout import ci_compare, ensemble_knockout
+from finnet.lgd import COARSE_THRESHOLDS, LgdSpec, cascade, fine_grid, sweep_grid
+from finnet.metrics import fraction_spl_le, measure_vector, modified_aspl
 from finnet.netbuild import ThresholdRule
 from finnet.nullmodels import (
     NullModelSpec,
     estimate_sigma_correction,
+    fit_lognormal,
+    jarque_bera,
     sample_rewired,
 )
 

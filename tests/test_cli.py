@@ -630,7 +630,7 @@ def test_no_paths_and_no_env_is_data_error(monkeypatch, capsys, fixture_data_dir
     assert "FINNET_DATA_DIR" in capsys.readouterr().err
 
 
-def test_stdin_asset_input(fixture_data_dir, monkeypatch):
+def test_stdin_asset_input(fixture_data_dir, monkeypatch, capsys):
     data = (fixture_data_dir / "assets.csv").read_bytes()
     monkeypatch.setattr("sys.stdin", types.SimpleNamespace(buffer=io.BytesIO(data)))
     out = fixture_data_dir / "stdin.csv"
@@ -641,6 +641,10 @@ def test_stdin_asset_input(fixture_data_dir, monkeypatch):
     ])
     assert rc == 0
     assert "holder,issuer" in out.read_text()
+    both = fixture_data_dir / "both.csv"
+    assert main(["build", "--year", "2007", "--assets", "-", "--gdp", "-", "--out", str(both)]) == 1
+    assert "only one of assets/gdp can come from standard input" in capsys.readouterr().err
+    assert not both.exists()
 
 
 def test_stdout_output(fixture_data_dir, capsysbinary):
@@ -790,3 +794,19 @@ def test_flag_given_double_dash_exits_2_naming_it(command, flag, required, capsy
         main(argv + [f"{flag}=--"])
     assert exc.value.code == 2
     assert f"argument {flag}: expected one value" in capsys.readouterr().err
+
+
+def test_a_flag_shared_by_commands_has_one_help_text():
+    """Every command that adds a flag gives it the same --help text; only
+    --samples differs, since knockout's is unused and only echoed."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {}
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                helps.setdefault(flag, {})[command] = action.help
+    for flag, by_command in helps.items():
+        if flag != "--samples":
+            assert len(set(by_command.values())) == 1, (flag, by_command)
+    for flag in ("--t", "--correction", "--swap-factor", "--jobs"):
+        assert len(helps[flag]) > 1 and None not in helps[flag].values(), flag

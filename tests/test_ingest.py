@@ -1,14 +1,17 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finnet import AssetPanel, AssetSlice, BinaryNetwork, DataError, GdpPanel, core_slice, ingest, parse_asset_table, parse_gdp_table
+from finnet import ingest
+from finnet.ingest import AssetPanel, AssetSlice, DataError, GdpPanel, core_slice, parse_asset_table, parse_gdp_table
 from finnet.ingest import ASSET_HEADER as ASSET_COLUMNS
 from finnet.ingest import GDP_HEADER as GDP_COLUMNS
+from finnet.netbuild import BinaryNetwork
 
 from conftest import (
     asset_panel,
@@ -333,6 +336,13 @@ def test_slice_validation():
         AssetSlice(2007, ("A",), [[0.0]], [1.0], 1.0)
     with pytest.raises(DataError, match="coverage"):
         AssetSlice(2007, ("A", "B"), [[0.0, 2.0], [3.0, 0.0]], [1.0, 1.0], 1.5)
+    with pytest.raises(DataError, match=r"asset matrix shape \(2, 3\)"):
+        AssetSlice(2007, ("A", "B"), [[0.0, 2.0, 1.0], [3.0, 0.0, 1.0]], [1.0, 1.0], 1.0)
+    with pytest.raises(DataError, match=r"gdp vector shape \(3,\)"):
+        AssetSlice(2007, ("A", "B"), [[0.0, 2.0], [3.0, 0.0]], [1.0, 1.0, 1.0], 1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DataError, match="asset values must be finite and nonnegative"):
+            AssetSlice(2007, ("A", "B"), [[0.0, bad], [3.0, 0.0]], [1.0, 1.0], 1.0)
 
 
 def test_slice_arrays_read_only():

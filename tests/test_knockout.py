@@ -6,20 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finnet import (
+from finnet import knockout
+from finnet.knockout import (
+    CURVE_GRID,
+    STRATEGIES,
+    CiEntry,
+    CiReport,
+    _interp_curve,
+    _run_ensemble,
     ci_compare,
     ci_table,
     classify_position,
     ensemble_knockout,
-    fit_lognormal,
-    measure_vector,
     run_knockout,
 )
-from finnet import knockout
-from finnet.knockout import CURVE_GRID, STRATEGIES, CiEntry, CiReport, _interp_curve, _run_ensemble
-from finnet.metrics import MEASURE_NAMES
+from finnet.metrics import MEASURE_NAMES, measure_vector
 from finnet.netbuild import ThresholdRule
-from finnet.nullmodels import NullModelSpec
+from finnet.nullmodels import NullModelSpec, fit_lognormal
 
 from conftest import (
     DATA_DIR,
@@ -78,6 +81,8 @@ def test_attack_target_tie_frequency():
 def test_attack_target_empty_network_error():
     with pytest.raises(ValueError, match="at least 2 nodes"):
         run_knockout(net_from_adj(np.zeros((0, 0), dtype=bool), labels=()), "attack", 0)
+    with pytest.raises(ValueError, match="unknown strategy 'degree'"):
+        run_knockout(complete_net(3), "degree", 0)
 
 
 def test_knockout_complete_digraph_series():
@@ -244,11 +249,19 @@ def test_ensemble_single_trace_matches_and_zero_std():
 def test_ensemble_knockout_needs_a_source():
     with pytest.raises(ValueError, match="need at least one source"):
         ensemble_knockout([], "attack", trials=3, master_seed=1, jobs=2)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        ensemble_knockout([complete_net(3)], "attack", trials=0, master_seed=1)
 
 
 def test_ci_compare_needs_a_cell():
     with pytest.raises(ValueError, match="need at least one cell"):
         ci_compare([], samples=100, jobs=2)
+    cell = (measure_vector(empty_net(5)), NullModelSpec("er", 17, empty_net(5)))
+    with pytest.raises(ValueError, match="at least 100 samples"):
+        ci_compare([cell], samples=99)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            ci_compare([cell], samples=100, alpha=alpha)
 
 
 def test_ensemble_attack_zero_std_when_series_tie_free():
@@ -333,6 +346,9 @@ def test_classify_position_basics():
     assert classify_position(2000.0, samples)[2] == "above"
     assert classify_position(math.nan, samples)[2] == "undefined"
     assert classify_position(1.0, np.full(10, math.nan))[2] == "undefined"
+    for alpha in (0.0, 1.0, -0.1):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            classify_position(500.0, samples, alpha=alpha)
 
 
 def test_classify_position_flips_under_negation():
@@ -378,6 +394,8 @@ def test_ci_compare_forced_above():
     # complete digraphs have constant degrees: every assortativity sample is NaN
     assert report.entry("assortativity").n_undefined == 100
     assert report.entry("assortativity").position == "undefined"
+    with pytest.raises(KeyError, match="spectral_radius"):
+        report.entry("spectral_radius")
 
 
 def test_ci_compare_jobs_deterministic():

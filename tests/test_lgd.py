@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finnet import (
-    AssetSlice,
+from finnet import lgd
+from finnet.ingest import AssetSlice
+from finnet.lgd import (
+    BLOCK_ROWS,
+    COARSE_THRESHOLDS,
     LgdSpec,
     cascade,
+    cascade_rounds,
     enumerate_impacts,
     fine_grid,
     influence_ranking,
+    severity_sorted,
     sweep_grid,
 )
-from finnet import lgd
-from finnet.lgd import BLOCK_ROWS, COARSE_THRESHOLDS, cascade_rounds, severity_sorted
 
 from conftest import (
     hand_slice,
@@ -339,6 +342,8 @@ def test_enumerate_impacts_rejects_k_above_n():
     slice_ = random_slice(2, np.random.default_rng(12))
     with pytest.raises(ValueError, match="exceeds"):
         enumerate_impacts(slice_, [LgdSpec(0.1, 0.1)], 3)
+    with pytest.raises(ValueError, match="k_max must be 1, 2 or 3"):
+        enumerate_impacts(random_slice(5, np.random.default_rng(12)), [LgdSpec(0.1, 0.1)], 4)
 
 
 def test_enumerate_impacts_no_propagation():

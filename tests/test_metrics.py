@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from finnet import MEASURE_NAMES, fraction_spl_le, measure_vector, modified_aspl
-from finnet.metrics import _capped_measures, modified_aspl_adj
+from finnet.metrics import MEASURE_NAMES, _capped_measures, fraction_spl_le, measure_vector, modified_aspl, modified_aspl_adj
 
 from conftest import (
     chain_net,
@@ -30,11 +29,13 @@ def test_modified_aspl_hand_values():
     assert modified_aspl(chain_net(3)) == pytest.approx(16.0 / 6.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_fraction_spl_le_hand_values():
     assert fraction_spl_le(complete_net(4), 2) == 1.0
     assert fraction_spl_le(chain_net(3), 2) == pytest.approx(0.5)
-    assert fraction_spl_le(empty_net(3), 2) == 0.0
-    assert fraction_spl_le(empty_net(3), 3) == 0.0
+    for n in (0, 1, 3):
+        for k in (2, 3):
+            assert fraction_spl_le(empty_net(n), k) == 0.0
     with pytest.raises(ValueError):
         fraction_spl_le(chain_net(3), 4)
 

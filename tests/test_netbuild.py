@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finnet import (
-    AssetSlice,
+from finnet.ingest import AssetSlice
+from finnet.netbuild import (
+    DEFAULT_GDP_THRESHOLD,
+    RULE_NAMES,
     BinaryNetwork,
     ThresholdRule,
     average_gdp_exposure,
+    weight_class,
     weighted_edges,
 )
-from finnet.netbuild import DEFAULT_GDP_THRESHOLD, RULE_NAMES, weight_class
 
 from conftest import oracle_threshold_network
 
@@ -149,6 +151,8 @@ def test_weight_class_boundaries():
     assert weight_class(16.0, 1.0) == 5
     assert weight_class(15.999, 1.0) == 4
     assert weight_class(0.5, 1.0) == 1
+    assert weight_class(3.0, 0.0) == 1  # a holder with no average exposure
+    assert weight_class(3.0, -1.0) == 1
 
 
 def test_export_empty_network_no_rows():

@@ -6,18 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from finnet import (
-    AssetSlice,
-    BinaryNetwork,
-    ThresholdRule,
+from finnet.ingest import AssetSlice
+from finnet.netbuild import BinaryNetwork, ThresholdRule
+from finnet.nullmodels import (
+    NullModelSpec,
     estimate_sigma_correction,
     fit_lognormal,
     fit_lognormal_pooled,
     jarque_bera,
+    sample_lognormal_matrix,
     sample_lognormal_slice,
     sample_rewired,
 )
-from finnet.nullmodels import NullModelSpec, sample_lognormal_matrix
 
 from conftest import (
     complete_net,
@@ -247,6 +247,16 @@ def test_fits_reject_a_correction_factor_not_finite_and_nonnegative(factor):
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         fit_lognormal_pooled([slice_], correction_factor=factor)
     assert fit_lognormal(slice_, correction_factor=0.0).sigma_corrected == 0.0
+
+
+def test_fits_reject_fewer_than_3_countries_or_no_slice():
+    pair = AssetSlice(2007, ("A", "B"), [[0.0, 2.0], [3.0, 0.0]], [1.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="fit needs at least 3 countries"):
+        fit_lognormal(pair)
+    with pytest.raises(ValueError, match="fit needs at least 3 countries"):
+        fit_lognormal_pooled([pair])
+    with pytest.raises(ValueError, match="need at least one slice"):
+        fit_lognormal_pooled([])
 
 
 def test_fit_recovers_sigma_fixed_seed():
@@ -484,6 +494,8 @@ def test_null_spec_validation_and_sampling():
     for kind in ("rewiring", "er"):
         with pytest.raises(ValueError, match="swap_factor must be >= 1"):
             NullModelSpec(kind, 0, net, swap_factor=0)
+    with pytest.raises(ValueError, match="swap_factor must be >= 1"):
+        sample_rewired(net, rng, swap_factor=0)
     for kind in ("er", "out-degree", "in-degree", "rewiring"):
         spec = NullModelSpec(kind, 7, net)
         a = spec.sample(3)
