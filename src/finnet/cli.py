@@ -391,6 +391,9 @@ GDP_THRESHOLD = _checked(lambda text: ThresholdRule("B", float(text)).t)
 # One help text for each flag that several commands add themselves, so their --help cannot drift.
 T_HELP = "rule-B GDP fraction threshold (default %(default)s)"
 CORRECTION_HELP = "sigma correction factor (default %(default)s)"
+HAIRCUT_HELP = "share of an exposure lost on default, in (0, 1] (default %(default)s)"
+FORMAT_HELP = "output format: %(choices)s (default %(default)s)"
+MODEL_HELP = "network family: %(choices)s (knockout defaults to the empirical network)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export a network with exposure weight classes")
     _add_common(p)
     _add_rule(p)
-    p.add_argument("--format", choices=("edge-list", "dot"), default="edge-list")
+    p.add_argument("--format", choices=("edge-list", "dot"), default="edge-list", help=FORMAT_HELP)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("fit-lognormal", help="fit the censored log-normal asset model")
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-null", help="sample networks from a null-model family")
     _add_common(p)
     _add_rule(p)
-    p.add_argument("--model", choices=NULL_MODEL_KINDS, required=True)
+    p.add_argument("--model", choices=NULL_MODEL_KINDS, required=True, help=MODEL_HELP)
     p.add_argument("--count", type=POSITIVE, default=1, help="number of samples (default %(default)s)")
     _add_null_params(p)
     p.set_defaults(func=cmd_gen_null)
@@ -429,15 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knockout", help="error/attack knockout curves")
     _add_common(p, years=True)
     _add_rule(p)
-    p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--model", choices=("empirical",) + NULL_MODEL_KINDS, default="empirical")
+    p.add_argument("--strategy", choices=STRATEGIES, required=True,
+                   help="error removes a random node each step, attack one of highest in+out degree")
+    p.add_argument("--model", choices=("empirical",) + NULL_MODEL_KINDS, default="empirical", help=MODEL_HELP)
     p.add_argument("--trials", type=POSITIVE, default=DEFAULT_TRIALS,
                    help="knockout traces per network (default %(default)s)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="unused by knockout; only echoed in the output header (default %(default)s)")
     _add_null_params(p)
     p.add_argument("--jobs", type=POSITIVE, default=1, help="max parallel workers (default %(default)s)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help=FORMAT_HELP)
     p.set_defaults(func=cmd_knockout)
 
     p = sub.add_parser("ci-table", help="confidence-interval comparison table")
@@ -445,11 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", type=RULES, default="A,B", help="comma list of rules (default %(default)s)")
     p.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD, help=T_HELP)
     p.add_argument("--models", type=MODELS, default="all", help="comma list of null models or 'all'")
-    p.add_argument("--samples", type=SAMPLES, default=DEFAULT_SAMPLES)
-    p.add_argument("--alpha", type=ALPHA, default=DEFAULT_ALPHA)
+    p.add_argument("--samples", type=SAMPLES, default=DEFAULT_SAMPLES,
+                   help=f"null networks drawn per (year, rule, model), at least {MIN_SAMPLES} (default %(default)s)")
+    p.add_argument("--alpha", type=ALPHA, default=DEFAULT_ALPHA,
+                   help="the interval is the central 1 - alpha of the null samples (default %(default)s)")
     _add_null_params(p)
     p.add_argument("--jobs", type=POSITIVE, default=1, help="max parallel workers (default %(default)s)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help=FORMAT_HELP)
     p.set_defaults(func=cmd_ci_table)
 
     p = sub.add_parser("lgd", help="single loss-given-default cascade trace")
@@ -457,29 +463,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", type=NAMES, required=True, help="comma list of initially defaulting countries")
     p.add_argument("--d1", type=D1, required=True, help="portfolio-fraction threshold")
     p.add_argument("--d2", type=D2, required=True, help="GDP-fraction threshold")
-    p.add_argument("--haircut", type=HAIRCUT, default=1.0)
+    p.add_argument("--haircut", type=HAIRCUT, default=1.0, help=HAIRCUT_HELP)
     p.set_defaults(func=cmd_lgd)
 
     p = sub.add_parser("lgd-sweep", help="impact summaries over a threshold grid")
     _add_common(p, years=True)
     # Split when parsed, so that the check hook reads both grids as lists.
-    p.add_argument("--d1-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)))
-    p.add_argument("--d2-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)))
-    p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--haircut", type=HAIRCUT, default=1.0)
+    p.add_argument("--d1-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)),
+                   help="comma list of portfolio-fraction thresholds (default %(default)s)")
+    p.add_argument("--d2-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)),
+                   help="comma list of GDP-fraction thresholds (default %(default)s)")
+    p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3),
+                   help="largest initial default set: %(choices)s (default %(default)s)")
+    p.add_argument("--haircut", type=HAIRCUT, default=1.0, help=HAIRCUT_HELP)
     p.add_argument("--ranking-out", help="optional CSV of influence rankings")
-    p.add_argument("--top-n", type=POSITIVE, default=10)
+    p.add_argument("--top-n", type=POSITIVE, default=10,
+                   help="combinations per set size in the influence ranking (default %(default)s)")
     p.set_defaults(func=cmd_lgd_sweep,
                    check=lambda a: sweep_specs(a.d1_grid, a.d2_grid, a.haircut))
 
     p = sub.add_parser("pigs-grid", help="fine threshold grid for a country group")
     _add_common(p)
     p.add_argument("--group", type=NAMES, required=True, help="comma list of group members")
-    p.add_argument("--d1-max", type=D1, default=FINE_D1_MAX)
-    p.add_argument("--d1-points", type=POSITIVE, default=FINE_D1_POINTS)
-    p.add_argument("--d2-max", type=D2, default=FINE_D2_MAX)
-    p.add_argument("--d2-points", type=POSITIVE, default=FINE_D2_POINTS)
-    p.add_argument("--haircut", type=HAIRCUT, default=1.0)
+    p.add_argument("--d1-max", type=D1, default=FINE_D1_MAX,
+                   help="largest portfolio-fraction threshold of the grid (default %(default)s)")
+    p.add_argument("--d1-points", type=POSITIVE, default=FINE_D1_POINTS,
+                   help="portfolio-fraction thresholds from 0 to --d1-max (default %(default)s)")
+    p.add_argument("--d2-max", type=D2, default=FINE_D2_MAX,
+                   help="largest GDP-fraction threshold of the grid (default %(default)s)")
+    p.add_argument("--d2-points", type=POSITIVE, default=FINE_D2_POINTS,
+                   help="GDP-fraction thresholds from 0 to --d2-max (default %(default)s)")
+    p.add_argument("--haircut", type=HAIRCUT, default=1.0, help=HAIRCUT_HELP)
     p.set_defaults(func=cmd_pigs_grid, check=_pigs_axes)
 
     return parser

@@ -9,22 +9,27 @@ defaulted set triggers default.
 
 One batched kernel, `cascade_rounds`, runs every cascade; it recomputes
 losses from the full defaulted set each round, so its fixed point is that
-of any sequential update order. This is exact for integer-valued panels
-(CPIS reports whole $M). Elsewhere the matmul summation order can differ
-from a column sum in the last bit, which matters only at an exact float
-tie with a threshold.
+of any sequential update order.
+
+Tie contract: a country's loss is the haircut times the correctly
+rounded sum (``math.fsum``) of its exposures to the defaulted set, so no
+decision depends on a summation order or on which rows share a kernel
+call. On a whole-valued panel whose assets sum below 2**53 (CPIS reports
+whole $M) every partial sum is exact in any order, so the kernel's
+matmul already gives that sum and it does no further work. On any other
+panel it re-decides, with ``math.fsum``, each loss within
+(n + 4) * 2**-52 of its threshold, relative: that bounds the rounding
+error of any order of summing n nonnegative terms, and of the haircut
+product, with room to spare.
 
 `enumerate_impacts` starts each k-combination from the union of its
-(k-1)-subsets' final sets. A row's loss only gains nonnegative terms as
-its defaulted set grows (assets >= 0, haircut > 0), so the final set is
-the least fixed point above the initial set, and every start between
-the two reaches it. A combination S holding a member x that falls in the
-cascade of S - {x} has that cascade as its final set and skips the
-kernel. Monotonicity is exact for integer-valued panels; elsewhere it
-assumes the kernel sums a row in the same order in every batch, so the
-seeded and the unseeded run could part only at the same exact ties. A
-batch mixes the rows of several specs, which changes only which rows
-share a matmul, so this caveat applies unchanged.
+(k-1)-subsets' final sets. A row's loss never falls as its defaulted set
+grows (assets >= 0, haircut > 0, and a correctly rounded sum is monotone
+in its exact value), so the final set is the least fixed point above the
+initial set, and every start between the two reaches it. A combination
+S holding a member x that falls in the cascade of S - {x} has that
+cascade as its final set and skips the kernel. This holds exactly on
+every panel, whichever rows and specs share a batch.
 """
 
 from __future__ import annotations
@@ -98,7 +103,9 @@ def cascade_rounds(
     Returns the (B, n) int16 round matrix: the round in which each country
     defaulted, 0 for the initial set and -1 for survivors. Each synchronous
     round computes ``haircut * (defaulted @ assets.T)`` afresh for the rows
-    that still move; losses are never added incrementally.
+    that still move; losses are never added incrementally. Off whole-valued
+    panels, the losses near a threshold are re-decided on their correctly
+    rounded sums (the module docstring's tie contract).
     """
     assets = slice_.assets
     # Exceeding both thresholds is exceeding the larger one.
@@ -106,6 +113,8 @@ def cascade_rounds(
         np.asarray(d1, dtype=float)[:, None] * assets.sum(axis=1),
         np.asarray(d2, dtype=float)[:, None] * slice_.gdp,
     )
+    exact = assets.sum() < 2.0**53 and np.array_equal(assets, np.rint(assets))
+    tie = (slice_.n + 4) * 2.0**-52
     held = np.array(initial, dtype=bool)
     rounds = np.full(held.shape, -1, dtype=np.int16)
     rounds[held] = 0
@@ -115,6 +124,11 @@ def cascade_rounds(
         round_no += 1
         loss = haircut * (held.astype(float) @ assets.T)
         newly = (loss > bar[moving]) & ~held
+        if not exact:
+            limit = bar[moving]
+            near = (np.abs(loss - limit) < tie * limit) & ~held
+            for r, i in zip(*np.nonzero(near)):
+                newly[r, i] = haircut * math.fsum(assets[i, held[r]]) > limit[r, i]
         moved = newly.any(axis=1)
         moving, newly, held = moving[moved], newly[moved], held[moved]
         block = rounds[moving]
@@ -174,8 +188,7 @@ def enumerate_impacts(slice_: AssetSlice, specs: Iterable[LgdSpec], k_max: int =
     from the union of its (k-1)-subsets' final sets under the same spec,
     and skips the kernel when a member already falls in the final set of
     the others. The module docstring says why this equals running each
-    combination from scratch, exactly on integer-valued panels and
-    elsewhere up to float ties.
+    combination from scratch.
     """
     specs = list(specs)
     if not specs:

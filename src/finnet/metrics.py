@@ -97,8 +97,8 @@ def _capped_measures(adj: np.ndarray, a: np.ndarray | None = None,
     le3 = w2 @ a > 0
     le3 |= le2
     c1 = np.count_nonzero(adj)
-    c2 = np.count_nonzero(le2) - np.count_nonzero(np.diagonal(le2)) - c1
-    c3 = np.count_nonzero(le3) - np.count_nonzero(np.diagonal(le3)) - c1 - c2
+    c2 = np.count_nonzero(le2) - np.count_nonzero(le2.diagonal()) - c1
+    c3 = np.count_nonzero(le3) - np.count_nonzero(le3.diagonal()) - c1 - c2
     pairs = n * (n - 1)
     aspl = (c1 + 2 * c2 + 3 * c3 + SPL_CAP * (pairs - c1 - c2 - c3)) / pairs
     return (c1 + c2) / pairs, (c1 + c2 + c3) / pairs, aspl
@@ -123,31 +123,36 @@ def fraction_spl_le(net: BinaryNetwork, k: int) -> float:
 
 
 def measure_vector(net: BinaryNetwork) -> MeasureVector:
-    """All six statistics for one network of at least 3 nodes."""
+    """All six statistics for one network of at least 3 nodes.
+
+    Sums and means call ``np.add.reduce`` and the array methods directly,
+    skipping numpy's Python-level wrappers; each is the same reduction in
+    the same order, so every bit is the same.
+    """
     if net.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
     adj = net.adj
     a = adj.astype(float)
     w2 = a @ a
-    out_deg = a.sum(axis=1)
-    in_deg = a.sum(axis=0)
+    out_deg = np.add.reduce(a, axis=1)
+    in_deg = np.add.reduce(a, axis=0)
 
     # Endpoint degrees of the edges in row-major order, as np.nonzero lists them.
     x = np.repeat(out_deg, out_deg.astype(np.intp))
     y = np.broadcast_to(in_deg, adj.shape)[adj]
     assortativity = math.nan
-    if x.size and np.ptp(x) > 0 and np.ptp(y) > 0:
-        xc = x - x.mean()
-        yc = y - y.mean()
-        assortativity = float((xc * yc).sum() / math.sqrt((xc * xc).sum() * (yc * yc).sum()))
+    if x.size and x.max() > x.min() and y.max() > y.min():
+        xc = x - np.add.reduce(x) / x.size
+        yc = y - np.add.reduce(y) / y.size
+        assortativity = float(np.add.reduce(xc * yc) / math.sqrt(np.add.reduce(xc * xc) * np.add.reduce(yc * yc)))
 
     sym = a + a.T
-    triangles = ((sym @ sym) * sym).sum(axis=1) / 2.0
+    triangles = np.add.reduce((sym @ sym) * sym, axis=1) / 2.0
     d_total = in_deg + out_deg
-    denom = d_total * (d_total - 1.0) - 2.0 * np.diagonal(w2)
-    clustering = float(np.divide(triangles, denom, out=np.zeros(net.n), where=denom > 0).mean())
+    denom = d_total * (d_total - 1.0) - 2.0 * w2.diagonal()
+    clustering = float(np.add.reduce(np.divide(triangles, denom, out=np.zeros(net.n), where=denom > 0)) / net.n)
 
-    two_paths = float(w2.sum() - np.trace(w2))
-    transitivity = float((w2 * a).sum()) / two_paths if two_paths else math.nan
+    two_paths = float(np.add.reduce(w2, axis=None) - w2.trace())
+    transitivity = float(np.add.reduce(w2 * a, axis=None)) / two_paths if two_paths else math.nan
 
     return MeasureVector(*_capped_measures(adj, a, w2), assortativity, clustering, transitivity)

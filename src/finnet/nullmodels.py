@@ -25,6 +25,54 @@ CENSOR_FLOOR_MUSD = 0.5
 NULL_MODEL_KINDS = ("er", "out-degree", "in-degree", "rewiring", "log-normal")
 
 
+def _swap_tables(adj: np.ndarray) -> tuple[np.ndarray, list[int], bytes]:
+    """The swap chain's start: each edge's source offset ``src * n`` and
+    flat cell ``src * n + dst``, in row-major order, and the occupancy
+    bytes of ``adj`` with the diagonal marked."""
+    n = adj.shape[0]
+    rows, cols = np.nonzero(adj)
+    src = rows * n
+    return src, (src + cols).tolist(), (adj | np.eye(n, dtype=bool)).tobytes()
+
+
+def _swap_chain(
+    net: BinaryNetwork,
+    tables: tuple[np.ndarray, list[int], bytes],
+    rng: np.random.Generator,
+    swap_factor: int,
+) -> BinaryNetwork:
+    """Run the chain of :func:`sample_rewired` from ``_swap_tables(net.adj)``,
+    which it reads and does not change."""
+    src, cells, occupancy = tables
+    m = src.size
+    label = f"rewired[{net.rule}]"
+    if m < 2:
+        return BinaryNetwork(net.countries, net.adj, label, net.source_year)
+    n = net.n
+    picks = rng.integers(0, m, size=(swap_factor * m, 2))
+    offsets = src[picks]
+    shift = offsets[:, 0] - offsets[:, 1]
+    tried = np.flatnonzero(shift)
+    occupied = bytearray(occupancy)
+    cell = cells.copy()
+    for i1, i2, k in zip(picks[tried, 0].tolist(), picks[tried, 1].tolist(), shift[tried].tolist()):
+        ad = cell[i2] + k
+        if occupied[ad]:
+            continue
+        cb = cell[i1] - k
+        if occupied[cb]:
+            continue
+        occupied[cell[i1]] = 0
+        occupied[cell[i2]] = 0
+        occupied[ad] = 1
+        occupied[cb] = 1
+        cell[i1] = ad
+        cell[i2] = cb
+    adj = np.frombuffer(occupied, dtype=bool).reshape(n, n)
+    np.fill_diagonal(adj, False)
+    return BinaryNetwork(net.countries, adj, label, net.source_year)
+
+
 def sample_rewired(
     net: BinaryNetwork,
     rng: np.random.Generator,
@@ -43,8 +91,12 @@ def sample_rewired(
     diagonal marked occupied. For edges a->b, c->d and ``k = (a - c) * n``,
     a->d is ``cell[i2] + k`` and c->b is ``cell[i1] - k``: a swap is two
     byte tests, and the table is the result. A self-loop lands on the
-    diagonal; two edges of one source (or one edge twice) have k = 0, so
-    a->d is the live edge c->d: each fails the test.
+    diagonal. A swap never changes an edge's source, so k comes from one
+    vectorized subtraction over all picks, and the attempts with k = 0
+    are dropped before the loop: two edges of one source (or one edge
+    twice) would test a->d, the live edge c->d, and always fail.
+    ``NullModelSpec`` builds these tables once per spec and runs the
+    same chain on them.
 
     The chain stays in the start's swap component, which can be smaller
     than the set of all digraphs with its degrees: directed swaps need a
@@ -55,33 +107,7 @@ def sample_rewired(
     """
     if swap_factor < 1:
         raise ValueError("swap_factor must be >= 1")
-    rows, cols = np.nonzero(net.adj)
-    m = rows.size
-    label = f"rewired[{net.rule}]"
-    if m < 2:
-        return BinaryNetwork(net.countries, net.adj, label, net.source_year)
-    n = net.n
-    picks = rng.integers(0, m, size=(swap_factor * m, 2))
-    occupied = bytearray((net.adj | np.eye(n, dtype=bool)).tobytes())
-    src = (rows * n).tolist()
-    cell = (rows * n + cols).tolist()
-    for i1, i2 in zip(*picks.T.tolist()):
-        k = src[i1] - src[i2]
-        ad = cell[i2] + k
-        if occupied[ad]:
-            continue
-        cb = cell[i1] - k
-        if occupied[cb]:
-            continue
-        occupied[cell[i1]] = 0
-        occupied[cell[i2]] = 0
-        occupied[ad] = 1
-        occupied[cb] = 1
-        cell[i1] = ad
-        cell[i2] = cb
-    adj = np.frombuffer(occupied, dtype=bool).reshape(n, n)
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(net.countries, adj, label, net.source_year)
+    return _swap_chain(net, _swap_tables(net.adj), rng, swap_factor)
 
 
 @dataclass(frozen=True)
@@ -339,10 +365,11 @@ class NullModelSpec:
     its edge probability ``prob`` from ``base`` once, as the mean
     out-degree over n - 1 (a scalar), the out-degrees over n - 1 (a column,
     one per source) or the in-degrees over n - 1 (a row, one per target).
-    Rewiring swaps the network itself (``swap_factor`` swaps per edge),
-    log-normal re-thresholds the slice model ``fit`` by ``rule``. The
-    (seed, index) pair fully determines the draw, so ensembles are
-    reproducible under any scheduling.
+    Rewiring swaps the network itself (``swap_factor`` swaps per edge);
+    the spec builds the swap chain's start tables ``swap_tables`` once,
+    and each draw copies them. Log-normal re-thresholds the slice model
+    ``fit`` by ``rule``. The (seed, index) pair fully determines the
+    draw, so ensembles are reproducible under any scheduling.
     """
 
     kind: str
@@ -352,6 +379,8 @@ class NullModelSpec:
     fit: LogNormalFit | None = None
     rule: ThresholdRule | None = None
     prob: float | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    swap_tables: tuple[np.ndarray, list[int], bytes] | None = field(default=None, init=False, repr=False,
+                                                                    compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in NULL_MODEL_KINDS:
@@ -367,6 +396,8 @@ class NullModelSpec:
             object.__setattr__(self, "prob", (self.base.out_degrees() / (n - 1))[:, None])
         elif self.kind == "in-degree":
             object.__setattr__(self, "prob", (self.base.in_degrees() / (n - 1))[None, :])
+        elif self.kind == "rewiring":
+            object.__setattr__(self, "swap_tables", _swap_tables(self.base.adj))
 
     def sample(self, index: int) -> BinaryNetwork:
         rng = child_rng(self.seed, index)
@@ -376,5 +407,5 @@ class NullModelSpec:
             np.fill_diagonal(adj, False)
             return BinaryNetwork(base.countries, adj, self.kind)
         if self.kind == "rewiring":
-            return sample_rewired(base, rng, self.swap_factor)
+            return _swap_chain(base, self.swap_tables, rng, self.swap_factor)
         return self.rule.apply(sample_lognormal_slice(self.fit, rng))

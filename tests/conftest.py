@@ -269,6 +269,13 @@ def oracle_measure_vector(adj: np.ndarray) -> np.ndarray:
     return np.array([*capped, assortativity, clustering, transitivity])
 
 
+def oracle_losses(slice_: AssetSlice, defaulted: np.ndarray, haircut: float) -> np.ndarray:
+    """Each country's loss: the haircut times the correctly rounded sum
+    (math.fsum) of its exposures to the defaulted set, the sum the cascade
+    kernel decides every threshold on."""
+    return np.array([haircut * math.fsum(row[defaulted]) for row in slice_.assets])
+
+
 def oracle_sequential_cascade(
     slice_: AssetSlice,
     initial: set[str],
@@ -284,7 +291,7 @@ def oracle_sequential_cascade(
     for code in initial:
         defaulted[slice_.index(code)] = True
     while True:
-        loss = haircut * slice_.assets[:, defaulted].sum(axis=1)
+        loss = oracle_losses(slice_, defaulted, haircut)
         eligible = np.flatnonzero(~defaulted & (loss > d1 * totals) & (loss > d2 * slice_.gdp))
         if eligible.size == 0:
             return frozenset(slice_.countries[i] for i in np.flatnonzero(defaulted))
@@ -298,15 +305,15 @@ def oracle_synchronous_rounds(
     d2: float,
     haircut: float,
 ) -> list[frozenset[str]]:
-    """Synchronous cascade one country-set at a time with column-sum losses:
-    the newly defaulting set of each round."""
+    """Synchronous cascade one country-set at a time: the newly defaulting
+    set of each round."""
     totals = slice_.assets.sum(axis=1)
     defaulted = np.zeros(slice_.n, dtype=bool)
     for code in initial:
         defaulted[slice_.index(code)] = True
     rounds = []
     while True:
-        loss = haircut * slice_.assets[:, defaulted].sum(axis=1)
+        loss = oracle_losses(slice_, defaulted, haircut)
         newly = ~defaulted & (loss > d1 * totals) & (loss > d2 * slice_.gdp)
         if not newly.any():
             return rounds

@@ -796,6 +796,14 @@ def test_flag_given_double_dash_exits_2_naming_it(command, flag, required, capsy
     assert f"argument {flag}: expected one value" in capsys.readouterr().err
 
 
+def test_every_option_of_every_command_has_a_help_text():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.help, (command, action.option_strings)
+            assert parser.formatter_class(command)._expand_help(action).strip(), (command, action.option_strings)
+
+
 def test_a_flag_shared_by_commands_has_one_help_text():
     """Every command that adds a flag gives it the same --help text; only
     --samples differs, since knockout's is unused and only echoed."""

@@ -214,6 +214,48 @@ def test_enumerate_impacts_matches_single_cascades_across_blocks():
         assert summary.argmax == tuple(c for c, v in zip(combos, impacts) if v == worst)
 
 
+def tie_slice():
+    """Six countries with tenth-valued assets: C0's exposure to {C3, C4, C5}
+    is 2.9 + 5.7 + 5.9, which a float sum can round to either side of its
+    GDP of 14.5 depending on the order of the terms."""
+    assets = np.array([
+        [0, 5, 0.5, 2.9, 5.7, 5.9],
+        [3.2, 0, 8.2, 2.7, 3.5, 7.6],
+        [5, 4.4, 0, 5.5, 4, 9.6],
+        [2, 7.3, 0.2, 0, 4.8, 7.3],
+        [1.8, 7.6, 1.7, 3.4, 0, 6.3],
+        [3.1, 1.8, 1.1, 1.1, 1.1, 0],
+    ])
+    gdp = np.array([14.5, 28.1, 22.1, 10.5, 27, 44.6])
+    return AssetSlice(2007, tuple(f"C{i}" for i in range(6)), assets, gdp, 1.0)
+
+
+def test_cascade_decides_float_ties_on_the_correctly_rounded_sum():
+    """At d1 = 0, d2 = 1 the cascade of {C4, C5} meets an exact tie. It ends
+    the same way alone, in a batch of all 1-3-member sets and in the
+    summing oracles, and enumerate_impacts gives the same summaries at
+    every block size."""
+    slice_ = tie_slice()
+    spec = LgdSpec(0.0, 1.0)
+    combos = [c for k in (1, 2, 3) for c in itertools.combinations(slice_.countries, k)]
+    assert len(combos) == 41
+    initial = np.array([[code in combo for code in slice_.countries] for combo in combos])
+    rounds = cascade_rounds(slice_, initial, np.zeros(41), np.ones(41), 1.0)
+    rng = np.random.default_rng(0)
+    for combo, row in zip(combos, rounds):
+        single = cascade(slice_, set(combo), spec)
+        assert codes_of(slice_, row >= 0) == single.defaulted
+        assert tuple(codes_of(slice_, row == r) for r in range(1, row.max() + 1)) == single.rounds
+        assert single.defaulted == oracle_sequential_cascade(slice_, set(combo), 0.0, 1.0, 1.0, rng)
+        assert list(single.rounds) == oracle_synchronous_rounds(slice_, set(combo), 0.0, 1.0, 1.0)
+    assert cascade(slice_, {"C4", "C5"}, spec).defaulted == {"C3", "C4", "C5"}
+    expected = oracle_enumerate_impacts(slice_, spec, 3)
+    for block in (1, 3, BLOCK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lgd, "BLOCK_ROWS", block)
+            assert enumerate_impacts(slice_, [spec], 3) == expected
+
+
 @st.composite
 def whole_or_tenth_slices(draw):
     """Slices of 3-9 countries with whole or one-decimal values and a

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from finnet.nullmodels import (
     sample_lognormal_slice,
     sample_rewired,
 )
+from finnet.seeding import child_rng
 
 from conftest import (
     complete_net,
@@ -201,23 +203,39 @@ def out_star(n, *extra):
 
 
 @given(adj=digraphs(), swap_factor=st.sampled_from([1, 2, 20]), seed=st.integers(0, 2**32 - 1),
-       year=st.sampled_from([None, 2007]))
-@example(adj=np.zeros((3, 3), dtype=bool), swap_factor=20, seed=1, year=None)
-@example(adj=np.eye(3, k=2, dtype=bool), swap_factor=20, seed=2, year=2007)
-@example(adj=np.array([[0, 1], [1, 0]], dtype=bool), swap_factor=20, seed=3, year=None)
+       index=st.integers(0, 2**16), year=st.sampled_from([None, 2007]))
+@example(adj=np.zeros((3, 3), dtype=bool), swap_factor=20, seed=1, index=0, year=None)
+@example(adj=np.eye(3, k=2, dtype=bool), swap_factor=20, seed=2, index=1, year=2007)
+@example(adj=np.array([[0, 1], [1, 0]], dtype=bool), swap_factor=20, seed=3, index=2, year=None)
 @example(adj=np.array([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=bool),
-         swap_factor=2, seed=4, year=2007)
-@example(adj=out_star(6), swap_factor=1, seed=5, year=None)
-@example(adj=out_star(6, (3, 1), (4, 0)), swap_factor=1, seed=6, year=None)
-@example(adj=~np.eye(5, dtype=bool), swap_factor=1, seed=7, year=None)
+         swap_factor=2, seed=4, index=0, year=2007)
+@example(adj=out_star(6), swap_factor=1, seed=5, index=0, year=None)
+@example(adj=out_star(7), swap_factor=20, seed=8, index=3, year=2007)
+@example(adj=out_star(6, (3, 1), (4, 0)), swap_factor=1, seed=6, index=0, year=None)
+@example(adj=~np.eye(5, dtype=bool), swap_factor=1, seed=7, index=0, year=None)
+@example(adj=np.array([[0, 1], [1, 0]], dtype=bool), swap_factor=1, seed=9, index=5, year=None)
+@example(adj=np.array([[0, 1], [0, 0]], dtype=bool), swap_factor=1, seed=10, index=0, year=None)
 @settings(max_examples=300, deadline=None)
-def test_rewired_matches_oracle_exactly(adj, swap_factor, seed, year):
+def test_rewired_matches_oracle_exactly(adj, swap_factor, seed, index, year):
+    """sample_rewired, and a rewiring spec's draw from the swap tables it
+    built once, equal the referee's chain on the same generator: the spec
+    also after a pickle round trip (workers get specs pickled) and on a
+    second draw, which finds its tables as they were."""
     net = BinaryNetwork(labels(adj.shape[0]), adj, "A", year)
     got = sample_rewired(net, np.random.default_rng(seed), swap_factor)
     want = oracle_rewired(net, np.random.default_rng(seed), swap_factor)
     assert np.array_equal(got.adj, want.adj)
     assert (got.countries, got.rule, got.source_year) == (want.countries, want.rule, want.source_year)
     assert got.rule == "rewired[A]" and got.source_year == year
+    spec = NullModelSpec("rewiring", seed, net, swap_factor)
+    want = oracle_rewired(net, child_rng(seed, index), swap_factor)
+    for copy in (spec, pickle.loads(pickle.dumps(spec)), spec):
+        got = copy.sample(index)
+        assert got.adj.tobytes() == want.adj.tobytes()
+        assert (got.countries, got.rule, got.source_year) == (want.countries, want.rule, want.source_year)
+    if adj.any() and not adj[1:].any():
+        # Every edge leaves node 0, so every attempt has k = 0 and fails.
+        assert np.array_equal(want.adj, adj)
 
 
 def test_fit_constant_matrix_zero_sigma():
