@@ -149,7 +149,7 @@ def _emit(path: str, payload: bytes) -> None:
 
 
 def _emit_json(path: str, meta: dict, body: dict) -> None:
-    _emit(path, json.dumps({"meta": meta, **body}, indent=2).encode("utf-8") + b"\n")
+    _emit(path, json.dumps({"meta": meta, **body}, indent=2, allow_nan=False).encode("utf-8") + b"\n")
 
 
 def _emit_table(path: str, meta: dict, columns: list[str], rows: list[list], format: str = "csv") -> None:

@@ -25,91 +25,6 @@ CENSOR_FLOOR_MUSD = 0.5
 NULL_MODEL_KINDS = ("er", "out-degree", "in-degree", "rewiring", "log-normal")
 
 
-def _swap_tables(adj: np.ndarray) -> tuple[np.ndarray, list[int], bytes]:
-    """The swap chain's start: each edge's source offset ``src * n`` and
-    flat cell ``src * n + dst``, in row-major order, and the occupancy
-    bytes of ``adj`` with the diagonal marked."""
-    n = adj.shape[0]
-    rows, cols = np.nonzero(adj)
-    src = rows * n
-    return src, (src + cols).tolist(), (adj | np.eye(n, dtype=bool)).tobytes()
-
-
-def _swap_chain(
-    net: BinaryNetwork,
-    tables: tuple[np.ndarray, list[int], bytes],
-    rng: np.random.Generator,
-    swap_factor: int,
-) -> BinaryNetwork:
-    """Run the chain of :func:`sample_rewired` from ``_swap_tables(net.adj)``,
-    which it reads and does not change."""
-    src, cells, occupancy = tables
-    m = src.size
-    label = f"rewired[{net.rule}]"
-    if m < 2:
-        return BinaryNetwork(net.countries, net.adj, label, net.source_year)
-    n = net.n
-    picks = rng.integers(0, m, size=(swap_factor * m, 2))
-    offsets = src[picks]
-    shift = offsets[:, 0] - offsets[:, 1]
-    tried = np.flatnonzero(shift)
-    occupied = bytearray(occupancy)
-    cell = cells.copy()
-    for i1, i2, k in zip(picks[tried, 0].tolist(), picks[tried, 1].tolist(), shift[tried].tolist()):
-        ad = cell[i2] + k
-        if occupied[ad]:
-            continue
-        cb = cell[i1] - k
-        if occupied[cb]:
-            continue
-        occupied[cell[i1]] = 0
-        occupied[cell[i2]] = 0
-        occupied[ad] = 1
-        occupied[cb] = 1
-        cell[i1] = ad
-        cell[i2] = cb
-    adj = np.frombuffer(occupied, dtype=bool).reshape(n, n)
-    np.fill_diagonal(adj, False)
-    return BinaryNetwork(net.countries, adj, label, net.source_year)
-
-
-def sample_rewired(
-    net: BinaryNetwork,
-    rng: np.random.Generator,
-    swap_factor: int = DEFAULT_SWAP_FACTOR,
-) -> BinaryNetwork:
-    """Degree-preserving randomization by pairwise edge swaps.
-
-    Performs ``swap_factor * |E|`` attempted swaps (a->b, c->d becomes
-    a->d, c->b), rejecting any swap that would create a self-loop or a
-    duplicate edge. Every node keeps its exact in- and out-degree. Graphs
-    with no valid swap come back as a copy. The only random draw is one
-    ``rng.integers(0, m, size=(swap_factor * m, 2))``; row t holds the
-    two edges, numbered in row-major order, of attempt t.
-
-    Each edge is its flat cell ``src * n + dst`` of a byte table with the
-    diagonal marked occupied. For edges a->b, c->d and ``k = (a - c) * n``,
-    a->d is ``cell[i2] + k`` and c->b is ``cell[i1] - k``: a swap is two
-    byte tests, and the table is the result. A self-loop lands on the
-    diagonal. A swap never changes an edge's source, so k comes from one
-    vectorized subtraction over all picks, and the attempts with k = 0
-    are dropped before the loop: two edges of one source (or one edge
-    twice) would test a->d, the live edge c->d, and always fail.
-    ``NullModelSpec`` builds these tables once per spec and runs the
-    same chain on them.
-
-    The chain stays in the start's swap component, which can be smaller
-    than the set of all digraphs with its degrees: directed swaps need a
-    3-cycle reorientation move to connect that set (Berger &
-    Müller-Hannemann 2010). A directed 3-cycle, for one, has no valid
-    swap and comes back unchanged, though its reverse has the same
-    degrees.
-    """
-    if swap_factor < 1:
-        raise ValueError("swap_factor must be >= 1")
-    return _swap_chain(net, _swap_tables(net.adj), rng, swap_factor)
-
-
 @dataclass(frozen=True)
 class LogNormalFit:
     """Fitted two-way country-effect model of log asset positions.
@@ -212,12 +127,15 @@ def _fit(
     x = _design_matrix(n, np.concatenate(rows), np.concatenate(cols))
     theta, residuals = _least_squares(x, np.concatenate(y))
     sigma_raw = float(np.sqrt((residuals**2).mean()))
+    sigma_corrected = correction_factor * sigma_raw
+    if not math.isfinite(sigma_corrected):
+        raise ValueError(f"correction_factor {correction_factor:g} times sigma {sigma_raw:g} overflows")
     return LogNormalFit(
         countries=countries,
         alpha=theta[:n].copy(),
         beta=np.insert(theta[n:], 0, 0.0),
         sigma_raw=sigma_raw,
-        sigma_corrected=correction_factor * sigma_raw,
+        sigma_corrected=sigma_corrected,
         correction_factor=correction_factor,
         residuals=residuals,
         year=year,
@@ -359,17 +277,42 @@ def jarque_bera(residuals: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NullModelSpec:
-    """One null-model family over the empirical network ``base``.
+    """One null-model family over the empirical network ``base``, of at
+    least 2 nodes.
 
     er, out-degree and in-degree are one Bernoulli digraph: the spec reads
     its edge probability ``prob`` from ``base`` once, as the mean
     out-degree over n - 1 (a scalar), the out-degrees over n - 1 (a column,
     one per source) or the in-degrees over n - 1 (a row, one per target).
-    Rewiring swaps the network itself (``swap_factor`` swaps per edge);
-    the spec builds the swap chain's start tables ``swap_tables`` once,
-    and each draw copies them. Log-normal re-thresholds the slice model
-    ``fit`` by ``rule``. The (seed, index) pair fully determines the
-    draw, so ensembles are reproducible under any scheduling.
+    Log-normal re-thresholds the slice model ``fit`` by ``rule``. The
+    (seed, index) pair fully determines the draw, so ensembles are
+    reproducible under any scheduling.
+
+    Rewiring is degree-preserving randomization by pairwise edge swaps:
+    ``swap_factor * m`` attempted swaps over the m edges of ``base``
+    (a->b, c->d becomes a->d, c->b), rejecting any swap that would create
+    a self-loop or a duplicate edge. Every node keeps its exact in- and
+    out-degree, and a base with fewer than 2 edges comes back as a copy.
+    The only random draw is one ``rng.integers(0, m, size=(swap_factor * m, 2))``;
+    row t holds the two edges, numbered in row-major order, of attempt t.
+    Each edge is its flat cell ``src * n + dst`` of a byte table with the
+    diagonal marked occupied. For edges a->b, c->d and ``k = (a - c) * n``,
+    a->d is ``cell[i2] + k`` and c->b is ``cell[i1] - k``: a swap is two
+    byte tests, and the table is the result. A self-loop lands on the
+    diagonal. A swap never changes an edge's source, so k comes from one
+    vectorized subtraction over all picks, and the attempts with k = 0
+    are dropped before the loop: two edges of one source (or one edge
+    twice) would test a->d, the live edge c->d, and always fail. The spec
+    builds the chain's start ``swap_tables`` once (each edge's source
+    offset ``src * n``, the cells and the occupancy bytes), and each draw
+    copies them.
+
+    The chain stays in the start's swap component, which can be smaller
+    than the set of all digraphs with its degrees: directed swaps need a
+    3-cycle reorientation move to connect that set (Berger &
+    Müller-Hannemann 2010). A directed 3-cycle, for one, has no valid
+    swap and comes back unchanged, though its reverse has the same
+    degrees.
     """
 
     kind: str
@@ -390,6 +333,8 @@ class NullModelSpec:
         if self.swap_factor < 1:
             raise ValueError("swap_factor must be >= 1")
         n = self.base.n
+        if n < 2:
+            raise ValueError("null models need a base network of at least 2 nodes")
         if self.kind == "er":
             object.__setattr__(self, "prob", self.base.num_edges / n / (n - 1))
         elif self.kind == "out-degree":
@@ -397,7 +342,10 @@ class NullModelSpec:
         elif self.kind == "in-degree":
             object.__setattr__(self, "prob", (self.base.in_degrees() / (n - 1))[None, :])
         elif self.kind == "rewiring":
-            object.__setattr__(self, "swap_tables", _swap_tables(self.base.adj))
+            rows, cols = np.nonzero(self.base.adj)
+            src = rows * n
+            occupancy = (self.base.adj | np.eye(n, dtype=bool)).tobytes()
+            object.__setattr__(self, "swap_tables", (src, (src + cols).tolist(), occupancy))
 
     def sample(self, index: int) -> BinaryNetwork:
         rng = child_rng(self.seed, index)
@@ -407,5 +355,36 @@ class NullModelSpec:
             np.fill_diagonal(adj, False)
             return BinaryNetwork(base.countries, adj, self.kind)
         if self.kind == "rewiring":
-            return _swap_chain(base, self.swap_tables, rng, self.swap_factor)
+            return self._rewire(rng)
         return self.rule.apply(sample_lognormal_slice(self.fit, rng))
+
+    def _rewire(self, rng: np.random.Generator) -> BinaryNetwork:
+        """Run the swap chain from ``swap_tables``, which it reads and does not change."""
+        base = self.base
+        src, cells, occupancy = self.swap_tables
+        m = src.size
+        label = f"rewired[{base.rule}]"
+        if m < 2:
+            return BinaryNetwork(base.countries, base.adj, label, base.source_year)
+        picks = rng.integers(0, m, size=(self.swap_factor * m, 2))
+        offsets = src[picks]
+        shift = offsets[:, 0] - offsets[:, 1]
+        tried = np.flatnonzero(shift)
+        occupied = bytearray(occupancy)
+        cell = cells.copy()
+        for i1, i2, k in zip(picks[tried, 0].tolist(), picks[tried, 1].tolist(), shift[tried].tolist()):
+            ad = cell[i2] + k
+            if occupied[ad]:
+                continue
+            cb = cell[i1] - k
+            if occupied[cb]:
+                continue
+            occupied[cell[i1]] = 0
+            occupied[cell[i2]] = 0
+            occupied[ad] = 1
+            occupied[cb] = 1
+            cell[i1] = ad
+            cell[i2] = cb
+        adj = np.frombuffer(occupied, dtype=bool).reshape(base.n, base.n)
+        np.fill_diagonal(adj, False)
+        return BinaryNetwork(base.countries, adj, label, base.source_year)

@@ -395,7 +395,7 @@ def oracle_threshold_network(slice_: AssetSlice, name: str, t: float = DEFAULT_G
 
 def oracle_rewired(net: BinaryNetwork, rng: np.random.Generator, swap_factor: int) -> BinaryNetwork:
     """Degree-preserving swaps on an edge-tuple list and an edge set, testing
-    each rejection case explicitly; draws the same picks as sample_rewired."""
+    each rejection case explicitly."""
     rows, cols = np.nonzero(net.adj)
     edges = list(zip(rows.tolist(), cols.tolist()))
     m = len(edges)

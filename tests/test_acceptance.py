@@ -25,7 +25,6 @@ from finnet.nullmodels import (
     estimate_sigma_correction,
     fit_lognormal,
     jarque_bera,
-    sample_rewired,
 )
 
 from conftest import (
@@ -130,8 +129,9 @@ def test_criterion_3_null_model_statistics():
     rng = np.random.default_rng(304)
     for g in range(100):
         net = random_net(10, float(rng.uniform(0.1, 0.6)), rng)
-        for seed in range(10):
-            rewired = sample_rewired(net, np.random.default_rng(seed))
+        spec = NullModelSpec("rewiring", g, net)
+        for i in range(10):
+            rewired = spec.sample(i)
             assert np.array_equal(rewired.out_degrees(), net.out_degrees())
             assert np.array_equal(rewired.in_degrees(), net.in_degrees())
     print(f"\n[criterion 3] PASS: GOF stats (er={stat:.1f}, out={stat_out:.1f}, in={stat_in:.1f}) "

@@ -27,6 +27,15 @@ def inputs(fixture_data_dir):
     return ["--assets", str(fixture_data_dir / "assets.csv"), "--gdp", str(fixture_data_dir / "gdp.csv")]
 
 
+def _no_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def strict_json(text):
+    """Parse JSON that must hold no bare NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def run(args, fixture_data_dir, out_name="out", extra=()):
     out = fixture_data_dir / out_name
     return main(args + inputs(fixture_data_dir) + ["--out", str(out), *extra]), out
@@ -132,7 +141,7 @@ def test_lgd_trace_json(fixture_data_dir):
         "trace.json",
     )
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert doc["meta"]["command"] == "lgd"
     assert doc["cascade"]["initial"] == ["AAA", "BBB"]
     assert doc["cascade"]["impact"] >= 2 / 8
@@ -217,7 +226,7 @@ def test_knockout_and_ci_table_json_format(fixture_data_dir):
         "ko.json",
     )
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert len(doc["rows"]) == 101
     assert set(doc["rows"][0]) == {"grid_point", "mean", "std"}
     rc, out = run(
@@ -227,7 +236,7 @@ def test_knockout_and_ci_table_json_format(fixture_data_dir):
         "ci.json",
     )
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert doc["meta"]["command"] == "ci-table"
     assert {r["measure"] for r in doc["rows"]} == {
         "frac_spl_le2", "frac_spl_le3", "modified_aspl",
@@ -238,18 +247,14 @@ def test_knockout_and_ci_table_json_format(fixture_data_dir):
 def test_fit_lognormal_json(fixture_data_dir):
     rc, out = run(["fit-lognormal", "--years", "2006,2007"], fixture_data_dir, "fit.json")
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert len(doc["fits"]) == 2
     fit = doc["fits"][0]
     assert fit["correction_factor"] == 1.183
     assert set(fit["residual_summary"]) == {"mean", "std", "skew", "kurtosis", "jarque_bera", "p_value"}
     rc, out = run(["fit-lognormal", "--years", "2006,2007", "--pooled"], fixture_data_dir, "fitp.json")
     assert rc == 0
-    assert len(json.loads(out.read_text())["fits"]) == 1
-
-
-def _no_constant(name):
-    raise ValueError(f"bare {name} is not JSON")
+    assert len(strict_json(out.read_text())["fits"]) == 1
 
 
 def test_fit_lognormal_writes_null_for_undefined_statistics(tmp_path):
@@ -262,9 +267,24 @@ def test_fit_lognormal_writes_null_for_undefined_statistics(tmp_path):
     (tmp_path / "gdp.csv").write_text("year,country,gdp_musd\n" + "".join(f"2007,{c},100\n" for c in codes))
     rc, out = run(["fit-lognormal", "--years", "2007"], tmp_path, "fit.json")
     assert rc == 0
-    summary = json.loads(out.read_text(), parse_constant=_no_constant)["fits"][0]["residual_summary"]
+    summary = strict_json(out.read_text())["fits"][0]["residual_summary"]
     assert summary["jarque_bera"] is None and summary["p_value"] is None
     assert isinstance(summary["std"], float)
+
+
+@pytest.mark.parametrize("args", [
+    ["fit-lognormal", "--years", "2007"],
+    ["gen-null", "--year", "2007", "--model", "log-normal"],
+    ["knockout", "--years", "2007", "--strategy", "error", "--trials", "3", "--model", "log-normal"],
+    ["ci-table", "--years", "2007", "--models", "log-normal", "--samples", "100"],
+])
+def test_overflowing_correction_exits_1_before_writing(fixture_data_dir, capsys, args):
+    """1.7e308 is a finite --correction, but times the fixture's sigma
+    (about 1.4) it overflows: the fit fails before any draw or output."""
+    rc, out = run(args + ["--correction", "1.7e308"], fixture_data_dir, f"overflow_{args[0]}.out")
+    assert rc == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ci_table_matches_golden(fixture_data_dir):
@@ -655,7 +675,7 @@ def test_stdout_output(fixture_data_dir, capsysbinary):
         "--out", "-",
     ])
     assert rc == 0
-    doc = json.loads(capsysbinary.readouterr().out)
+    doc = strict_json(capsysbinary.readouterr().out)
     assert doc["cascade"]["defaulted"] == ["AAA"]
 
 

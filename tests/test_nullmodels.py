@@ -17,7 +17,6 @@ from finnet.nullmodels import (
     jarque_bera,
     sample_lognormal_matrix,
     sample_lognormal_slice,
-    sample_rewired,
 )
 from finnet.seeding import child_rng
 
@@ -100,9 +99,8 @@ def test_indegree_mirror():
 
 
 def test_rewired_two_cycle_unchanged():
-    rng = np.random.default_rng(4)
     net = net_from_adj([[0, 1], [1, 0]])
-    rewired = sample_rewired(net, rng)
+    rewired = NullModelSpec("rewiring", 4, net).sample(0)
     assert np.array_equal(rewired.adj, net.adj)
 
 
@@ -110,10 +108,10 @@ def test_rewired_two_edge_graph_reaches_both_configurations():
     adj = np.zeros((4, 4), dtype=bool)
     adj[0, 1] = adj[2, 3] = True
     net = net_from_adj(adj)
+    spec = NullModelSpec("rewiring", 0, net)
     seen = set()
-    for seed in range(200):
-        rewired = sample_rewired(net, np.random.default_rng(seed))
-        seen.add(tuple(sorted(rewired.edges())))
+    for i in range(200):
+        seen.add(tuple(sorted(spec.sample(i).edges())))
     original = (("C00", "C01"), ("C02", "C03"))
     swapped = (("C00", "C03"), ("C02", "C01"))
     assert seen == {original, swapped}
@@ -132,9 +130,9 @@ def test_rewired_directed_three_cycle_unchanged():
     adj = edge_adj(3, [(0, 1), (1, 2), (2, 0)])
     assert oracle_degree_class(adj) == {adj.tobytes(), adj.T.tobytes()}
     assert oracle_swap_component(adj) == {adj.tobytes()}
-    net = net_from_adj(adj)
-    for seed in range(100):
-        assert np.array_equal(sample_rewired(net, np.random.default_rng(seed)).adj, adj)
+    spec = NullModelSpec("rewiring", 1, net_from_adj(adj))
+    for i in range(100):
+        assert np.array_equal(spec.sample(i).adj, adj)
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -154,8 +152,8 @@ def test_rewired_reaches_exactly_its_swap_component(n, edges):
     component = oracle_swap_component(adj)
     if n <= 4:
         assert component <= oracle_degree_class(adj)
-    net = net_from_adj(adj)
-    reached = {sample_rewired(net, np.random.default_rng(seed)).adj.tobytes() for seed in range(300)}
+    spec = NullModelSpec("rewiring", 2, net_from_adj(adj))
+    reached = {spec.sample(i).adj.tobytes() for i in range(300)}
     assert reached <= component
     if len(component) <= 10:
         assert reached == component
@@ -164,9 +162,8 @@ def test_rewired_reaches_exactly_its_swap_component(n, edges):
 @given(seed=st.integers(0, 10_000), p=st.floats(0.05, 0.6))
 @settings(max_examples=40, deadline=None)
 def test_rewired_preserves_degree_sequences(seed, p):
-    rng = np.random.default_rng(seed)
-    net = random_net(10, p, rng)
-    rewired = sample_rewired(net, rng)
+    net = random_net(10, p, np.random.default_rng(seed))
+    rewired = NullModelSpec("rewiring", seed, net).sample(0)
     assert np.array_equal(rewired.out_degrees(), net.out_degrees())
     assert np.array_equal(rewired.in_degrees(), net.in_degrees())
     assert not np.any(np.diagonal(rewired.adj))
@@ -217,18 +214,14 @@ def out_star(n, *extra):
 @example(adj=np.array([[0, 1], [0, 0]], dtype=bool), swap_factor=1, seed=10, index=0, year=None)
 @settings(max_examples=300, deadline=None)
 def test_rewired_matches_oracle_exactly(adj, swap_factor, seed, index, year):
-    """sample_rewired, and a rewiring spec's draw from the swap tables it
-    built once, equal the referee's chain on the same generator: the spec
-    also after a pickle round trip (workers get specs pickled) and on a
-    second draw, which finds its tables as they were."""
+    """A rewiring spec's draw from the swap tables it built once equals the
+    referee's chain on the same generator, also after a pickle round trip
+    (workers get specs pickled) and on a second draw, which finds its
+    tables as they were."""
     net = BinaryNetwork(labels(adj.shape[0]), adj, "A", year)
-    got = sample_rewired(net, np.random.default_rng(seed), swap_factor)
-    want = oracle_rewired(net, np.random.default_rng(seed), swap_factor)
-    assert np.array_equal(got.adj, want.adj)
-    assert (got.countries, got.rule, got.source_year) == (want.countries, want.rule, want.source_year)
-    assert got.rule == "rewired[A]" and got.source_year == year
     spec = NullModelSpec("rewiring", seed, net, swap_factor)
     want = oracle_rewired(net, child_rng(seed, index), swap_factor)
+    assert want.rule == "rewired[A]" and want.source_year == year
     for copy in (spec, pickle.loads(pickle.dumps(spec)), spec):
         got = copy.sample(index)
         assert got.adj.tobytes() == want.adj.tobytes()
@@ -265,6 +258,20 @@ def test_fits_reject_a_correction_factor_not_finite_and_nonnegative(factor):
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         fit_lognormal_pooled([slice_], correction_factor=factor)
     assert fit_lognormal(slice_, correction_factor=0.0).sigma_corrected == 0.0
+
+
+def test_fits_reject_a_correction_that_overflows_sigma():
+    """A finite factor can still make sigma_corrected infinite; the fit
+    rejects it rather than hand an infinite sigma to the draws."""
+    rng = np.random.default_rng(6)
+    alpha, beta = high_mu_params(8, rng)
+    slice_ = synthetic_slice(alpha, beta, 1.5, rng)
+    factor = 1.7e308
+    assert fit_lognormal(slice_).sigma_raw * factor == math.inf
+    with pytest.raises(ValueError, match="overflows"):
+        fit_lognormal(slice_, correction_factor=factor)
+    with pytest.raises(ValueError, match="overflows"):
+        fit_lognormal_pooled([slice_], correction_factor=factor)
 
 
 def test_fits_reject_fewer_than_3_countries_or_no_slice():
@@ -512,14 +519,20 @@ def test_null_spec_validation_and_sampling():
     for kind in ("rewiring", "er"):
         with pytest.raises(ValueError, match="swap_factor must be >= 1"):
             NullModelSpec(kind, 0, net, swap_factor=0)
-    with pytest.raises(ValueError, match="swap_factor must be >= 1"):
-        sample_rewired(net, rng, swap_factor=0)
     for kind in ("er", "out-degree", "in-degree", "rewiring"):
         spec = NullModelSpec(kind, 7, net)
         a = spec.sample(3)
         b = spec.sample(3)
         assert np.array_equal(a.adj, b.adj)  # (seed, index) fully determines the draw
         assert a.countries == net.countries
+
+
+@pytest.mark.parametrize("kind", ["er", "out-degree", "in-degree", "rewiring"])
+def test_null_spec_rejects_a_base_under_two_nodes(kind):
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            NullModelSpec(kind, 1, empty_net(n))
+    assert NullModelSpec(kind, 1, empty_net(2)).sample(0).num_edges == 0
 
 
 def test_null_spec_reads_its_statistic_once(monkeypatch):
@@ -574,7 +587,7 @@ def test_null_spec_sample_is_the_family_sampler_on_child_rng(kind):
         "er": lambda r: oracle_bernoulli_null(net, "er", r),
         "out-degree": lambda r: oracle_bernoulli_null(net, "out-degree", r),
         "in-degree": lambda r: oracle_bernoulli_null(net, "in-degree", r),
-        "rewiring": lambda r: sample_rewired(net, r, swap_factor),
+        "rewiring": lambda r: oracle_rewired(net, r, swap_factor),
         "log-normal": lambda r: rule.apply(sample_lognormal_slice(fit_lognormal(slice_, correction), r)),
     }[kind]
     spec = _null_spec(kind, slice_, rule, seed, swap_factor, correction)
