@@ -3,8 +3,10 @@
 Every command is deterministic given (inputs, flags, seed): all
 randomness flows from one --seed flag through per-task sub-seeds derived
 from (seed, index...) pairs, and outputs carry a metadata header echoing
-the tool version, the seed, and the resolved configuration. Exit codes:
-0 success, 1 data error, 2 usage error.
+the tool version, the seed, and the resolved configuration. The header
+does not yet echo ci-table's --t, nor --swap-factor and --correction,
+although they change the rows. Exit codes: 0 success, 1 data error,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ DEFAULT_SAMPLES = 10000
 DEFAULT_ALPHA = 0.05
 ENV_DATA_DIR = "FINNET_DATA_DIR"
 
+# The most years one --years list may name; a range is checked before it is expanded.
+MAX_YEARS = 10_000
+
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 
@@ -100,9 +105,11 @@ def _parse_years(text: str) -> list[int]:
             lo, hi = (int(v) for v in part.split("-", 1))
             if hi < lo:
                 raise ValueError(f"year range {part} runs backwards")
-            years.extend(range(lo, hi + 1))
         else:
-            years.append(int(part))
+            lo = hi = int(part)
+        if len(years) + hi - lo >= MAX_YEARS:
+            raise ValueError(f"{part} takes the year list past {MAX_YEARS} years")
+        years.extend(range(lo, hi + 1))
     if len(set(years)) < len(years):
         raise ValueError("repeats a year")
     return years

@@ -45,11 +45,13 @@ def _freeze(record, labels: str, **dtypes) -> None:
 
 def _validate(codes, years, indices, amount, rules) -> None:
     """Raise DataError unless the columns have one length, the indices point
-    into a sorted table of distinct nonempty codes, no rule's mask flags a
-    row and no (year, *codes) key repeats; a message names the first row at
-    fault."""
+    into a sorted table of distinct nonempty codes, none beginning with '#',
+    no rule's mask flags a row and no (year, *codes) key repeats; a message
+    names the first row at fault."""
     if list(codes) != sorted(set(codes)) or "" in codes:
         raise DataError("panel codes must be nonempty, sorted and distinct")
+    if any(code.startswith("#") for code in codes):
+        raise DataError("panel codes must not begin with '#'")
     if any(len(column) != len(years) for column in (*indices, amount)):
         raise DataError("panel columns differ in length")
     if any(np.any((column < 0) | (column >= len(codes))) for column in indices):
@@ -217,6 +219,10 @@ def _row_key(lineno: int, row: list[str]) -> tuple:
         raise DataError(f"line {lineno}: year {year_s!r} out of range")
     if not all(codes):
         raise DataError(f"line {lineno}: empty country code")
+    for code in codes:
+        # The outputs write their metadata as lines that begin with '#'.
+        if code.startswith("#"):
+            raise DataError(f"line {lineno}: country code {code!r} begins with '#'")
     if len(codes) == 2 and codes[0] == codes[1]:
         raise DataError(f"line {lineno}: self-holding {codes[0]}->{codes[1]} not allowed")
     what, fault = ("value", "negative") if len(codes) == 2 else ("gdp", "nonpositive")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import AssetSlice
+from .ingest import AssetSlice, _freeze
 from .netbuild import BinaryNetwork, ThresholdRule
 from .seeding import child_rng
 
@@ -47,6 +47,10 @@ class LogNormalFit:
     residuals: np.ndarray
     year: int | None = None
     gdp: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        gdp = {} if self.gdp is None else {"gdp": np.float64}
+        _freeze(self, "countries", alpha=np.float64, beta=np.float64, residuals=np.float64, **gdp)
 
     def residual_summary(self) -> dict[str, float]:
         res = self.residuals
@@ -132,7 +136,7 @@ def _fit(
         raise ValueError(f"correction_factor {correction_factor:g} times sigma {sigma_raw:g} overflows")
     return LogNormalFit(
         countries=countries,
-        alpha=theta[:n].copy(),
+        alpha=theta[:n],
         beta=np.insert(theta[n:], 0, 0.0),
         sigma_raw=sigma_raw,
         sigma_corrected=sigma_corrected,
@@ -152,8 +156,8 @@ def fit_lognormal_pooled(slices: list[AssetSlice], correction_factor: float = DE
     """One fit over several years with country effects shared across years,
     over the sorted union of their countries.
 
-    Pooled fits have no single year or GDP vector, so they cannot seed
-    slice generation; use a per-year fit for that.
+    Pooled fits have no single year or GDP vector, so a log-normal
+    ``NullModelSpec`` refuses them; it needs a per-year fit.
     """
     if not slices:
         raise ValueError("need at least one slice")
@@ -187,21 +191,6 @@ def sample_lognormal_matrix(
     s = _censor_and_round(s, censor_floor, rounding)
     np.fill_diagonal(s, 0.0)
     return s
-
-
-def sample_lognormal_slice(fit: LogNormalFit, rng: np.random.Generator) -> AssetSlice:
-    """Draw a synthetic asset slice from a fitted model.
-
-    Positions follow :func:`sample_lognormal_matrix` with
-    eps ~ Normal(0, sigma_corrected), censored below 0.5 and rounded to
-    integer millions, so generated values are always nonnegative. The
-    slice keeps the GDP vector captured at fit time and reports coverage
-    1.0 (it is self-contained by construction).
-    """
-    if fit.gdp is None:
-        raise ValueError("fit has no gdp vector (pooled fit); refit on a single slice")
-    s = sample_lognormal_matrix(fit, rng)
-    return AssetSlice(fit.year, fit.countries, s, fit.gdp, 1.0)
 
 
 def estimate_sigma_correction(
@@ -284,7 +273,9 @@ class NullModelSpec:
     its edge probability ``prob`` from ``base`` once, as the mean
     out-degree over n - 1 (a scalar), the out-degrees over n - 1 (a column,
     one per source) or the in-degrees over n - 1 (a row, one per target).
-    Log-normal re-thresholds the slice model ``fit`` by ``rule``. The
+    Log-normal re-thresholds by ``rule`` a slice of
+    :func:`sample_lognormal_matrix` (censored, rounded, never negative)
+    with the GDP of ``fit``, a per-year fit, and coverage 1.0. The
     (seed, index) pair fully determines the draw, so ensembles are
     reproducible under any scheduling.
 
@@ -330,6 +321,8 @@ class NullModelSpec:
             raise ValueError(f"unknown null-model kind {self.kind!r}")
         if self.kind == "log-normal" and (self.fit is None or self.rule is None):
             raise ValueError("log-normal model needs a fit and a thresholding rule")
+        if self.kind == "log-normal" and self.fit.gdp is None:
+            raise ValueError("fit has no gdp vector (pooled fit); refit on a single slice")
         if self.swap_factor < 1:
             raise ValueError("swap_factor must be >= 1")
         n = self.base.n
@@ -356,7 +349,8 @@ class NullModelSpec:
             return BinaryNetwork(base.countries, adj, self.kind)
         if self.kind == "rewiring":
             return self._rewire(rng)
-        return self.rule.apply(sample_lognormal_slice(self.fit, rng))
+        fit = self.fit
+        return self.rule.apply(AssetSlice(fit.year, fit.countries, sample_lognormal_matrix(fit, rng), fit.gdp, 1.0))
 
     def _rewire(self, rng: np.random.Generator) -> BinaryNetwork:
         """Run the swap chain from ``swap_tables``, which it reads and does not change."""

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -81,6 +82,50 @@ def test_build_rule_b_default_threshold(fixture_data_dir):
     rc, out = run(["build", "--year", "2007", "--rule", "B"], fixture_data_dir, "netb.csv")
     assert rc == 0
     assert "# rule=B(t=0.0417)" in out.read_text()
+
+
+def test_pyproject_version_is_the_package_version(capsys):
+    """Every output echoes __version__ as `# finnet=...`; the packaging metadata
+    must carry the same value. A regex, since Python 3.10 has no tomllib."""
+    from finnet import __version__
+
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', pyproject, flags=re.M)
+    assert version == __version__
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"finnet {__version__}\n"
+
+
+def test_hash_country_code_exits_1_naming_its_line(tmp_path, capsys):
+    """A holder coded #N/A would be written as an edge row under the `#`
+    metadata lines, where any reader that skips `#` lines drops it."""
+    assets, gdp = tmp_path / "assets.csv", tmp_path / "gdp.csv"
+    assets.write_text("year,holder,issuer,value_musd\n2009,US,JP,5\n2009,#N/A,US,9\n2009,JP,US,4\n")
+    gdp.write_text("year,country,gdp_musd\n2009,US,10\n2009,JP,10\n2009,#N/A,10\n")
+    out = tmp_path / "net.csv"
+    rc = main(["build", "--year", "2009", "--assets", str(assets), "--gdp", str(gdp), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: line 3: country code '#N/A' begins with '#'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("years, code", [
+    ("1-10000", 1), ("1-10001", 2), ("1-5000,5001-10000", 1), ("1-5000,5001-10001", 2), ("0,1-10000", 2),
+])
+def test_years_list_holds_at_most_10000_years(fixture_data_dir, tmp_path, capsys, years, code):
+    out = tmp_path / "fits.json"
+    argv = ["fit-lognormal", "--years", years, "--out", str(out)] + inputs(fixture_data_dir)
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{years.split(',')[-1]} takes the year list past 10000 years" in capsys.readouterr().err
+    else:
+        assert main(argv) == 1
+        assert "year 1 absent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_2(fixture_data_dir):

@@ -12,6 +12,7 @@ from finnet.ingest import AssetPanel, AssetSlice, DataError, GdpPanel, core_slic
 from finnet.ingest import ASSET_HEADER as ASSET_COLUMNS
 from finnet.ingest import GDP_HEADER as GDP_COLUMNS
 from finnet.netbuild import BinaryNetwork
+from finnet.nullmodels import LogNormalFit
 
 from conftest import (
     asset_panel,
@@ -78,7 +79,8 @@ def test_missing_header_rejected():
 @pytest.mark.parametrize(
     "row",
     ["2009,US,JP", "banana,US,JP,1", "2009,US,JP,abc", "2009,US,JP,nan", "2009,,JP,1",
-     '2009,"U,S",JP,1', '2009,US,"J""P",1', '2009,US,"J\nP",1', "2009,US,J\rP,1"],
+     '2009,"U,S",JP,1', '2009,US,"J""P",1', '2009,US,"J\nP",1', "2009,US,J\rP,1",
+     "2009,#N/A,JP,1", '2009,US,"#N/A",1'],
 )
 def test_malformed_asset_rows_report_line_2(row):
     with pytest.raises(DataError, match="line 2"):
@@ -100,10 +102,27 @@ def test_rows_whose_field_counts_cancel_are_rejected(rows, bad):
         assert str(raised.value) == bad
 
 
-@pytest.mark.parametrize("row", ["2007,GR", "2007,,1", '2007,"G,R",1', '2007,"G""R",1', '2007,"G\rR",1'])
+@pytest.mark.parametrize("row", ["2007,GR", "2007,,1", '2007,"G,R",1', '2007,"G""R",1', '2007,"G\rR",1',
+                                 "2007,#REF!,1", '2007,"#REF!",1'])
 def test_malformed_gdp_rows_report_line_2(row):
     with pytest.raises(DataError, match="line 2"):
         parse_gdp_table((GDP_HEADER + row + "\n").encode())
+
+
+def test_country_code_beginning_with_hash_is_named():
+    """A code such as a spreadsheet's #N/A would be written as an output row
+    beginning with '#', which readers skip as a metadata line; the check is
+    made on the stripped code, and a '#' inside a code is no such marker."""
+    with pytest.raises(DataError, match=r"^line 3: country code '#X' begins with '#'$"):
+        parse_asset_table(f"{ASSET_HEADER}2009,US,JP,1\n2009,US, #X ,2\n".encode())
+    assert parse_asset_table(f"{ASSET_HEADER}2009,U#S,US,2\n".encode()).codes == ("U#S", "US")
+
+
+def test_panels_reject_a_code_beginning_with_hash():
+    with pytest.raises(DataError, match="must not begin with '#'"):
+        AssetPanel(("#N/A", "US"), np.array([2009]), np.array([0]), np.array([1]), np.array([1.0]))
+    with pytest.raises(DataError, match="must not begin with '#'"):
+        GdpPanel(("#N/A",), np.array([2009]), np.array([0]), np.array([1.0]))
 
 
 def test_non_utf8_byte_names_its_line_and_byte():
@@ -399,6 +418,9 @@ FROZEN_RECORDS = {
     "AssetSlice": (AssetSlice, "countries", {"assets": [[0.0, 2.0], [3.0, 0.0]], "gdp": [1.0, 2.0]},
                    {"year": 2007, "coverage": 1.0}),
     "BinaryNetwork": (BinaryNetwork, "countries", {"adj": [[False, True], [False, False]]}, {"rule": "A"}),
+    "LogNormalFit": (LogNormalFit, "countries", {"alpha": [1.0, 2.0], "beta": [0.0, 1.0], "residuals": [0.5, -0.5],
+                                                 "gdp": [1.0, 2.0]},
+                     {"sigma_raw": 1.0, "sigma_corrected": 1.2, "correction_factor": 1.2, "year": 2007}),
 }
 
 

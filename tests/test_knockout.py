@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finnet import knockout
+from finnet.ingest import AssetSlice
 from finnet.knockout import (
     CURVE_GRID,
     STRATEGIES,
@@ -22,7 +23,7 @@ from finnet.knockout import (
 )
 from finnet.metrics import MEASURE_NAMES, measure_vector
 from finnet.netbuild import ThresholdRule
-from finnet.nullmodels import NullModelSpec, fit_lognormal
+from finnet.nullmodels import NullModelSpec, fit_lognormal, sample_lognormal_matrix
 
 from conftest import (
     DATA_DIR,
@@ -373,9 +374,8 @@ def test_ci_compare_deterministic_null_within():
     slice_ = random_slice(8, np.random.default_rng(15), zero_frac=0.2)
     fit = replace(fit_lognormal(slice_), sigma_corrected=0.0)
     rule = ThresholdRule("A")
-    from finnet.nullmodels import sample_lognormal_slice
-
-    deterministic = sample_lognormal_slice(fit, np.random.default_rng(0))
+    deterministic = AssetSlice(fit.year, fit.countries, sample_lognormal_matrix(fit, np.random.default_rng(0)),
+                               fit.gdp, 1.0)
     empirical = measure_vector(rule.apply(deterministic))
     net = rule.apply(deterministic)
     spec = NullModelSpec("log-normal", 16, net, fit=fit, rule=rule)

@@ -16,7 +16,6 @@ from finnet.nullmodels import (
     fit_lognormal_pooled,
     jarque_bera,
     sample_lognormal_matrix,
-    sample_lognormal_slice,
 )
 from finnet.seeding import child_rng
 
@@ -318,8 +317,26 @@ def test_fit_pooled_runs_and_shares_effects():
     pooled = fit_lognormal_pooled(slices)
     assert pooled.residuals.size == 3 * 8 * 7
     assert pooled.year is None and pooled.gdp is None
+    rule = ThresholdRule("A")
     with pytest.raises(ValueError, match="gdp"):
-        sample_lognormal_slice(pooled, rng)
+        NullModelSpec("log-normal", 0, rule.apply(slices[0]), fit=pooled, rule=rule)
+
+
+def test_null_spec_rejects_a_pooled_fit_when_built():
+    """A log-normal spec needs the fit's GDP vector for every draw, so a fit
+    without one (pooled) fails when the spec is made, before any draw."""
+    rng = np.random.default_rng(17)
+    alpha, beta = high_mu_params(6, rng)
+    slices = [synthetic_slice(alpha, beta, 1.0, rng) for _ in range(2)]
+    rule = ThresholdRule("B")
+    net = rule.apply(slices[0])
+    per_year = fit_lognormal(slices[0])
+    NullModelSpec("log-normal", 3, net, fit=per_year, rule=rule).sample(0)
+    from dataclasses import replace
+
+    for fit in (fit_lognormal_pooled(slices), replace(per_year, gdp=None)):
+        with pytest.raises(ValueError, match="pooled fit"):
+            NullModelSpec("log-normal", 3, net, fit=fit, rule=rule)
 
 
 def test_fit_pooled_single_slice_equals_per_year_fit():
@@ -367,13 +384,13 @@ def test_sample_lognormal_sigma_zero_deterministic():
     from dataclasses import replace
 
     frozen = replace(fit_like, sigma_corrected=0.0)
-    one = sample_lognormal_slice(frozen, np.random.default_rng(0))
-    two = sample_lognormal_slice(frozen, np.random.default_rng(99))
-    assert np.array_equal(one.assets, two.assets)
+    one = sample_lognormal_matrix(frozen, np.random.default_rng(0))
+    two = sample_lognormal_matrix(frozen, np.random.default_rng(99))
+    assert np.array_equal(one, two)
     mu = frozen.alpha[:, None] + frozen.beta[None, :]
     expected = np.rint(np.where(np.expm1(mu) < 0.5, 0.0, np.expm1(mu)))
     np.fill_diagonal(expected, 0.0)
-    assert np.array_equal(one.assets, expected)
+    assert np.array_equal(one, expected)
 
 
 def test_sample_lognormal_nonnegative():
@@ -382,9 +399,9 @@ def test_sample_lognormal_nonnegative():
     beta = rng.normal(0.0, 1.0, 10)
     fit = fit_lognormal(synthetic_slice(alpha + 3, beta, 1.5, rng))
     for seed in range(20):
-        generated = sample_lognormal_slice(fit, np.random.default_rng(seed))
-        assert np.all(generated.assets >= 0)
-        assert np.array_equal(generated.assets, np.rint(generated.assets))
+        generated = sample_lognormal_matrix(fit, np.random.default_rng(seed))
+        assert np.all(generated >= 0)
+        assert np.array_equal(generated, np.rint(generated))
 
 
 def test_sample_lognormal_moment_check_uncensored():
@@ -583,12 +600,14 @@ def test_null_spec_sample_is_the_family_sampler_on_child_rng(kind):
     rule = ThresholdRule("B")
     net = rule.apply(slice_)
     seed, swap_factor, correction = 25, 3, 1.1
+    fit = fit_lognormal(slice_, correction)
     direct = {
         "er": lambda r: oracle_bernoulli_null(net, "er", r),
         "out-degree": lambda r: oracle_bernoulli_null(net, "out-degree", r),
         "in-degree": lambda r: oracle_bernoulli_null(net, "in-degree", r),
         "rewiring": lambda r: oracle_rewired(net, r, swap_factor),
-        "log-normal": lambda r: rule.apply(sample_lognormal_slice(fit_lognormal(slice_, correction), r)),
+        "log-normal": lambda r: rule.apply(AssetSlice(fit.year, fit.countries, sample_lognormal_matrix(fit, r),
+                                                      fit.gdp, 1.0)),
     }[kind]
     spec = _null_spec(kind, slice_, rule, seed, swap_factor, correction)
     for i in (0, 1, 5, 17):
