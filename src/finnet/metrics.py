@@ -139,9 +139,9 @@ def measure_vector(net: BinaryNetwork) -> MeasureVector:
 
     # Endpoint degrees of the edges in row-major order, as np.nonzero lists them.
     x = np.repeat(out_deg, out_deg.astype(np.intp))
-    y = np.broadcast_to(in_deg, adj.shape)[adj]
+    y = (a * in_deg)[adj]
     assortativity = math.nan
-    if x.size and x.max() > x.min() and y.max() > y.min():
+    if x.size and np.maximum.reduce(x) > np.minimum.reduce(x) and np.maximum.reduce(y) > np.minimum.reduce(y):
         xc = x - np.add.reduce(x) / x.size
         yc = y - np.add.reduce(y) / y.size
         assortativity = float(np.add.reduce(xc * yc) / math.sqrt(np.add.reduce(xc * xc) * np.add.reduce(yc * yc)))

@@ -42,7 +42,7 @@ class BinaryNetwork:
         n = len(self.countries)
         if self.adj.shape != (n, n):
             raise ValueError(f"adjacency shape {self.adj.shape} does not match {n} countries")
-        if np.any(np.diagonal(self.adj)):
+        if self.adj.diagonal().any():
             raise ValueError("adjacency has self-loops")
 
     @property

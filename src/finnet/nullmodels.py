@@ -20,6 +20,8 @@ from .seeding import child_rng
 
 DEFAULT_SIGMA_CORRECTION = 1.183
 DEFAULT_SWAP_FACTOR = 20
+# 50 times the paper's 20; at the bound a draw's swap picks over m edges take 1000 * m * 16 bytes.
+MAX_SWAP_FACTOR = 1000
 CENSOR_FLOOR_MUSD = 0.5
 
 NULL_MODEL_KINDS = ("er", "out-degree", "in-degree", "rewiring", "log-normal")
@@ -294,9 +296,13 @@ class NullModelSpec:
     vectorized subtraction over all picks, and the attempts with k = 0
     are dropped before the loop: two edges of one source (or one edge
     twice) would test a->d, the live edge c->d, and always fail. The spec
-    builds the chain's start ``swap_tables`` once (each edge's source
-    offset ``src * n``, the cells and the occupancy bytes), and each draw
-    copies them.
+    builds the chain's start ``swap_tables`` once: each edge's source row,
+    object arrays of the Python ints 0..m-1 (edge ids) and of the 2n - 1
+    row shifts k, the cells and the occupancy bytes. A draw copies the
+    last two and gathers its attempts' ids and shifts from the object
+    arrays, so ``tolist`` hands the loop existing ints instead of boxing a
+    new one for every value outside CPython's small-int cache (-5..256).
+    ``swap_factor`` lies in 1..MAX_SWAP_FACTOR.
 
     The chain stays in the start's swap component, which can be smaller
     than the set of all digraphs with its degrees: directed swaps need a
@@ -313,8 +319,8 @@ class NullModelSpec:
     fit: LogNormalFit | None = None
     rule: ThresholdRule | None = None
     prob: float | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    swap_tables: tuple[np.ndarray, list[int], bytes] | None = field(default=None, init=False, repr=False,
-                                                                    compare=False)
+    swap_tables: tuple[np.ndarray, np.ndarray, np.ndarray, list[int], bytes] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in NULL_MODEL_KINDS:
@@ -323,8 +329,8 @@ class NullModelSpec:
             raise ValueError("log-normal model needs a fit and a thresholding rule")
         if self.kind == "log-normal" and self.fit.gdp is None:
             raise ValueError("fit has no gdp vector (pooled fit); refit on a single slice")
-        if self.swap_factor < 1:
-            raise ValueError("swap_factor must be >= 1")
+        if not 1 <= self.swap_factor <= MAX_SWAP_FACTOR:
+            raise ValueError(f"swap_factor must be >= 1 and <= {MAX_SWAP_FACTOR}")
         n = self.base.n
         if n < 2:
             raise ValueError("null models need a base network of at least 2 nodes")
@@ -336,9 +342,9 @@ class NullModelSpec:
             object.__setattr__(self, "prob", (self.base.in_degrees() / (n - 1))[None, :])
         elif self.kind == "rewiring":
             rows, cols = np.nonzero(self.base.adj)
-            src = rows * n
             occupancy = (self.base.adj | np.eye(n, dtype=bool)).tobytes()
-            object.__setattr__(self, "swap_tables", (src, (src + cols).tolist(), occupancy))
+            ints = np.arange(rows.size).astype(object), (np.arange(1 - n, n) * n).astype(object)
+            object.__setattr__(self, "swap_tables", (rows, *ints, (rows * n + cols).tolist(), occupancy))
 
     def sample(self, index: int) -> BinaryNetwork:
         rng = child_rng(self.seed, index)
@@ -355,18 +361,19 @@ class NullModelSpec:
     def _rewire(self, rng: np.random.Generator) -> BinaryNetwork:
         """Run the swap chain from ``swap_tables``, which it reads and does not change."""
         base = self.base
-        src, cells, occupancy = self.swap_tables
-        m = src.size
+        rows, edge_ids, shifts, cells, occupancy = self.swap_tables
+        m = rows.size
         label = f"rewired[{base.rule}]"
         if m < 2:
             return BinaryNetwork(base.countries, base.adj, label, base.source_year)
         picks = rng.integers(0, m, size=(self.swap_factor * m, 2))
-        offsets = src[picks]
-        shift = offsets[:, 0] - offsets[:, 1]
-        tried = np.flatnonzero(shift)
+        src = rows[picks]
+        gap = src[:, 0] - src[:, 1]
+        tried = np.flatnonzero(gap)
         occupied = bytearray(occupancy)
         cell = cells.copy()
-        for i1, i2, k in zip(picks[tried, 0].tolist(), picks[tried, 1].tolist(), shift[tried].tolist()):
+        for i1, i2, k in zip(edge_ids[picks[tried, 0]].tolist(), edge_ids[picks[tried, 1]].tolist(),
+                             shifts[gap[tried] + (base.n - 1)].tolist()):
             ad = cell[i2] + k
             if occupied[ad]:
                 continue

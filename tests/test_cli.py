@@ -128,6 +128,21 @@ def test_years_list_holds_at_most_10000_years(fixture_data_dir, tmp_path, capsys
     assert not out.exists()
 
 
+def test_swap_factor_runs_at_its_bound_and_exits_2_above(fixture_data_dir, tmp_path, capsys):
+    out = tmp_path / "null.csv"
+    argv = ["gen-null", "--year", "2007", "--model", "rewiring", "--count", "1", "--out", str(out)]
+    assert main(argv + ["--swap-factor", "1000"] + inputs(fixture_data_dir)) == 0
+    assert out.read_text().count("# command=gen-null") == 1
+    out.unlink()
+    for command in (argv[:5], ["knockout", "--years", "2007", "--strategy", "error", "--model", "rewiring"],
+                    ["ci-table", "--years", "2007", "--models", "rewiring"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--swap-factor", "1001", "--out", str(out)] + inputs(fixture_data_dir))
+        assert exc.value.code == 2
+        assert "--swap-factor: '1001': must be >= 1 and <= 1000" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_usage_error_exits_2(fixture_data_dir):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--rule", "A"])  # missing --year

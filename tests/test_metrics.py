@@ -210,10 +210,15 @@ def test_measures_invariant_under_relabeling(seed):
 @example(n=6, density=1.0, seed=0, sinks=set(range(1, 6)), sources=set())
 @example(n=6, density=1.0, seed=0, sinks={3, 4, 5}, sources={0, 1, 2})
 @example(n=7, density=0.5, seed=1, sinks={0, 6}, sources={0, 3})
+@example(n=60, density=0.07, seed=1, sinks={7}, sources={42})
+@example(n=60, density=0.18, seed=2, sinks={7}, sources={42})
+@example(n=60, density=0.95, seed=3, sinks={7}, sources={42})
 @settings(max_examples=300)
 def test_measure_vector_matches_referee_bitwise(n, density, seed, sinks, sources):
     """Bit for bit against the referee, also with nodes of zero out-degree
-    (``sinks``) or zero in-degree (``sources``), which no edge endpoint lists."""
+    (``sinks``) or zero in-degree (``sources``), which no edge endpoint lists.
+    The n = 60 examples sit near the rule-B (0.07) and rule-A (0.18)
+    densities of the data and near complete."""
     adj = random_net(n, density, np.random.default_rng(seed)).adj.copy()
     adj[[v for v in sinks if v < n], :] = False
     adj[:, [v for v in sources if v < n]] = False

@@ -10,6 +10,8 @@ from scipy import stats
 from finnet.ingest import AssetSlice
 from finnet.netbuild import BinaryNetwork, ThresholdRule
 from finnet.nullmodels import (
+    DEFAULT_SWAP_FACTOR,
+    MAX_SWAP_FACTOR,
     NullModelSpec,
     estimate_sigma_correction,
     fit_lognormal,
@@ -228,6 +230,24 @@ def test_rewired_matches_oracle_exactly(adj, swap_factor, seed, index, year):
     if adj.any() and not adj[1:].any():
         # Every edge leaves node 0, so every attempt has k = 0 and fails.
         assert np.array_equal(want.adj, adj)
+
+
+@pytest.mark.parametrize("density, seed", [(0.07, 1), (0.18, 2), (0.95, 3)])
+def test_paper_size_rewired_matches_oracle_exactly(density, seed):
+    """At n = 60, near the rule-B (0.07) and rule-A (0.18) densities of
+    the data and on a near-complete graph, the edge ids pass 256 and the
+    row shifts reach +-59n: values of the spec's prebuilt ints that the
+    n <= 8 digraphs above never reach. Draws 0-2 equal the referee, also
+    after a pickle round trip, and each one moves edges."""
+    adj = random_net(60, density, np.random.default_rng(seed)).adj
+    net = BinaryNetwork(labels(60), adj, "A", 2009)
+    spec = NullModelSpec("rewiring", seed, net)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert density < 0.1 or net.num_edges > 256
+    for index in range(3):
+        want = oracle_rewired(net, child_rng(seed, index), DEFAULT_SWAP_FACTOR)
+        assert (want.adj != adj).any()
+        assert spec.sample(index).adj.tobytes() == want.adj.tobytes() == copy.sample(index).adj.tobytes()
 
 
 def test_fit_constant_matrix_zero_sigma():
@@ -536,6 +556,9 @@ def test_null_spec_validation_and_sampling():
     for kind in ("rewiring", "er"):
         with pytest.raises(ValueError, match="swap_factor must be >= 1"):
             NullModelSpec(kind, 0, net, swap_factor=0)
+        with pytest.raises(ValueError, match="swap_factor must be >= 1 and <= 1000"):
+            NullModelSpec(kind, 0, net, swap_factor=MAX_SWAP_FACTOR + 1)
+        assert NullModelSpec(kind, 0, net, swap_factor=MAX_SWAP_FACTOR).swap_factor == 1000
     for kind in ("er", "out-degree", "in-degree", "rewiring"):
         spec = NullModelSpec(kind, 7, net)
         a = spec.sample(3)
