@@ -2,11 +2,15 @@
 
 Every command is deterministic given (inputs, flags, seed): all
 randomness flows from one --seed flag through per-task sub-seeds derived
-from (seed, index...) pairs, and outputs carry a metadata header echoing
-the tool version, the seed, and the resolved configuration. The header
-does not yet echo ci-table's --t, nor --swap-factor and --correction,
-although they change the rows. Exit codes: 0 success, 1 data error,
-2 usage error.
+from (seed, index...) pairs. Every output starts with one metadata
+record, built by `_meta`: the head every command shares (tool version,
+command, seed, then year or years), then the command's resolved
+configuration. Its values keep their types until a writer formats them:
+`_header` writes the `#` lines of a CSV or the `//` lines of a DOT file,
+a list comma-separated, and `_emit_json` writes the record as the
+document's `meta` object, a list as an array. The record does not yet
+echo ci-table's --t, nor --swap-factor and --correction, although they
+change the rows. Exit codes: 0 success, 1 data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -75,13 +79,14 @@ def _resolve_input(path: str | None, default_name: str) -> str:
 
 
 def _slices(args: argparse.Namespace) -> list[AssetSlice]:
-    """The core slice of each named year, read before any work, so a missing year fails first."""
+    """The core slice of each year the record names, read before any work, so a missing year fails first."""
     asset_path = _resolve_input(args.assets, "assets.csv")
     gdp_path = _resolve_input(args.gdp, "gdp.csv")
     if asset_path == "-" and gdp_path == "-":
         raise DataError("only one of assets/gdp can come from standard input")
     assets, gdp = read_asset_file(asset_path), read_gdp_file(gdp_path)
-    years = args.years if "years" in args else [args.year]
+    head = _meta(args, {})
+    years = head["years"] if "years" in head else [head["year"]]
     return [core_slice(assets, gdp, year) for year in years]
 
 
@@ -138,13 +143,17 @@ def _distinct(allowed: tuple[str, ...] | None, text: str) -> list[str]:
     return names
 
 
-def _meta(command: str, args: argparse.Namespace, extra: dict) -> dict:
-    """The metadata record every output starts with."""
-    return {"finnet": __version__, "command": command, "seed": args.seed, **extra}
+def _meta(args: argparse.Namespace, extra: dict) -> dict:
+    """The metadata record every output starts with: the shared head (``years``
+    or ``year``, as the command takes), then ``extra``, every value as typed."""
+    span = {"years": args.years} if "years" in args else {"year": args.year}
+    return {"finnet": __version__, "command": args.command, "seed": args.seed, **span, **extra}
 
 
 def _header(meta: dict, prefix: str = "#") -> str:
-    return "".join(f"{prefix} {key}={value}\n" for key, value in meta.items())
+    """The record as `prefix key=value` lines, a list or tuple written comma-separated."""
+    text = {k: ",".join(map(str, v)) if isinstance(v, (list, tuple)) else v for k, v in meta.items()}
+    return "".join(f"{prefix} {key}={value}\n" for key, value in text.items())
 
 
 def _emit(path: str, payload: bytes) -> None:
@@ -190,14 +199,13 @@ def cmd_build(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     mean_out = net.num_edges / net.n
     extra = {
-        "year": args.year,
         "rule": net.rule,
         "n": net.n,
         "edges": net.num_edges,
         "mean_out_degree": mean_out,
         "coverage": slice_.coverage,
     }
-    _emit_table(args.out, _meta("build", args, extra), ["holder", "issuer"], net.edges())
+    _emit_table(args.out, _meta(args, extra), ["holder", "issuer"], net.edges())
     print(f"build: year={args.year} rule={net.rule} n={net.n} edges={net.num_edges} "
           f"mean_out_degree={mean_out:.4f}", file=sys.stderr)
 
@@ -206,7 +214,7 @@ def cmd_export(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     (slice_,) = slices
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     rows = weighted_edges(net, slice_)
-    meta = _meta("export", args, {"year": args.year, "rule": net.rule, "format": args.format})
+    meta = _meta(args, {"rule": net.rule, "format": args.format})
     if args.format == "edge-list":
         _emit_table(args.out, meta, ["holder", "issuer", "weight_class"], rows)
     else:
@@ -219,7 +227,7 @@ def cmd_fit_lognormal(args: argparse.Namespace, slices: list[AssetSlice]) -> Non
         fits = [fit_lognormal_pooled(slices, correction_factor=args.correction)]
     else:
         fits = [fit_lognormal(s, correction_factor=args.correction) for s in slices]
-    meta = _meta("fit-lognormal", args, {"years": args.years, "pooled": args.pooled})
+    meta = _meta(args, {"pooled": args.pooled})
     _emit_json(args.out, meta, {"fits": [fit.to_json_dict() for fit in fits]})
 
 
@@ -231,8 +239,8 @@ def cmd_gen_null(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     for index in range(args.count):
         net = spec.sample(index)
         rows.extend([index, holder, issuer] for holder, issuer in net.edges())
-    extra = {"year": args.year, "rule": rule.label, "model": args.model, "count": args.count}
-    _emit_table(args.out, _meta("gen-null", args, extra), ["sample", "holder", "issuer"], rows)
+    extra = {"rule": rule.label, "model": args.model, "count": args.count}
+    _emit_table(args.out, _meta(args, extra), ["sample", "holder", "issuer"], rows)
 
 
 def cmd_knockout(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
@@ -244,7 +252,6 @@ def cmd_knockout(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     ]
     summary = ensemble_knockout(sources, args.strategy, args.trials, args.seed, args.jobs)
     extra = {
-        "years": ",".join(str(y) for y in args.years),
         "rule": rule.label,
         "model": args.model,
         "strategy": args.strategy,
@@ -253,7 +260,7 @@ def cmd_knockout(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
         "n_traces": summary.n_traces,
     }
     rows = [[float(g), float(m), float(s)] for g, m, s in zip(summary.grid, summary.mean, summary.std)]
-    _emit_table(args.out, _meta("knockout", args, extra), ["grid_point", "mean", "std"], rows, args.format)
+    _emit_table(args.out, _meta(args, extra), ["grid_point", "mean", "std"], rows, args.format)
 
 
 def cmd_ci_table(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
@@ -269,25 +276,17 @@ def cmd_ci_table(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
                                      fit if model == "log-normal" else None, rule)
                 cells.append((empirical, spec))
     reports = ci_compare(cells, args.samples, args.alpha, jobs=args.jobs)
-    extra = {
-        "years": ",".join(str(y) for y in args.years),
-        "rules": ",".join(args.rules),
-        "models": ",".join(args.models),
-        "samples": args.samples,
-        "alpha": args.alpha,
-    }
+    extra = {"rules": args.rules, "models": args.models, "samples": args.samples, "alpha": args.alpha}
     columns = ["measure", "model", "rule", "score", "below", "within", "above", "undefined", "years"]
     rows = [[r[c] for c in columns] for r in ci_table(reports)]
-    _emit_table(args.out, _meta("ci-table", args, extra), columns, rows, args.format)
+    _emit_table(args.out, _meta(args, extra), columns, rows, args.format)
 
 
 def cmd_lgd(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     (slice_,) = slices
     spec = LgdSpec(args.d1, args.d2, args.haircut)
     result = cascade(slice_, set(args.initial), spec)
-    meta = _meta("lgd", args, {
-        "year": args.year, "d1": args.d1, "d2": args.d2, "haircut": args.haircut,
-    })
+    meta = _meta(args, {"d1": args.d1, "d2": args.d2, "haircut": args.haircut})
     body = {
         "initial": sorted(result.initial),
         "rounds": [sorted(r) for r in result.rounds],
@@ -310,22 +309,13 @@ def cmd_lgd_sweep(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     for slice_ in slices:
         summaries.extend(sweep_grid(slice_, args.d1_grid, args.d2_grid, args.k_max, args.haircut))
     ordered = severity_sorted(summaries)
-    extra = {
-        "years": ",".join(str(y) for y in args.years),
-        "d1_grid": ",".join(args.d1_grid),
-        "d2_grid": ",".join(args.d2_grid),
-        "k_max": args.k_max,
-        "haircut": args.haircut,
-    }
+    extra = {"d1_grid": args.d1_grid, "d2_grid": args.d2_grid, "k_max": args.k_max, "haircut": args.haircut}
     rows = [
         [s.year, s.spec.d1, s.spec.d2, s.k, s.mean, s.worst5_mean, s.worst, _combo_cell(s.argmax)]
         for s in ordered
     ]
-    _emit_table(
-        args.out, _meta("lgd-sweep", args, extra),
-        ["year", "d1", "d2", "k", "mean", "worst5", "worst", "argmax_combos"],
-        rows,
-    )
+    columns = ["year", "d1", "d2", "k", "mean", "worst5", "worst", "argmax_combos"]
+    _emit_table(args.out, _meta(args, extra), columns, rows)
     if args.ranking_out:
         ranking = influence_ranking(summaries, args.top_n)
         rank_rows = [
@@ -333,8 +323,8 @@ def cmd_lgd_sweep(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
             for k, pairs in ranking.items()
             for combo, count in pairs
         ]
-        _emit_table(args.ranking_out, _meta("lgd-sweep/ranking", args, extra),
-                    ["k", "combo", "count"], rank_rows)
+        meta = {**_meta(args, {**extra, "top_n": args.top_n}), "command": "lgd-sweep/ranking"}
+        _emit_table(args.ranking_out, meta, ["k", "combo", "count"], rank_rows)
 
 
 def _pigs_axes(args: argparse.Namespace) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -345,11 +335,9 @@ def _pigs_axes(args: argparse.Namespace) -> tuple[tuple[float, ...], tuple[float
 
 def cmd_pigs_grid(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     (slice_,) = slices
-    group = tuple(args.group)
-    cells = fine_grid(slice_, group, *_pigs_axes(args), haircut=args.haircut)
+    cells = fine_grid(slice_, tuple(args.group), *_pigs_axes(args), haircut=args.haircut)
     extra = {
-        "year": args.year,
-        "group": ",".join(group),
+        "group": args.group,
         "d1_max": args.d1_max,
         "d1_points": args.d1_points,
         "d2_max": args.d2_max,
@@ -357,7 +345,7 @@ def cmd_pigs_grid(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
         "haircut": args.haircut,
     }
     rows = [["+".join(c.subset), c.d1, c.d2, c.impact, c.rounds] for c in cells]
-    _emit_table(args.out, _meta("pigs-grid", args, extra), ["subset", "d1", "d2", "impact", "rounds"], rows)
+    _emit_table(args.out, _meta(args, extra), ["subset", "d1", "d2", "impact", "rounds"], rows)
 
 
 def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
@@ -388,6 +376,9 @@ def _add_null_params(parser: argparse.ArgumentParser) -> None:
 D1 = _checked(lambda text: grid_axis([text], "d1")[0])
 D2 = _checked(lambda text: grid_axis([text], "d2")[0])
 HAIRCUT = _checked(lambda text: grid_axis([text], "haircut")[0])
+# Parsed to floats, so the record holds the thresholds, not their spelling.
+D1_GRID = _checked(lambda text: grid_axis(text.split(","), "d1"))
+D2_GRID = _checked(lambda text: grid_axis(text.split(","), "d2"))
 POSITIVE = _bounded(int, lambda v: v >= 1, "must be >= 1")
 SEED = _bounded(int, lambda v: v >= 0, "must be >= 0")
 SWAP_FACTOR = _bounded(int, lambda v: 1 <= v <= MAX_SWAP_FACTOR, f"must be >= 1 and <= {MAX_SWAP_FACTOR}")
@@ -404,6 +395,7 @@ CORRECTION_HELP = "sigma correction factor (default %(default)s)"
 HAIRCUT_HELP = "share of an exposure lost on default, in (0, 1] (default %(default)s)"
 FORMAT_HELP = "output format: %(choices)s (default %(default)s)"
 MODEL_HELP = "network family: %(choices)s (knockout defaults to the empirical network)"
+JOBS_HELP = "max parallel workers, capped at the CPUs this process may use (default %(default)s)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="unused by knockout; only echoed in the output header (default %(default)s)")
     _add_null_params(p)
-    p.add_argument("--jobs", type=POSITIVE, default=1, help="max parallel workers (default %(default)s)")
+    p.add_argument("--jobs", type=POSITIVE, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("csv", "json"), default="csv", help=FORMAT_HELP)
     p.set_defaults(func=cmd_knockout)
 
@@ -464,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=ALPHA, default=DEFAULT_ALPHA,
                    help="the interval is the central 1 - alpha of the null samples (default %(default)s)")
     _add_null_params(p)
-    p.add_argument("--jobs", type=POSITIVE, default=1, help="max parallel workers (default %(default)s)")
+    p.add_argument("--jobs", type=POSITIVE, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("csv", "json"), default="csv", help=FORMAT_HELP)
     p.set_defaults(func=cmd_ci_table)
 
@@ -478,10 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgd-sweep", help="impact summaries over a threshold grid")
     _add_common(p, years=True)
-    # Split when parsed, so that the check hook reads both grids as lists.
-    p.add_argument("--d1-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)),
+    p.add_argument("--d1-grid", type=D1_GRID, default=",".join(map(str, COARSE_THRESHOLDS)),
                    help="comma list of portfolio-fraction thresholds (default %(default)s)")
-    p.add_argument("--d2-grid", type=lambda text: text.split(","), default=",".join(map(str, COARSE_THRESHOLDS)),
+    p.add_argument("--d2-grid", type=D2_GRID, default=",".join(map(str, COARSE_THRESHOLDS)),
                    help="comma list of GDP-fraction thresholds (default %(default)s)")
     p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3),
                    help="largest initial default set: %(choices)s (default %(default)s)")

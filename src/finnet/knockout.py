@@ -26,6 +26,7 @@ one victim per call, pin.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ STRATEGIES = ("error", "attack")
 POSITIONS = ("below", "within", "above", "undefined")
 MIN_SAMPLES = 100
 SPEC_BLOCK = 500  # most draws of one null-model spec in one worker task
+# The CPUs this process may run on, and so the most workers an ensemble starts.
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Alignment grid for ensembles over networks of different sizes: the
 # fraction of nodes removed, 0% to 100% in 1% steps.
@@ -153,11 +156,11 @@ def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args,
     (``shared[i]``; none do by default) is one task. Any other source's
     items share nothing, so it goes out in equal ranges of at most
     ``SPEC_BLOCK`` items, and sources of uneven cost spread over the
-    workers. Either is cut further where a worker would idle. One
-    ``run_tasks`` call runs every task, and every source's rows are held
-    at once until it returns.
+    workers. Either is cut further where a worker would idle. ``jobs`` is
+    capped at ``USABLE_CPUS`` first. One ``run_tasks`` call runs every
+    task, and every source's rows are held at once until it returns.
     """
-    shared = shared or [False] * len(sources)
+    shared, jobs = shared or [False] * len(sources), min(jobs, USABLE_CPUS)
     idle = -(-max(1, jobs) // max(1, len(sources)))
     splits = [min(count, max(idle, 1 if whole else -(-count // SPEC_BLOCK))) for whole in shared]
     tasks = [(source, i, range(count * k // n, count * (k + 1) // n), *args)

@@ -138,6 +138,14 @@ def cascade_rounds(
     return rounds
 
 
+def _rounds_in_blocks(slice_: AssetSlice, initial: np.ndarray, d1: np.ndarray, d2: np.ndarray, haircut: float):
+    """`cascade_rounds` over any number of rows, BLOCK_ROWS rows per call (one call when there are none)."""
+    rounds = np.empty(initial.shape, dtype=np.int16)
+    for b in (slice(lo, lo + BLOCK_ROWS) for lo in range(0, max(len(initial), 1), BLOCK_ROWS)):
+        rounds[b] = cascade_rounds(slice_, initial[b], d1[b], d2[b], haircut)
+    return rounds
+
+
 def cascade(slice_: AssetSlice, initial: set[str] | frozenset[str], spec: LgdSpec) -> CascadeResult:
     """Run one cascade from an initial default set: the kernel's batch of one."""
     if not initial:
@@ -229,9 +237,8 @@ def enumerate_impacts(slice_: AssetSlice, specs: Iterable[LgdSpec], k_max: int =
                 settled |= subset_final[rows, members[:, x]]
                 held |= subset_final
             moving = np.flatnonzero(~settled)
-            for part in np.split(moving, range(BLOCK_ROWS, moving.size, BLOCK_ROWS)):
-                d1, d2 = d1_specs[which[part]], d2_specs[which[part]]
-                held[part] = cascade_rounds(slice_, held[part], d1, d2, haircut) >= 0
+            d1, d2 = d1_specs[which[moving]], d2_specs[which[moving]]
+            held[moving] = _rounds_in_blocks(slice_, held[moving], d1, d2, haircut) >= 0
             counts[start:stop] = np.count_nonzero(held, axis=1)
             if keep:
                 final[start:stop] = held
@@ -323,8 +330,7 @@ def fine_grid(
     d2_values = np.linspace(0.0, FINE_D2_MAX, FINE_D2_POINTS) if d2_values is None else d2_values
     d1_values, d2_values = np.array(grid_axis(d1_values, "d1")), np.array(grid_axis(d2_values, "d2"))
     LgdSpec(0.0, 0.0, haircut)
-    d1_cells = np.repeat(d1_values, d2_values.size)
-    d2_cells = np.tile(d2_values, d1_values.size)
+    d1_cells, d2_cells = np.repeat(d1_values, d2_values.size), np.tile(d2_values, d1_values.size)
     d1_list, d2_list = d1_cells.tolist(), d2_cells.tolist()
     members = sorted(group)
     indices = [slice_.index(code) for code in members]
@@ -333,12 +339,10 @@ def fine_grid(
         for combo in combinations(range(len(members)), size):
             initial = np.zeros(slice_.n, dtype=bool)
             initial[[indices[i] for i in combo]] = True
-            impacts, n_rounds = [], []
-            for lo in range(0, d1_cells.size, BLOCK_ROWS):
-                d1, d2 = d1_cells[lo:lo + BLOCK_ROWS], d2_cells[lo:lo + BLOCK_ROWS]
-                rounds = cascade_rounds(slice_, np.broadcast_to(initial, (d1.size, slice_.n)), d1, d2, haircut)
-                impacts.extend((np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist())
-                n_rounds.extend(rounds.max(axis=1).tolist())
+            initial = np.broadcast_to(initial, (d1_cells.size, slice_.n))
+            rounds = _rounds_in_blocks(slice_, initial, d1_cells, d2_cells, haircut)
+            impacts = (np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist()
+            n_rounds = rounds.max(axis=1).tolist()
             subset = tuple(members[i] for i in combo)
             cells.extend(map(FineGridCell, repeat(subset), d1_list, d2_list, impacts, n_rounds))
     return cells

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finnet import lgd
+from finnet import knockout, lgd
 from finnet.ingest import ASSET_HEADER, GDP_HEADER, AssetPanel, AssetSlice, DataError, GdpPanel
 from finnet.netbuild import DEFAULT_GDP_THRESHOLD, BinaryNetwork
 
@@ -650,6 +650,18 @@ def oracle_quantile_midpoint(values: np.ndarray, q: float) -> float:
     if lo == hi:
         return float(ordered[lo])
     return float((ordered[lo] + ordered[hi]) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# worker pools
+
+
+@pytest.fixture(autouse=True)
+def three_usable_cpus(monkeypatch):
+    """Every test sees a process that may use 3 CPUs, so a test asking for
+    2 or 3 workers gets that pool and that split on any host, and none
+    starts more than 3 worker processes."""
+    monkeypatch.setattr(knockout, "USABLE_CPUS", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,126 @@ def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     assert capsysbinary.readouterr().out == (DATA_DIR / golden).read_bytes()
 
 
+def leading_meta(text, prefix):
+    """The `prefix key=value` lines an output starts with, as a dict of strings."""
+    meta = {}
+    for line in text.splitlines():
+        if not line.startswith(prefix + " "):
+            break
+        key, value = line[len(prefix) + 1:].split("=", 1)
+        meta[key] = value
+    return meta
+
+
+@pytest.mark.parametrize("args, writer", [
+    (["build", "--year", "2007"], "#"),
+    (["export", "--year", "2007", "--format", "dot"], "//"),
+    (["fit-lognormal", "--years", "2006-2007"], "json"),
+    (["gen-null", "--year", "2007", "--model", "er"], "#"),
+    (["knockout", "--years", "2006-2007", "--strategy", "attack", "--trials", "2", "--format", "json"], "json"),
+    (["ci-table", "--years", "2006-2007", "--rules", "A,B", "--models", "er,rewiring", "--samples", "100",
+      "--format", "json"], "json"),
+    (["lgd", "--year", "2007", "--initial", "AAA", "--d1", "0.1", "--d2", "0.1"], "json"),
+    (["lgd-sweep", "--years", "2006-2007", "--k-max", "1", "--d1-grid", "0.1,0.2", "--d2-grid", "0.1"], "#"),
+    (["pigs-grid", "--year", "2007", "--group", "AAA,BBB", "--d1-points", "2", "--d2-points", "2"], "#"),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_every_output_starts_with_the_shared_head(fixture_data_dir, tmp_path, args, writer):
+    """Each command's record starts finnet, command, seed, then year or
+    years; JSON keeps a list as an array, a header writes it comma-separated."""
+    out = tmp_path / "out"
+    assert main(args + inputs(fixture_data_dir) + ["--out", str(out)]) == 0
+    text = out.read_text()
+    meta = strict_json(text)["meta"] if writer == "json" else leading_meta(text, writer)
+    span = "years" if "--years" in args else "year"
+    assert list(meta)[:4] == ["finnet", "command", "seed", span]
+    assert meta["command"] == args[0]
+    assert str(meta["seed"]) == "12345"
+    if writer == "json":
+        assert meta[span] == ([2006, 2007] if span == "years" else 2007)
+        for key in ("rules", "models"):
+            if key in meta:
+                assert meta[key] == args[args.index(f"--{key}") + 1].split(",")
+        assert not [v for v in meta.values() if isinstance(v, str) and "," in v]
+    else:
+        assert meta[span] == args[2].replace("2006-2007", "2006,2007")
+
+
+def test_sweep_record_holds_the_parsed_grids_not_their_spelling(fixture_data_dir, tmp_path):
+    outputs = []
+    for d1_grid in (".1,0.2", "0.1,0.2", "1e-1,2e-1"):
+        out = tmp_path / "sweep.csv"
+        args = ["lgd-sweep", "--years", "2007", "--k-max", "1", "--d1-grid", d1_grid, "--d2-grid", "0.10"]
+        assert main(args + inputs(fixture_data_dir) + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert leading_meta(outputs[0].decode(), "#")["d1_grid"] == "0.1,0.2"
+    assert leading_meta(outputs[0].decode(), "#")["d2_grid"] == "0.1"
+
+
+def test_ranking_head_is_the_sweep_head_with_its_command_and_top_n(fixture_data_dir, tmp_path):
+    heads = []
+    for top_n in ("1", "2"):
+        out, ranking = tmp_path / f"sweep{top_n}.csv", tmp_path / f"ranking{top_n}.csv"
+        args = ["lgd-sweep", "--years", "2007", "--k-max", "1", "--d2-grid", "0.1", "--top-n", top_n]
+        assert main(args + inputs(fixture_data_dir) + ["--out", str(out), "--ranking-out", str(ranking)]) == 0
+        sweep, head = leading_meta(out.read_text(), "#"), leading_meta(ranking.read_text(), "#")
+        assert head == {**sweep, "command": "lgd-sweep/ranking", "top_n": top_n}
+        assert list(head)[-2:] == ["haircut", "top_n"]
+        heads.append(head)
+    assert heads[0] != heads[1]
+
+
+def test_jobs_above_the_usable_cpus_start_only_that_many_workers(fixture_data_dir, tmp_path, monkeypatch):
+    """--jobs 1000 on a process that may use 3 CPUs opens one pool of 3
+    workers and cuts the lone cell into 3 tasks; the output is unchanged."""
+    import finnet.knockout
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            pools.append({"max_workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            pools[-1]["tasks"] = len(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(finnet.knockout, "USABLE_CPUS", 3)
+    outputs = []
+    for jobs in ("1", "3", "1000"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        args = ["ci-table", "--years", "2007", "--rules", "A", "--models", "er", "--samples", "100", "--jobs", jobs]
+        assert main(args + inputs(fixture_data_dir) + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert pools == [{"max_workers": 3, "tasks": 3}] * 2
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_pooled_fit_over_years_sharing_no_country_exits_1(tmp_path, capsys):
+    """Years with disjoint countries fit one by one, but not pooled: the
+    shared effects are not identified, so the fit fails before any output."""
+    assets, gdp = ["year,holder,issuer,value_musd"], ["year,country,gdp_musd"]
+    for year, codes in ((2006, ("AAA", "BBB", "CCC")), (2007, ("DDD", "EEE", "FFF"))):
+        assets += [f"{year},{h},{i},{10 + 7 * k}" for k, (h, i) in enumerate(
+            (h, i) for h in codes for i in codes if h != i)]
+        gdp += [f"{year},{c},100" for c in codes]
+    (tmp_path / "assets.csv").write_text("\n".join(assets) + "\n")
+    (tmp_path / "gdp.csv").write_text("\n".join(gdp) + "\n")
+    rc, _ = run(["fit-lognormal", "--years", "2006-2007"], tmp_path, "fits.json")
+    assert rc == 0
+    rc, out = run(["fit-lognormal", "--years", "2006-2007", "--pooled"], tmp_path, "pooled.json")
+    assert rc == 1
+    assert "design matrix rank deficient" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["pigs-grid", "--year", "2007", "--group", "AAA", "--d1-max", "5"],
     ["pigs-grid", "--year", "2007", "--group", "AAA", "--d2-max", "nan"],

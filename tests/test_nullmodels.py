@@ -342,6 +342,22 @@ def test_fit_pooled_runs_and_shares_effects():
         NullModelSpec("log-normal", 0, rule.apply(slices[0]), fit=pooled, rule=rule)
 
 
+def test_pooled_fit_over_years_sharing_no_country_is_rank_deficient():
+    """Holder and issuer effects trade one constant per group of countries
+    that no slice links: two years with disjoint countries leave that
+    direction free, while one shared country pins it."""
+    assets = np.array([[0.0, 12.0, 30.0], [7.0, 0.0, 55.0], [21.0, 4.0, 0.0]])
+
+    def year(y, codes):
+        return AssetSlice(y, codes, assets, np.full(3, 100.0), 1.0)
+
+    with pytest.raises(ValueError, match="rank deficient beyond the dummy redundancy"):
+        fit_lognormal_pooled([year(2006, ("A", "B", "C")), year(2007, ("D", "E", "F"))])
+    linked = fit_lognormal_pooled([year(2006, ("A", "B", "C")), year(2007, ("C", "D", "E"))])
+    assert linked.countries == ("A", "B", "C", "D", "E")
+    assert linked.residuals.size == 2 * 3 * 2
+
+
 def test_null_spec_rejects_a_pooled_fit_when_built():
     """A log-normal spec needs the fit's GDP vector for every draw, so a fit
     without one (pooled) fails when the spec is made, before any draw."""
