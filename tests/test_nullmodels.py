@@ -250,6 +250,36 @@ def test_paper_size_rewired_matches_oracle_exactly(density, seed):
         assert spec.sample(index).adj.tobytes() == want.adj.tobytes() == copy.sample(index).adj.tobytes()
 
 
+
+def test_rewiring_swap_tables_cannot_change():
+    """The chain's start is built once and never changes: the cells and the
+    occupancy are tuples that each draw copies into its own lists, and the
+    arrays are read-only. Draws before and after a pickle round trip leave
+    the tables, and the copy's, equal to a copy taken when the spec was made."""
+    net = random_net(12, 0.3, np.random.default_rng(21))
+    spec = NullModelSpec("rewiring", 5, net)
+    rows, edge_ids, shifts, cells, occupancy = spec.swap_tables
+    assert cells == tuple(np.flatnonzero(net.adj).tolist())
+    assert occupancy == tuple((net.adj | np.eye(12, dtype=bool)).ravel().tolist())
+    for table in (cells, occupancy):
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+    for array in (rows, edge_ids, shifts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+    def snapshot(tables):
+        return [table.tolist() if isinstance(table, np.ndarray) else list(table) for table in tables]
+
+    want = snapshot(spec.swap_tables)
+    first = spec.sample(0)
+    assert (first.adj != net.adj).any()
+    copy = pickle.loads(pickle.dumps(spec))
+    for drawn in (spec, copy):
+        assert drawn.sample(0).adj.tobytes() == first.adj.tobytes()
+        drawn.sample(1)
+    assert snapshot(spec.swap_tables) == snapshot(copy.swap_tables) == want
+
 def test_fit_constant_matrix_zero_sigma():
     assets = np.full((5, 5), 20.0)
     np.fill_diagonal(assets, 0.0)
@@ -582,6 +612,36 @@ def test_null_spec_validation_and_sampling():
         assert np.array_equal(a.adj, b.adj)  # (seed, index) fully determines the draw
         assert a.countries == net.countries
 
+
+
+@pytest.mark.parametrize("kind, seed, swap_factor, field", [
+    ("rewiring", 1, 2.5, "swap_factor"),
+    ("er", 1, 2.0, "swap_factor"),
+    ("er", 1, True, "swap_factor"),
+    ("rewiring", 1, "20", "swap_factor"),
+    ("er", -1, 20, "seed"),
+    ("er", 1.5, 20, "seed"),
+    ("rewiring", True, 20, "seed"),
+    ("er", None, 20, "seed"),
+    ("er", np.int64(-3), 20, "seed"),
+])
+def test_null_spec_checks_seed_and_swap_factor_when_made(kind, seed, swap_factor, field):
+    """A bad seed or swap_factor fails when the spec is made, naming the
+    field, not at its first draw, which may run in a worker."""
+    net = random_net(6, 0.4, np.random.default_rng(22))
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        NullModelSpec(kind, seed, net, swap_factor)
+
+
+@pytest.mark.parametrize("kind", ["er", "rewiring"])
+def test_null_spec_takes_numpy_integers_as_ints(kind):
+    net = random_net(8, 0.4, np.random.default_rng(23))
+    spec = NullModelSpec(kind, np.int64(7), net, np.int32(3))
+    assert type(spec.seed) is int and type(spec.swap_factor) is int
+    assert spec == NullModelSpec(kind, 7, net, 3)
+    want = NullModelSpec(kind, 7, net, 3).sample(2).adj
+    assert spec.sample(2).adj.tobytes() == want.tobytes()
+    assert NullModelSpec(kind, 0, net).sample(0).n == 8
 
 @pytest.mark.parametrize("kind", ["er", "out-degree", "in-degree", "rewiring"])
 def test_null_spec_rejects_a_base_under_two_nodes(kind):
