@@ -368,8 +368,8 @@ def _add_rule(parser: argparse.ArgumentParser) -> None:
 
 def _add_null_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--swap-factor", type=SWAP_FACTOR, default=DEFAULT_SWAP_FACTOR,
-                        help=f"rewiring swaps attempted per edge, 1 to {MAX_SWAP_FACTOR}; a draw's picks take 16 "
-                        "bytes per attempt, 57 MB at 1000 on a complete 60-node graph (default %(default)s)")
+                        help=f"rewiring swaps attempted per edge, 1 to {MAX_SWAP_FACTOR}; a draw peaks at 32 bytes "
+                        "per attempt, about 114 MB at 1000 on a complete 60-node graph (default %(default)s)")
     parser.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION, help=CORRECTION_HELP)
 
 

@@ -21,7 +21,7 @@ from .seeding import child_rng
 
 DEFAULT_SIGMA_CORRECTION = 1.183
 DEFAULT_SWAP_FACTOR = 20
-# 50 times the paper's 20; at the bound a draw's swap picks over m edges take 1000 * m * 16 bytes.
+# 50 times the paper's 20; at the bound a draw over m edges peaks at 1000 * m * 32 bytes.
 MAX_SWAP_FACTOR = 1000
 CENSOR_FLOOR_MUSD = 0.5
 
@@ -289,29 +289,21 @@ class NullModelSpec:
     out-degree, and a base with fewer than 2 edges comes back as a copy.
     The only random draw is one ``rng.integers(0, m, size=(swap_factor * m, 2))``;
     row t holds the two edges, numbered in row-major order, of attempt t.
-    Each edge is its flat cell ``src * n + dst`` of an occupancy table with
-    the diagonal marked occupied. For edges a->b, c->d and
-    ``k = (a - c) * n``, a->d is ``cell[i2] + k`` and c->b is
-    ``cell[i1] - k``: a swap is two table tests, and the table is the
-    result. A self-loop lands on the diagonal. A swap never changes an
-    edge's source, so k comes from one vectorized subtraction over all
-    picks. Two edges of one source (or one edge twice) give k = 0, so the
-    first test reads a->d, which is the live edge c->d, and rejects the
-    attempt; every drawn attempt is tested. The spec builds the chain's start
-    ``swap_tables`` once and never changes it: each edge's source row and
-    object arrays of the Python ints 0..m-1 (edge ids) and of the 2n - 1
-    row shifts k, all read-only, then the cells and the occupancy as
-    tuples. A draw copies the last two into lists and gathers its
-    attempts' ids and shifts from the object arrays, so ``tolist`` hands
-    the loop existing ints instead of boxing a new one for every value
-    outside CPython's small-int cache (-5..256). The occupancy is a list
-    of bools, not a ``bytearray``: CPython 3.11 specializes list loads
-    and stores by int index but not bytearray ones, and tests True and
-    False without a truth-value call. On one Xeon core, the rule-A loop of
-    a 60-country year (m = 652) over a bytearray, with the k = 0 attempts
-    dropped first, against this one took 1.72 against 1.61 ms under 3.10,
-    1.23 against 0.98 ms under 3.11, 1.80 against 1.44 ms under 3.12 and
-    1.78 against 1.57 ms under 3.13.
+    The spec builds the chain's start ``swap_tables`` once and never
+    changes it: a read-only object array of the Python ints 0..m-1 (edge
+    ids), each edge's source and target as tuples of ints, and the
+    occupancy as a tuple of n row tuples of bools with the diagonal set.
+    A draw copies the rows and the targets into lists and, since a swap
+    never moves a source, takes each edge's source row once. For edges
+    a->b and c->d an attempt tests d in a's row and b in c's row, with no
+    index arithmetic. A self-loop hits the diagonal; two edges of one
+    source, or one edge twice, share a row in which d is live, so the
+    first test rejects them. The attempts' ids are gathered from the
+    object array, so the loop reads ints that already exist instead of
+    boxing a new one for every value past CPython's small-int cache
+    (256). The picks are freed once gathered, so a draw peaks at 32 bytes
+    per attempt (``tracemalloc``), about 114 MB at MAX_SWAP_FACTOR on a
+    complete 60-node graph.
 
     ``seed`` is an integer >= 0 and ``swap_factor`` one in
     1..MAX_SWAP_FACTOR; bools are refused and numpy integers are stored
@@ -333,7 +325,7 @@ class NullModelSpec:
     fit: LogNormalFit | None = None
     rule: ThresholdRule | None = None
     prob: float | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    swap_tables: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], tuple[bool, ...]] | None = field(
+    swap_tables: tuple[np.ndarray, tuple[int, ...], tuple[int, ...], tuple[tuple[bool, ...], ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -365,12 +357,11 @@ class NullModelSpec:
         elif self.kind == "in-degree":
             object.__setattr__(self, "prob", (self.base.in_degrees() / (n - 1))[None, :])
         elif self.kind == "rewiring":
-            rows, cols = np.nonzero(self.base.adj)
-            occupancy = tuple((self.base.adj | np.eye(n, dtype=bool)).ravel().tolist())
-            ints = np.arange(rows.size).astype(object), (np.arange(1 - n, n) * n).astype(object)
-            for array in (rows, *ints):
-                array.flags.writeable = False
-            object.__setattr__(self, "swap_tables", (rows, *ints, tuple((rows * n + cols).tolist()), occupancy))
+            sources, targets = (tuple(ends.tolist()) for ends in np.nonzero(self.base.adj))
+            edge_ids = np.arange(len(sources)).astype(object)
+            edge_ids.flags.writeable = False
+            occupancy = tuple(map(tuple, (self.base.adj | np.eye(n, dtype=bool)).tolist()))
+            object.__setattr__(self, "swap_tables", (edge_ids, sources, targets, occupancy))
 
     def sample(self, index: int) -> BinaryNetwork:
         rng = child_rng(self.seed, index)
@@ -387,29 +378,31 @@ class NullModelSpec:
     def _rewire(self, rng: np.random.Generator) -> BinaryNetwork:
         """Run the swap chain from ``swap_tables``, which it reads and does not change."""
         base = self.base
-        rows, edge_ids, shifts, cells, occupancy = self.swap_tables
-        m = rows.size
+        edge_ids, sources, targets, occupancy = self.swap_tables
+        m = len(targets)
         label = f"rewired[{base.rule}]"
         if m < 2:
             return BinaryNetwork(base.countries, base.adj, label, base.source_year)
-        picks = rng.integers(0, m, size=(self.swap_factor * m, 2))
-        src = rows[picks]
-        occupied = list(occupancy)
-        cell = list(cells)
-        for i1, i2, k in zip(edge_ids[picks[:, 0]].tolist(), edge_ids[picks[:, 1]].tolist(),
-                             shifts[src[:, 0] - src[:, 1] + (base.n - 1)].tolist()):
-            ad = cell[i2] + k
-            if occupied[ad]:
+        # The picks are a temporary: they are freed once their ids are gathered.
+        ids = iter(edge_ids[rng.integers(0, m, size=(self.swap_factor * m, 2)).ravel()].tolist())
+        occupied = list(map(list, occupancy))
+        row_of = operator.itemgetter(*sources)(occupied)
+        target = list(targets)
+        for i1, i2 in zip(ids, ids):
+            d = target[i2]
+            row1 = row_of[i1]
+            if row1[d]:
                 continue
-            cb = cell[i1] - k
-            if occupied[cb]:
+            b = target[i1]
+            row2 = row_of[i2]
+            if row2[b]:
                 continue
-            occupied[cell[i1]] = False
-            occupied[cell[i2]] = False
-            occupied[ad] = True
-            occupied[cb] = True
-            cell[i1] = ad
-            cell[i2] = cb
-        adj = np.frombuffer(bytearray(occupied), dtype=bool).reshape(base.n, base.n)
+            row1[b] = False
+            row2[d] = False
+            row1[d] = True
+            row2[b] = True
+            target[i1] = d
+            target[i2] = b
+        adj = np.frombuffer(bytearray().join(map(bytes, occupied)), dtype=bool).reshape(base.n, base.n)
         np.fill_diagonal(adj, False)
         return BinaryNetwork(base.countries, adj, label, base.source_year)

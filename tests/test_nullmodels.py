@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,18 +229,30 @@ def test_rewired_matches_oracle_exactly(adj, swap_factor, seed, index, year):
         assert got.adj.tobytes() == want.adj.tobytes()
         assert (got.countries, got.rule, got.source_year) == (want.countries, want.rule, want.source_year)
     if adj.any() and not adj[1:].any():
-        # Every edge leaves node 0, so every attempt has k = 0 and fails.
+        # Every edge leaves node 0, so every attempt finds its c->d live in the one row and fails.
         assert np.array_equal(want.adj, adj)
 
 
-@pytest.mark.parametrize("density, seed", [(0.07, 1), (0.18, 2), (0.95, 3)])
-def test_paper_size_rewired_matches_oracle_exactly(density, seed):
+@pytest.mark.parametrize("density, hub, seed", [
+    pytest.param(0.07, False, 1, id="0.07-1"),
+    pytest.param(0.18, False, 2, id="0.18-2"),
+    pytest.param(0.95, False, 3, id="0.95-3"),
+    pytest.param(0.05, True, 4, id="hub-0.05-4"),
+])
+def test_paper_size_rewired_matches_oracle_exactly(density, hub, seed):
     """At n = 60, near the rule-B (0.07) and rule-A (0.18) densities of
-    the data and on a near-complete graph, the edge ids pass 256 and the
-    row shifts reach +-59n: values of the spec's prebuilt ints that the
-    n <= 8 digraphs above never reach. Draws 0-2 equal the referee, also
-    after a pickle round trip, and each one moves edges."""
+    the data, on a near-complete graph, and with a hub that links to all 59
+    other nodes over a sparse rest, the spec's chain meets values that the
+    n <= 8 digraphs above never reach: edge ids past 256, the end of
+    CPython's small-int cache, targets and rows over 60 nodes, and (at the
+    hub) many attempts whose two edges share one source row. Draws 0-2 equal
+    the referee, also after a pickle round trip, and each one moves edges."""
     adj = random_net(60, density, np.random.default_rng(seed)).adj
+    if hub:
+        adj = adj | out_star(60)
+        sources = np.nonzero(adj)[0]
+        picks = child_rng(seed, 0).integers(0, sources.size, size=(DEFAULT_SWAP_FACTOR * sources.size, 2))
+        assert (sources[picks[:, 0]] == sources[picks[:, 1]]).mean() > 0.05
     net = BinaryNetwork(labels(60), adj, "A", 2009)
     spec = NullModelSpec("rewiring", seed, net)
     copy = pickle.loads(pickle.dumps(spec))
@@ -250,26 +263,27 @@ def test_paper_size_rewired_matches_oracle_exactly(density, seed):
         assert spec.sample(index).adj.tobytes() == want.adj.tobytes() == copy.sample(index).adj.tobytes()
 
 
-
 def test_rewiring_swap_tables_cannot_change():
-    """The chain's start is built once and never changes: the cells and the
-    occupancy are tuples that each draw copies into its own lists, and the
-    arrays are read-only. Draws before and after a pickle round trip leave
-    the tables, and the copy's, equal to a copy taken when the spec was made."""
+    """The chain's start is built once and never changes: the sources, the
+    targets, the occupancy and each of its rows are tuples that each draw
+    copies into its own lists, and the edge-id array is read-only. Draws
+    before and after a pickle round trip leave the tables, and the copy's,
+    equal to a copy taken when the spec was made."""
     net = random_net(12, 0.3, np.random.default_rng(21))
     spec = NullModelSpec("rewiring", 5, net)
-    rows, edge_ids, shifts, cells, occupancy = spec.swap_tables
-    assert cells == tuple(np.flatnonzero(net.adj).tolist())
-    assert occupancy == tuple((net.adj | np.eye(12, dtype=bool)).ravel().tolist())
-    for table in (cells, occupancy):
+    edge_ids, sources, targets, occupancy = spec.swap_tables
+    rows, cols = np.nonzero(net.adj)
+    assert edge_ids.tolist() == list(range(net.num_edges))
+    assert (sources, targets) == (tuple(rows.tolist()), tuple(cols.tolist()))
+    assert occupancy == tuple(map(tuple, (net.adj | np.eye(12, dtype=bool)).tolist()))
+    for table in (sources, targets, occupancy, occupancy[0]):
         with pytest.raises(TypeError):
             table[0] = table[1]
-    for array in (rows, edge_ids, shifts):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[1]
+    with pytest.raises(ValueError, match="read-only"):
+        edge_ids[0] = edge_ids[1]
 
     def snapshot(tables):
-        return [table.tolist() if isinstance(table, np.ndarray) else list(table) for table in tables]
+        return [table.tolist() if isinstance(table, np.ndarray) else table for table in tables]
 
     want = snapshot(spec.swap_tables)
     first = spec.sample(0)
@@ -279,6 +293,25 @@ def test_rewiring_swap_tables_cannot_change():
         assert drawn.sample(0).adj.tobytes() == first.adj.tobytes()
         drawn.sample(1)
     assert snapshot(spec.swap_tables) == snapshot(copy.swap_tables) == want
+
+
+def test_rewiring_draw_peaks_under_40_bytes_per_attempt():
+    """A draw frees its picks once it has gathered their edge ids, so at
+    most two arrays of 8-byte items, two per attempt, are alive at once:
+    32 bytes per attempt, plus the draw's copies of the tables (tracemalloc
+    also counts numpy's buffers). A draw that kept its picks while listing
+    the ids would peak at 48."""
+    net = random_net(30, 0.9, np.random.default_rng(22))
+    spec = NullModelSpec("rewiring", 3, net, swap_factor=100)
+    tracemalloc.start()
+    try:
+        drawn = spec.sample(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (drawn.adj != net.adj).any()
+    assert peak < 40 * 100 * net.num_edges
+
 
 def test_fit_constant_matrix_zero_sigma():
     assets = np.full((5, 5), 20.0)
