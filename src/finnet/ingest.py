@@ -45,13 +45,13 @@ def _freeze(record, labels: str, **dtypes) -> None:
 
 def _validate(codes, years, indices, amount, rules) -> None:
     """Raise DataError unless the columns have one length, the indices point
-    into a sorted table of distinct nonempty codes, none beginning with '#',
-    no rule's mask flags a row and no (year, *codes) key repeats; a message
-    names the first row at fault."""
+    into a sorted table of distinct nonempty codes, none beginning with '#'
+    or holding a comma, a double quote or a line break, no rule's mask flags
+    a row and no (year, *codes) key repeats; a message names the first row at fault."""
     if list(codes) != sorted(set(codes)) or "" in codes:
         raise DataError("panel codes must be nonempty, sorted and distinct")
-    if any(code.startswith("#") for code in codes):
-        raise DataError("panel codes must not begin with '#'")
+    if any(code.startswith("#") or not _CSV_SPECIAL.isdisjoint(code) for code in codes):
+        raise DataError("panel codes must not begin with '#' or hold a comma, a double quote or a line break")
     if any(len(column) != len(years) for column in (*indices, amount)):
         raise DataError("panel columns differ in length")
     if any(np.any((column < 0) | (column >= len(codes))) for column in indices):

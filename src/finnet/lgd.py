@@ -50,8 +50,8 @@ FINE_D1_MAX, FINE_D1_POINTS = 0.2, 51
 FINE_D2_MAX, FINE_D2_POINTS = 0.5, 51
 FINE_MAX_SUBSET = 3
 
-# Cascades per kernel call. Bounded blocks keep the kernel's (B, n)
-# temporaries small however many cascades a caller streams through it.
+# Cascades per kernel block. Bounded blocks keep the kernel's (B, n)
+# temporaries small however many cascades a caller hands it.
 # On a 60-country slice, 512 ran a 2- and a 24-spec sweep faster than 256
 # and the 51 x 51 fine grid no slower; 1024 ran the fine grid slower.
 BLOCK_ROWS = 512
@@ -98,51 +98,45 @@ def cascade_rounds(
     haircut: float,
 ) -> np.ndarray:
     """Batched cascade kernel: one cascade per row of the (B, n) boolean
-    initial-default matrix, with per-row d1 and d2.
+    initial-default matrix, with per-row d1 and d2, for any B (0 included).
 
     Returns the (B, n) int16 round matrix: the round in which each country
-    defaulted, 0 for the initial set and -1 for survivors. Each synchronous
-    round computes ``haircut * (defaulted @ assets.T)`` afresh for the rows
-    that still move; losses are never added incrementally. Off whole-valued
+    defaulted, 0 for the initial set and -1 for survivors. The rows run
+    BLOCK_ROWS at a time. Each synchronous round computes
+    ``haircut * (defaulted @ assets.T)`` afresh for the rows of a block that
+    still move; losses are never added incrementally. Off whole-valued
     panels, the losses near a threshold are re-decided on their correctly
     rounded sums (the module docstring's tie contract).
     """
     assets = slice_.assets
-    # Exceeding both thresholds is exceeding the larger one.
-    bar = np.maximum(
-        np.asarray(d1, dtype=float)[:, None] * assets.sum(axis=1),
-        np.asarray(d2, dtype=float)[:, None] * slice_.gdp,
-    )
+    totals = assets.sum(axis=1)
     exact = assets.sum() < 2.0**53 and np.array_equal(assets, np.rint(assets))
     tie = (slice_.n + 4) * 2.0**-52
-    held = np.array(initial, dtype=bool)
-    rounds = np.full(held.shape, -1, dtype=np.int16)
-    rounds[held] = 0
-    moving = np.arange(len(held))
-    round_no = 0
-    while moving.size:
-        round_no += 1
-        loss = haircut * (held.astype(float) @ assets.T)
-        newly = (loss > bar[moving]) & ~held
-        if not exact:
-            limit = bar[moving]
-            near = (np.abs(loss - limit) < tie * limit) & ~held
-            for r, i in zip(*np.nonzero(near)):
-                newly[r, i] = haircut * math.fsum(assets[i, held[r]]) > limit[r, i]
-        moved = newly.any(axis=1)
-        moving, newly, held = moving[moved], newly[moved], held[moved]
-        block = rounds[moving]
-        block[newly] = round_no
-        rounds[moving] = block
-        held |= newly
-    return rounds
-
-
-def _rounds_in_blocks(slice_: AssetSlice, initial: np.ndarray, d1: np.ndarray, d2: np.ndarray, haircut: float):
-    """`cascade_rounds` over any number of rows, BLOCK_ROWS rows per call (one call when there are none)."""
-    rounds = np.empty(initial.shape, dtype=np.int16)
-    for b in (slice(lo, lo + BLOCK_ROWS) for lo in range(0, max(len(initial), 1), BLOCK_ROWS)):
-        rounds[b] = cascade_rounds(slice_, initial[b], d1[b], d2[b], haircut)
+    initial, d1, d2 = np.asarray(initial, dtype=bool), np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
+    rounds = np.full(initial.shape, -1, dtype=np.int16)
+    for lo in range(0, len(initial), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        # Exceeding both thresholds is exceeding the larger one.
+        bar = np.maximum(d1[rows, None] * totals, d2[rows, None] * slice_.gdp)
+        held, out = initial[rows].copy(), rounds[rows]
+        out[held] = 0
+        moving = np.arange(len(held))
+        round_no = 0
+        while moving.size:
+            round_no += 1
+            loss = haircut * (held.astype(float) @ assets.T)
+            newly = (loss > bar[moving]) & ~held
+            if not exact:
+                limit = bar[moving]
+                near = (np.abs(loss - limit) < tie * limit) & ~held
+                for r, i in zip(*np.nonzero(near)):
+                    newly[r, i] = haircut * math.fsum(assets[i, held[r]]) > limit[r, i]
+            moved = newly.any(axis=1)
+            moving, newly, held = moving[moved], newly[moved], held[moved]
+            marks = out[moving]
+            marks[newly] = round_no
+            out[moving] = marks
+            held |= newly
     return rounds
 
 
@@ -189,14 +183,14 @@ def enumerate_impacts(slice_: AssetSlice, specs: Iterable[LgdSpec], k_max: int =
     attaining it. The summaries run spec by spec, and by k within a spec.
 
     Works level by level over (combination, spec) rows, combination-major:
-    it seeds 8 x BLOCK_ROWS rows at a time and sends those still moving to
-    the kernel BLOCK_ROWS at a time, so a call mixes specs. It holds only
-    the previous level's final default masks, specs x C(n, k_max - 1) x n
-    bytes (about 2.5 MB for 24 specs at n = 60): a k-combination starts
-    from the union of its (k-1)-subsets' final sets under the same spec,
-    and skips the kernel when a member already falls in the final set of
-    the others. The module docstring says why this equals running each
-    combination from scratch.
+    it seeds 8 x BLOCK_ROWS rows at a time and hands those still moving to
+    the kernel in one call, which runs them BLOCK_ROWS at a time, so a
+    block mixes specs. It holds only the previous level's final default
+    masks, specs x C(n, k_max - 1) x n bytes (about 2.5 MB for 24 specs at
+    n = 60): a k-combination starts from the union of its (k-1)-subsets'
+    final sets under the same spec, and skips the kernel when a member
+    already falls in the final set of the others. The module docstring
+    says why this equals running each combination from scratch.
     """
     specs = list(specs)
     if not specs:
@@ -238,7 +232,7 @@ def enumerate_impacts(slice_: AssetSlice, specs: Iterable[LgdSpec], k_max: int =
                 held |= subset_final
             moving = np.flatnonzero(~settled)
             d1, d2 = d1_specs[which[moving]], d2_specs[which[moving]]
-            held[moving] = _rounds_in_blocks(slice_, held[moving], d1, d2, haircut) >= 0
+            held[moving] = cascade_rounds(slice_, held[moving], d1, d2, haircut) >= 0
             counts[start:stop] = np.count_nonzero(held, axis=1)
             if keep:
                 final[start:stop] = held
@@ -340,7 +334,7 @@ def fine_grid(
             initial = np.zeros(slice_.n, dtype=bool)
             initial[[indices[i] for i in combo]] = True
             initial = np.broadcast_to(initial, (d1_cells.size, slice_.n))
-            rounds = _rounds_in_blocks(slice_, initial, d1_cells, d2_cells, haircut)
+            rounds = cascade_rounds(slice_, initial, d1_cells, d2_cells, haircut)
             impacts = (np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist()
             n_rounds = rounds.max(axis=1).tolist()
             subset = tuple(members[i] for i in combo)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import combinations, compress, islice, product
+from itertools import combinations, compress, product
 from pathlib import Path
 
 import numpy as np
@@ -323,19 +323,16 @@ def oracle_synchronous_rounds(
 
 def oracle_enumerate_impacts(slice_: AssetSlice, spec: lgd.LgdSpec, k_max: int = 3) -> list[lgd.ImpactSummary]:
     """Impact summaries with every combination's cascade run from its own
-    initial set, BLOCK_ROWS rows per kernel call, sharing nothing between
+    initial set, one kernel call per level, sharing nothing between
     combinations or levels."""
     n = slice_.n
     summaries = []
     for k in range(1, k_max + 1):
-        combos = combinations(range(n), k)
-        counts = []
-        while block := list(islice(combos, lgd.BLOCK_ROWS)):
-            initial = np.zeros((len(block), n), dtype=bool)
-            initial[np.arange(len(block))[:, None], np.array(block)] = True
-            d1, d2 = np.full(len(block), spec.d1), np.full(len(block), spec.d2)
-            counts.append(np.count_nonzero(lgd.cascade_rounds(slice_, initial, d1, d2, spec.haircut) >= 0, axis=1))
-        impacts = np.concatenate(counts) / n
+        combos = np.array(list(combinations(range(n), k)))
+        initial = np.zeros((len(combos), n), dtype=bool)
+        initial[np.arange(len(combos))[:, None], combos] = True
+        d1, d2 = np.full(len(combos), spec.d1), np.full(len(combos), spec.d2)
+        impacts = np.count_nonzero(lgd.cascade_rounds(slice_, initial, d1, d2, spec.haircut) >= 0, axis=1) / n
         worst = float(impacts.max())
         argmax = tuple(
             tuple(slice_.countries[i] for i in combo)

@@ -125,6 +125,15 @@ def test_panels_reject_a_code_beginning_with_hash():
         GdpPanel(("#N/A",), np.array([2009]), np.array([0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("code", ["A,B", 'A"B', "A\rB", "A\nB"])
+def test_panels_reject_a_code_that_outputs_cannot_write_bare(code):
+    # Every CSV writer writes codes as bare fields, so the panel is the last place to stop such a code.
+    with pytest.raises(DataError, match="comma, a double quote or a line break"):
+        AssetPanel((code, "C"), np.array([2009]), np.array([0]), np.array([1]), np.array([1.0]))
+    with pytest.raises(DataError, match="comma, a double quote or a line break"):
+        GdpPanel((code,), np.array([2009]), np.array([0]), np.array([1.0]))
+
+
 def test_non_utf8_byte_names_its_line_and_byte():
     data = (ASSET_HEADER + "2009,US,JP,1\n\n2009,J").encode() + b"\xe9P,US,2\n"
     with pytest.raises(DataError, match=r"^line 4: byte 0xe9 is not UTF-8$"):

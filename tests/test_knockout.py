@@ -486,12 +486,13 @@ def _report(year, positions):
     return CiReport("er", "A", year, 0.05, 100, entries)
 
 
-def test_ci_table_all_below_scores_minus_one():
-    reports = [_report(2001 + i, {"modified_aspl": "below"}) for i in range(9)]
+@pytest.mark.parametrize("years", [1, 9])
+def test_ci_table_all_below_scores_minus_one(years):
+    reports = [_report(2001 + i, {"modified_aspl": "below"}) for i in range(years)]
     rows = ci_table(reports)
     row = next(r for r in rows if r["measure"] == "modified_aspl")
     assert row["score"] == -1.0
-    assert row["below"] == 9 and row["years"] == 9
+    assert row["below"] == years and row["years"] == years
 
 
 def test_ci_table_partial_below():

@@ -172,7 +172,7 @@ def codes_of(slice_, selected):
 @given(
     seed=st.integers(0, 2**32 - 1),
     haircut=st.sampled_from([1.0, 0.5, 0.3]),
-    batch=st.sampled_from([BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+    batch=st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
 )
 @settings(max_examples=25, deadline=None)
 def test_kernel_rows_match_oracle_and_single_runs(seed, haircut, batch):
@@ -317,19 +317,23 @@ def shared_haircut_specs(draw):
 )
 @settings(max_examples=100, deadline=None)
 def test_enumerate_impacts_of_many_specs_matches_oracle_per_spec(slice_, specs, block, k_max):
-    # Kernel calls of 1-7 rows, seeded 8-56 rows at a time, split levels and a
-    # combination's specs across calls.
-    calls = []
+    # Kernel blocks of 1-7 rows, seeded 8-56 rows at a time, split levels and
+    # a combination's specs across blocks.
+    products = []
 
-    def counting(slice_, initial, d1, d2, haircut):
-        calls.append(len(initial))
-        return cascade_rounds(slice_, initial, d1, d2, haircut)
+    class MatmulSpy(np.ndarray):
+        """An assets view that records the rows of each matmul's left operand."""
 
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(len(inputs[0]))
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    object.__setattr__(slice_, "assets", slice_.assets.view(MatmulSpy))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lgd, "BLOCK_ROWS", block)
-        patch.setattr(lgd, "cascade_rounds", counting)
         batched = enumerate_impacts(slice_, specs, k_max)
-    assert max(calls) <= block
+    assert products and max(products) <= block
     expected = [s for spec in specs for s in oracle_enumerate_impacts(slice_, spec, k_max)]
     assert [(s.spec, s.k) for s in batched] == [(spec, k) for spec in specs for k in range(1, k_max + 1)]
     for got, want in zip(batched, expected, strict=True):
