@@ -5,19 +5,15 @@ three, and every unreachable pair, at four. Degenerate statistics (zero
 variance, no qualifying triples) come back as NaN so downstream
 Monte-Carlo code can skip and count them.
 
-One kernel, `measure_vector`, computes all six statistics from one float
-cast of the adjacency and one walk-count product ``w2 = a @ a``, which
-the distance counts, the reciprocal-edge counts and transitivity share.
-Products and sums of 0/1 matrices hold exact integers in float64, so
-sharing or reordering them changes no bit of any statistic. Distances
-are counted with ``np.count_nonzero`` on reachability masks, built in
-place, and assortativity reads the endpoint degrees without listing the
-edges. The capped measures on their own (``modified_aspl_adj``, which
-knockout traces call once per surviving set, and ``fraction_spl_le``)
-cast to float32 instead: a reach mask only asks whether a walk count is
-positive, and a sum of nonnegative integer products is positive exactly
-when one of its terms is, while float32 rounding never turns a sum >= 1
-into 0. So every mask, count and result is the same as in float64.
+Every statistic takes its walk counts from `_walk_counts`: one float32
+cast ``a`` of the adjacency and ``w2 = a @ a``, which `measure_vector`
+shares among the distance counts, the reciprocal-edge counts and
+transitivity. float32 changes no bit. A reach mask only asks whether a
+sum of nonnegative integer products is positive, which float32 answers
+exactly, and every count read as a value is an integer of at most
+8(n - 1), exact for any n below 2**21, summed in a float64 accumulator.
+Distances are counted with ``np.count_nonzero`` on reachability masks
+built in place, and assortativity lists the edges once, with ``nonzero``.
 """
 
 from __future__ import annotations
@@ -74,24 +70,25 @@ class MeasureVector:
         return np.array([getattr(self, name) for name in MEASURE_NAMES])
 
 
-def _capped_measures(adj: np.ndarray, a: np.ndarray | None = None,
-                     w2: np.ndarray | None = None) -> tuple[float, float, float]:
+def _walk_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``adj`` as float32 ``a``, and its 2-walk counts ``a @ a``."""
+    a = adj.astype(np.float32)
+    return a, a @ a
+
+
+def _capped_measures(adj: np.ndarray, a: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
     """Fractions of ordered pairs within distance 2 and 3, and the capped ASPL.
 
-    ``a`` is ``adj`` (False diagonal) as float, float32 when not given,
-    and ``w2`` is ``a @ a``. A pair is within distance k exactly when a
-    walk of length <= k exists, so the walk counts of lengths 1 to 3 give
-    the pairs at each distance. A node on a 2- or 3-cycle reaches itself;
-    that diagonal cell is taken off. A graph of fewer than two nodes has
-    no ordered pair: nothing is within reach, so both fractions are 0.0
-    and the ASPL is the cap, the convention knockout simulations rely on.
+    ``a, w2`` are the `_walk_counts` of ``adj`` (False diagonal). A pair is
+    within distance k exactly when a walk of length <= k exists, so walk
+    counts of lengths 1 to 3 give the pairs at each distance; a node on a
+    2- or 3-cycle reaches itself, and that diagonal cell is taken off. A
+    graph of fewer than two nodes has no ordered pair: both fractions are
+    0.0 and the ASPL is the cap, the convention knockout traces rely on.
     """
     n = adj.shape[0]
     if n <= 1:
         return 0.0, 0.0, SPL_CAP
-    if a is None:
-        a = adj.astype(np.float32)
-        w2 = a @ a
     le2 = w2 > 0
     le2 |= adj
     le3 = w2 @ a > 0
@@ -107,7 +104,7 @@ def _capped_measures(adj: np.ndarray, a: np.ndarray | None = None,
 def modified_aspl_adj(adj: np.ndarray) -> float:
     """Capped mean shortest path length on a boolean adjacency matrix
     with a False diagonal, as every ``BinaryNetwork`` has."""
-    return _capped_measures(adj)[2]
+    return _capped_measures(adj, *_walk_counts(adj))[2]
 
 
 def modified_aspl(net: BinaryNetwork) -> float:
@@ -119,40 +116,40 @@ def fraction_spl_le(net: BinaryNetwork, k: int) -> float:
     """Fraction of ordered pairs i != j at finite distance <= k, k in {2, 3}."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k!r}")
-    return _capped_measures(net.adj)[k - 2]
+    return _capped_measures(net.adj, *_walk_counts(net.adj))[k - 2]
 
 
 def measure_vector(net: BinaryNetwork) -> MeasureVector:
     """All six statistics for one network of at least 3 nodes.
 
+    Every sum of walk counts runs in a float64 accumulator (``dtype=float``).
     Sums and means call ``np.add.reduce`` and the array methods directly,
-    skipping numpy's Python-level wrappers; each is the same reduction in
-    the same order, so every bit is the same.
+    skipping numpy's Python-level wrappers: the same reductions in the same
+    order, so the same bits.
     """
     if net.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
     adj = net.adj
-    a = adj.astype(float)
-    w2 = a @ a
-    out_deg = np.add.reduce(a, axis=1)
-    in_deg = np.add.reduce(a, axis=0)
+    a, w2 = _walk_counts(adj)
+    out_deg = np.add.reduce(a, axis=1, dtype=float)
+    in_deg = np.add.reduce(a, axis=0, dtype=float)
 
-    # Endpoint degrees of the edges in row-major order, as np.nonzero lists them.
-    x = np.repeat(out_deg, out_deg.astype(np.intp))
-    y = (a * in_deg)[adj]
+    srcs, dsts = adj.nonzero()
+    x, y = out_deg[srcs], in_deg[dsts]
     assortativity = math.nan
-    if x.size and np.maximum.reduce(x) > np.minimum.reduce(x) and np.maximum.reduce(y) > np.minimum.reduce(y):
+    if x.size:
         xc = x - np.add.reduce(x) / x.size
         yc = y - np.add.reduce(y) / y.size
-        assortativity = float(np.add.reduce(xc * yc) / math.sqrt(np.add.reduce(xc * xc) * np.add.reduce(yc * yc)))
+        if xc.any() and yc.any():
+            assortativity = float(np.add.reduce(xc * yc) / math.sqrt(np.add.reduce(xc * xc) * np.add.reduce(yc * yc)))
 
     sym = a + a.T
-    triangles = np.add.reduce((sym @ sym) * sym, axis=1) / 2.0
+    triangles = np.add.reduce((sym @ sym) * sym, axis=1, dtype=float) / 2.0
     d_total = in_deg + out_deg
     denom = d_total * (d_total - 1.0) - 2.0 * w2.diagonal()
     clustering = float(np.add.reduce(np.divide(triangles, denom, out=np.zeros(net.n), where=denom > 0)) / net.n)
 
-    two_paths = float(np.add.reduce(w2, axis=None) - w2.trace())
-    transitivity = float(np.add.reduce(w2 * a, axis=None)) / two_paths if two_paths else math.nan
+    two_paths = float(np.add.reduce(w2, axis=None, dtype=float) - w2.trace(dtype=float))
+    transitivity = float(np.add.reduce(w2 * a, axis=None, dtype=float)) / two_paths if two_paths else math.nan
 
     return MeasureVector(*_capped_measures(adj, a, w2), assortativity, clustering, transitivity)
