@@ -10,7 +10,9 @@ configuration. Its values keep their types until a writer formats them:
 a list comma-separated, and `_emit_json` writes the record as the
 document's `meta` object, a list as an array. The record does not yet
 echo ci-table's --t, nor --swap-factor and --correction, although they
-change the rows. Exit codes: 0 success, 1 data error, 2 usage error.
+change the rows. Each subcommand is declared by one `_command` call, and
+every flag type is built by `_checked`. Exit codes: 0 success, 1 data
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .lgd import (
     sweep_grid,
     sweep_specs,
 )
-from .knockout import MIN_SAMPLES, STRATEGIES, ci_compare, ci_table, ensemble_knockout
+from .knockout import DEFAULT_ALPHA, DEFAULT_SAMPLES, MIN_SAMPLES, STRATEGIES, ci_compare, ci_table, ensemble_knockout
 from .metrics import measure_vector
 from .netbuild import DEFAULT_GDP_THRESHOLD, RULE_NAMES, ThresholdRule, weighted_edges
 from .nullmodels import (
@@ -58,8 +60,6 @@ from .seeding import child_seed
 
 DEFAULT_SEED = 12345
 DEFAULT_TRIALS = 2000
-DEFAULT_SAMPLES = 10000
-DEFAULT_ALPHA = 0.05
 ENV_DATA_DIR = "FINNET_DATA_DIR"
 
 # The most years one --years list may name; a range is checked before it is expanded.
@@ -79,24 +79,26 @@ def _resolve_input(path: str | None, default_name: str) -> str:
 
 
 def _slices(args: argparse.Namespace) -> list[AssetSlice]:
-    """The core slice of each year the record names, read before any work, so a missing year fails first."""
+    """The core slice of each year of --years or --year, read before any work, so a missing year fails first."""
     asset_path = _resolve_input(args.assets, "assets.csv")
     gdp_path = _resolve_input(args.gdp, "gdp.csv")
     if asset_path == "-" and gdp_path == "-":
         raise DataError("only one of assets/gdp can come from standard input")
     assets, gdp = read_asset_file(asset_path), read_gdp_file(gdp_path)
-    head = _meta(args, {})
-    years = head["years"] if "years" in head else [head["year"]]
-    return [core_slice(assets, gdp, year) for year in years]
+    return [core_slice(assets, gdp, year) for year in (args.years if "years" in args else [args.year])]
 
 
-def _checked(parse):
+def _checked(parse, ok=None, requirement: str = ""):
     """Turn a parser that raises ValueError into an argparse type, so a bad
-    value is a usage error (exit 2) that names the problem."""
+    value is a usage error (exit 2) that names the problem. With ``ok``,
+    a parsed value that fails ``ok(value)`` is refused with ``requirement``."""
 
     def argtype(text: str):
         try:
-            return parse(text)
+            value = parse(text)
+            if ok is not None and not ok(value):
+                raise ValueError(requirement)
+            return value
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
@@ -119,18 +121,6 @@ def _parse_years(text: str) -> list[int]:
     if len(set(years)) < len(years):
         raise ValueError("repeats a year")
     return years
-
-
-def _bounded(convert, ok, requirement: str):
-    """An argparse type that converts the text and requires ``ok(value)``."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise ValueError(requirement)
-        return value
-
-    return _checked(parse)
 
 
 def _distinct(allowed: tuple[str, ...] | None, text: str) -> list[str]:
@@ -194,8 +184,7 @@ def _null_spec(
     return NullModelSpec(kind, seed, rule.apply(slice_), swap_factor, fit, rule)
 
 
-def cmd_build(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
-    (slice_,) = slices
+def cmd_build(args: argparse.Namespace, slice_: AssetSlice) -> None:
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     mean_out = net.num_edges / net.n
     extra = {
@@ -210,8 +199,7 @@ def cmd_build(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
           f"mean_out_degree={mean_out:.4f}", file=sys.stderr)
 
 
-def cmd_export(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
-    (slice_,) = slices
+def cmd_export(args: argparse.Namespace, slice_: AssetSlice) -> None:
     net = ThresholdRule(args.rule, args.t).apply(slice_)
     rows = weighted_edges(net, slice_)
     meta = _meta(args, {"rule": net.rule, "format": args.format})
@@ -222,7 +210,7 @@ def cmd_export(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
         _emit(args.out, "".join([_header(meta, "//"), "digraph {\n", *edges, "}\n"]).encode("utf-8"))
 
 
-def cmd_fit_lognormal(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+def cmd_fit_lognormal(args: argparse.Namespace, *slices: AssetSlice) -> None:
     if args.pooled:
         fits = [fit_lognormal_pooled(slices, correction_factor=args.correction)]
     else:
@@ -231,8 +219,7 @@ def cmd_fit_lognormal(args: argparse.Namespace, slices: list[AssetSlice]) -> Non
     _emit_json(args.out, meta, {"fits": [fit.to_json_dict() for fit in fits]})
 
 
-def cmd_gen_null(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
-    (slice_,) = slices
+def cmd_gen_null(args: argparse.Namespace, slice_: AssetSlice) -> None:
     rule = ThresholdRule(args.rule, args.t)
     spec = _null_spec(args.model, slice_, rule, args.seed, args.swap_factor, args.correction)
     rows = []
@@ -243,7 +230,7 @@ def cmd_gen_null(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     _emit_table(args.out, _meta(args, extra), ["sample", "holder", "issuer"], rows)
 
 
-def cmd_knockout(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+def cmd_knockout(args: argparse.Namespace, *slices: AssetSlice) -> None:
     rule = ThresholdRule(args.rule, args.t)
     sources = [
         rule.apply(s) if args.model == "empirical"
@@ -263,7 +250,7 @@ def cmd_knockout(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     _emit_table(args.out, _meta(args, extra), ["grid_point", "mean", "std"], rows, args.format)
 
 
-def cmd_ci_table(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+def cmd_ci_table(args: argparse.Namespace, *slices: AssetSlice) -> None:
     cells = []
     for yi, slice_ in enumerate(slices):
         fit = fit_lognormal(slice_, correction_factor=args.correction) if "log-normal" in args.models else None
@@ -282,8 +269,7 @@ def cmd_ci_table(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     _emit_table(args.out, _meta(args, extra), columns, rows, args.format)
 
 
-def cmd_lgd(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
-    (slice_,) = slices
+def cmd_lgd(args: argparse.Namespace, slice_: AssetSlice) -> None:
     spec = LgdSpec(args.d1, args.d2, args.haircut)
     result = cascade(slice_, set(args.initial), spec)
     meta = _meta(args, {"d1": args.d1, "d2": args.d2, "haircut": args.haircut})
@@ -304,7 +290,7 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
     return "|".join(shown)
 
 
-def cmd_lgd_sweep(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
+def cmd_lgd_sweep(args: argparse.Namespace, *slices: AssetSlice) -> None:
     summaries = []
     for slice_ in slices:
         summaries.extend(sweep_grid(slice_, args.d1_grid, args.d2_grid, args.k_max, args.haircut))
@@ -333,8 +319,7 @@ def _pigs_axes(args: argparse.Namespace) -> tuple[tuple[float, ...], tuple[float
             grid_axis(np.linspace(0.0, args.d2_max, args.d2_points), "d2"))
 
 
-def cmd_pigs_grid(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
-    (slice_,) = slices
+def cmd_pigs_grid(args: argparse.Namespace, slice_: AssetSlice) -> None:
     cells = fine_grid(slice_, tuple(args.group), *_pigs_axes(args), haircut=args.haircut)
     extra = {
         "group": args.group,
@@ -348,7 +333,10 @@ def cmd_pigs_grid(args: argparse.Namespace, slices: list[AssetSlice]) -> None:
     _emit_table(args.out, _meta(args, extra), ["subset", "d1", "d2", "impact", "rounds"], rows)
 
 
-def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
+def _command(sub, name: str, func, summary: str, years: bool = False, check=None) -> argparse.ArgumentParser:
+    """Declare one subcommand: its parser, the flags every command shares,
+    the function ``main`` runs and the flag check it runs first, if any."""
+    parser = sub.add_parser(name, help=summary)
     parser.add_argument("--assets", help=f"asset CSV path, '-' for stdin (default: ${ENV_DATA_DIR}/assets.csv)")
     parser.add_argument("--gdp", help=f"gdp CSV path, '-' for stdin (default: ${ENV_DATA_DIR}/gdp.csv)")
     parser.add_argument("--seed", type=SEED, default=DEFAULT_SEED, help="master seed (default %(default)s)")
@@ -358,6 +346,8 @@ def _add_common(parser: argparse.ArgumentParser, years: bool = False) -> None:
                             help="year list/range, e.g. 2007 or 2001-2009")
     else:
         parser.add_argument("--year", type=int, required=True, help="data year")
+    parser.set_defaults(func=func, check=check)
+    return parser
 
 
 def _add_rule(parser: argparse.ArgumentParser) -> None:
@@ -379,15 +369,15 @@ HAIRCUT = _checked(lambda text: grid_axis([text], "haircut")[0])
 # Parsed to floats, so the record holds the thresholds, not their spelling.
 D1_GRID = _checked(lambda text: grid_axis(text.split(","), "d1"))
 D2_GRID = _checked(lambda text: grid_axis(text.split(","), "d2"))
-POSITIVE = _bounded(int, lambda v: v >= 1, "must be >= 1")
-SEED = _bounded(int, lambda v: v >= 0, "must be >= 0")
-SWAP_FACTOR = _bounded(int, lambda v: 1 <= v <= MAX_SWAP_FACTOR, f"must be >= 1 and <= {MAX_SWAP_FACTOR}")
+POSITIVE = _checked(int, lambda v: v >= 1, "must be >= 1")
+SEED = _checked(int, lambda v: v >= 0, "must be >= 0")
+SWAP_FACTOR = _checked(int, lambda v: 1 <= v <= MAX_SWAP_FACTOR, f"must be >= 1 and <= {MAX_SWAP_FACTOR}")
 NAMES = _checked(partial(_distinct, None))
 RULES = _checked(partial(_distinct, RULE_NAMES))
 MODELS = _checked(lambda text: list(NULL_MODEL_KINDS) if text == "all" else _distinct(NULL_MODEL_KINDS, text))
-SAMPLES = _bounded(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
-ALPHA = _bounded(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
-CORRECTION = _bounded(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+SAMPLES = _checked(int, lambda v: v >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
+ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+CORRECTION = _checked(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
 GDP_THRESHOLD = _checked(lambda text: ThresholdRule("B", float(text)).t)
 # One help text for each flag that several commands add themselves, so their --help cannot drift.
 T_HELP = "rule-B GDP fraction threshold (default %(default)s)"
@@ -406,33 +396,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"finnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="threshold one year into a binary network")
-    _add_common(p)
+    p = _command(sub, "build", cmd_build, "threshold one year into a binary network")
     _add_rule(p)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("export", help="export a network with exposure weight classes")
-    _add_common(p)
+    p = _command(sub, "export", cmd_export, "export a network with exposure weight classes")
     _add_rule(p)
     p.add_argument("--format", choices=("edge-list", "dot"), default="edge-list", help=FORMAT_HELP)
-    p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("fit-lognormal", help="fit the censored log-normal asset model")
-    _add_common(p, years=True)
+    p = _command(sub, "fit-lognormal", cmd_fit_lognormal, "fit the censored log-normal asset model", years=True)
     p.add_argument("--pooled", action="store_true", help="one fit over all years")
     p.add_argument("--correction", type=CORRECTION, default=DEFAULT_SIGMA_CORRECTION, help=CORRECTION_HELP)
-    p.set_defaults(func=cmd_fit_lognormal)
 
-    p = sub.add_parser("gen-null", help="sample networks from a null-model family")
-    _add_common(p)
+    p = _command(sub, "gen-null", cmd_gen_null, "sample networks from a null-model family")
     _add_rule(p)
     p.add_argument("--model", choices=NULL_MODEL_KINDS, required=True, help=MODEL_HELP)
     p.add_argument("--count", type=POSITIVE, default=1, help="number of samples (default %(default)s)")
     _add_null_params(p)
-    p.set_defaults(func=cmd_gen_null)
 
-    p = sub.add_parser("knockout", help="error/attack knockout curves")
-    _add_common(p, years=True)
+    p = _command(sub, "knockout", cmd_knockout, "error/attack knockout curves", years=True)
     _add_rule(p)
     p.add_argument("--strategy", choices=STRATEGIES, required=True,
                    help="error removes a random node each step, attack one of highest in+out degree")
@@ -444,10 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_null_params(p)
     p.add_argument("--jobs", type=POSITIVE, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("csv", "json"), default="csv", help=FORMAT_HELP)
-    p.set_defaults(func=cmd_knockout)
 
-    p = sub.add_parser("ci-table", help="confidence-interval comparison table")
-    _add_common(p, years=True)
+    p = _command(sub, "ci-table", cmd_ci_table, "confidence-interval comparison table", years=True)
     p.add_argument("--rules", type=RULES, default="A,B", help="comma list of rules (default %(default)s)")
     p.add_argument("--t", type=GDP_THRESHOLD, default=DEFAULT_GDP_THRESHOLD, help=T_HELP)
     p.add_argument("--models", type=MODELS, default="all", help="comma list of null models or 'all'")
@@ -458,18 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_null_params(p)
     p.add_argument("--jobs", type=POSITIVE, default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("csv", "json"), default="csv", help=FORMAT_HELP)
-    p.set_defaults(func=cmd_ci_table)
 
-    p = sub.add_parser("lgd", help="single loss-given-default cascade trace")
-    _add_common(p)
+    p = _command(sub, "lgd", cmd_lgd, "single loss-given-default cascade trace")
     p.add_argument("--initial", type=NAMES, required=True, help="comma list of initially defaulting countries")
     p.add_argument("--d1", type=D1, required=True, help="portfolio-fraction threshold")
     p.add_argument("--d2", type=D2, required=True, help="GDP-fraction threshold")
     p.add_argument("--haircut", type=HAIRCUT, default=1.0, help=HAIRCUT_HELP)
-    p.set_defaults(func=cmd_lgd)
 
-    p = sub.add_parser("lgd-sweep", help="impact summaries over a threshold grid")
-    _add_common(p, years=True)
+    p = _command(sub, "lgd-sweep", cmd_lgd_sweep, "impact summaries over a threshold grid", years=True,
+                 check=lambda a: sweep_specs(a.d1_grid, a.d2_grid, a.haircut))
     p.add_argument("--d1-grid", type=D1_GRID, default=",".join(map(str, COARSE_THRESHOLDS)),
                    help="comma list of portfolio-fraction thresholds (default %(default)s)")
     p.add_argument("--d2-grid", type=D2_GRID, default=",".join(map(str, COARSE_THRESHOLDS)),
@@ -480,11 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranking-out", help="optional CSV of influence rankings")
     p.add_argument("--top-n", type=POSITIVE, default=10,
                    help="combinations per set size in the influence ranking (default %(default)s)")
-    p.set_defaults(func=cmd_lgd_sweep,
-                   check=lambda a: sweep_specs(a.d1_grid, a.d2_grid, a.haircut))
 
-    p = sub.add_parser("pigs-grid", help="fine threshold grid for a country group")
-    _add_common(p)
+    p = _command(sub, "pigs-grid", cmd_pigs_grid, "fine threshold grid for a country group", check=_pigs_axes)
     p.add_argument("--group", type=NAMES, required=True, help="comma list of group members")
     p.add_argument("--d1-max", type=D1, default=FINE_D1_MAX,
                    help="largest portfolio-fraction threshold of the grid (default %(default)s)")
@@ -495,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2-points", type=POSITIVE, default=FINE_D2_POINTS,
                    help="GDP-fraction thresholds from 0 to --d2-max (default %(default)s)")
     p.add_argument("--haircut", type=HAIRCUT, default=1.0, help=HAIRCUT_HELP)
-    p.set_defaults(func=cmd_pigs_grid, check=_pigs_axes)
 
     return parser
 
@@ -509,12 +481,12 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if value == []:
                 raise ValueError(f"argument --{name.replace('_', '-')}: expected one value")
-        if "check" in args:
+        if args.check is not None:
             args.check(args)
     except ValueError as exc:
         parser.error(f"{args.command}: {exc}")
     try:
-        args.func(args, _slices(args))
+        args.func(args, *_slices(args))
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_DATA_ERROR

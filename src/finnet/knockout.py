@@ -39,6 +39,8 @@ from .seeding import child_seed
 STRATEGIES = ("error", "attack")
 POSITIONS = ("below", "within", "above", "undefined")
 MIN_SAMPLES = 100
+DEFAULT_SAMPLES = 10000  # null draws per (year, rule, model) cell
+DEFAULT_ALPHA = 0.05  # the interval is the central 1 - alpha of the null draws
 SPEC_BLOCK = 500  # most draws of one null-model spec in one worker task
 # The CPUs this process may run on, and so the most workers an ensemble starts.
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -211,7 +213,7 @@ def ensemble_knockout(
     return CurveSummary(strategy, CURVE_GRID.copy(), stack.mean(axis=0), stack.std(axis=0), stack.shape[0])
 
 
-def classify_position(value: float, samples: np.ndarray, alpha: float = 0.05) -> tuple[float, float, str]:
+def classify_position(value: float, samples: np.ndarray, alpha: float = DEFAULT_ALPHA) -> tuple[float, float, str]:
     """Central order-statistic interval of the samples and where the value sits.
 
     Bounds are the empirical alpha/2 and 1-alpha/2 quantiles with midpoint
@@ -272,8 +274,8 @@ def _measure_rows(task: tuple[NullModelSpec, int, range]) -> np.ndarray:
 
 def ci_compare(
     cells: list[tuple[MeasureVector, NullModelSpec]],
-    samples: int = 10000,
-    alpha: float = 0.05,
+    samples: int = DEFAULT_SAMPLES,
+    alpha: float = DEFAULT_ALPHA,
     jobs: int = 1,
 ) -> list[CiReport]:
     """Classify each cell's empirical measures against its spec's sampled

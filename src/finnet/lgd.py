@@ -326,19 +326,16 @@ def fine_grid(
     LgdSpec(0.0, 0.0, haircut)
     d1_cells, d2_cells = np.repeat(d1_values, d2_values.size), np.tile(d2_values, d1_values.size)
     d1_list, d2_list = d1_cells.tolist(), d2_cells.tolist()
-    members = sorted(group)
-    indices = [slice_.index(code) for code in members]
+    index = {code: slice_.index(code) for code in sorted(group)}  # an unknown member fails before any cascade
     cells = []
-    for size in range(1, min(FINE_MAX_SUBSET, len(members)) + 1):
-        for combo in combinations(range(len(members)), size):
-            initial = np.zeros(slice_.n, dtype=bool)
-            initial[[indices[i] for i in combo]] = True
-            initial = np.broadcast_to(initial, (d1_cells.size, slice_.n))
-            rounds = cascade_rounds(slice_, initial, d1_cells, d2_cells, haircut)
-            impacts = (np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist()
-            n_rounds = rounds.max(axis=1).tolist()
-            subset = tuple(members[i] for i in combo)
-            cells.extend(map(FineGridCell, repeat(subset), d1_list, d2_list, impacts, n_rounds))
+    for subset in chain.from_iterable(combinations(index, k) for k in range(1, FINE_MAX_SUBSET + 1)):
+        initial = np.zeros(slice_.n, dtype=bool)
+        initial[[index[code] for code in subset]] = True
+        initial = np.broadcast_to(initial, (d1_cells.size, slice_.n))
+        rounds = cascade_rounds(slice_, initial, d1_cells, d2_cells, haircut)
+        impacts = (np.count_nonzero(rounds >= 0, axis=1) / slice_.n).tolist()
+        n_rounds = rounds.max(axis=1).tolist()
+        cells.extend(map(FineGridCell, repeat(subset), d1_list, d2_list, impacts, n_rounds))
     return cells
 
 

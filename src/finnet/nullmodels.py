@@ -275,12 +275,12 @@ class NullModelSpec:
     er, out-degree and in-degree are one Bernoulli digraph: the spec reads
     its edge probability ``prob`` from ``base`` once, as the mean
     out-degree over n - 1 (a scalar), the out-degrees over n - 1 (a column,
-    one per source) or the in-degrees over n - 1 (a row, one per target).
-    Log-normal re-thresholds by ``rule`` a slice of
-    :func:`sample_lognormal_matrix` (censored, rounded, never negative)
-    with the GDP of ``fit``, a per-year fit, and coverage 1.0. The
-    (seed, index) pair fully determines the draw, so ensembles are
-    reproducible under any scheduling.
+    one per source) or the in-degrees over n - 1 (a row, one per target),
+    an array read-only like ``swap_tables``. Log-normal re-thresholds by
+    ``rule`` a slice of :func:`sample_lognormal_matrix` (censored,
+    rounded, never negative) with the GDP of ``fit``, a per-year fit, and
+    coverage 1.0. The (seed, index) pair fully determines the draw, so
+    ensembles are reproducible under any scheduling.
 
     Rewiring is degree-preserving randomization by pairwise edge swaps:
     ``swap_factor * m`` attempted swaps over the m edges of ``base``
@@ -356,6 +356,8 @@ class NullModelSpec:
             object.__setattr__(self, "prob", (self.base.out_degrees() / (n - 1))[:, None])
         elif self.kind == "in-degree":
             object.__setattr__(self, "prob", (self.base.in_degrees() / (n - 1))[None, :])
+        if isinstance(self.prob, np.ndarray):
+            self.prob.flags.writeable = False
         elif self.kind == "rewiring":
             sources, targets = (tuple(ends.tolist()) for ends in np.nonzero(self.base.adj))
             edge_ids = np.arange(len(sources)).astype(object)

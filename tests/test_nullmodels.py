@@ -692,6 +692,9 @@ def test_null_spec_reads_its_statistic_once(monkeypatch):
     assert out.shape == (8, 1) and np.array_equal(out[:, 0], net.out_degrees() / 7)
     assert into.shape == (1, 8) and np.array_equal(into[0], net.in_degrees() / 7)
     assert NullModelSpec("rewiring", 7, net).prob is None
+    for prob in (out, into):
+        with pytest.raises(ValueError, match="read-only"):
+            prob[:] = 1.0
     want = [spec.sample(i).adj for spec in specs for i in range(3)]
 
     def fail(self):
