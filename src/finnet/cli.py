@@ -11,8 +11,11 @@ a list comma-separated, and `_emit_json` writes the record as the
 document's `meta` object, a list as an array. The record does not yet
 echo ci-table's --t, nor --swap-factor and --correction, although they
 change the rows. Each subcommand is declared by one `_command` call, and
-every flag type is built by `_checked`. Exit codes: 0 success, 1 data
-error, 2 usage error.
+every flag type is built by `_checked`. The commands that draw null
+networks make every log-normal fit through `_fits` before any seed or
+draw: the first seed imports numpy.random, which stays resident, and a
+fit's least-squares solve made on top of it set the process's peak
+memory. Exit codes: 0 success, 1 data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .nullmodels import (
     DEFAULT_SWAP_FACTOR,
     MAX_SWAP_FACTOR,
     NULL_MODEL_KINDS,
+    LogNormalFit,
     NullModelSpec,
     fit_lognormal,
     fit_lognormal_pooled,
@@ -172,16 +176,9 @@ def _emit_table(path: str, meta: dict, columns: list[str], rows: list[list], for
     _emit(path, out.getvalue().encode("utf-8"))
 
 
-def _null_spec(
-    kind: str,
-    slice_: AssetSlice,
-    rule: ThresholdRule,
-    seed: int,
-    swap_factor: int,
-    correction: float,
-) -> NullModelSpec:
-    fit = fit_lognormal(slice_, correction_factor=correction) if kind == "log-normal" else None
-    return NullModelSpec(kind, seed, rule.apply(slice_), swap_factor, fit, rule)
+def _fits(slices: tuple[AssetSlice, ...], models: list[str], correction: float) -> list[LogNormalFit | None]:
+    """Each slice's log-normal fit when ``models`` names log-normal, else None; commands call it before any seed."""
+    return [fit_lognormal(s, correction_factor=correction) if "log-normal" in models else None for s in slices]
 
 
 def cmd_build(args: argparse.Namespace, slice_: AssetSlice) -> None:
@@ -220,8 +217,9 @@ def cmd_fit_lognormal(args: argparse.Namespace, *slices: AssetSlice) -> None:
 
 
 def cmd_gen_null(args: argparse.Namespace, slice_: AssetSlice) -> None:
+    (fit,) = _fits((slice_,), [args.model], args.correction)
     rule = ThresholdRule(args.rule, args.t)
-    spec = _null_spec(args.model, slice_, rule, args.seed, args.swap_factor, args.correction)
+    spec = NullModelSpec(args.model, args.seed, rule.apply(slice_), args.swap_factor, fit, rule)
     rows = []
     for index in range(args.count):
         net = spec.sample(index)
@@ -231,11 +229,12 @@ def cmd_gen_null(args: argparse.Namespace, slice_: AssetSlice) -> None:
 
 
 def cmd_knockout(args: argparse.Namespace, *slices: AssetSlice) -> None:
+    fits = _fits(slices, [args.model], args.correction)
     rule = ThresholdRule(args.rule, args.t)
     sources = [
         rule.apply(s) if args.model == "empirical"
-        else _null_spec(args.model, s, rule, child_seed(args.seed, i), args.swap_factor, args.correction)
-        for i, s in enumerate(slices)
+        else NullModelSpec(args.model, child_seed(args.seed, i), rule.apply(s), args.swap_factor, fit, rule)
+        for i, (s, fit) in enumerate(zip(slices, fits))
     ]
     summary = ensemble_knockout(sources, args.strategy, args.trials, args.seed, args.jobs)
     extra = {
@@ -251,9 +250,9 @@ def cmd_knockout(args: argparse.Namespace, *slices: AssetSlice) -> None:
 
 
 def cmd_ci_table(args: argparse.Namespace, *slices: AssetSlice) -> None:
+    fits = _fits(slices, args.models, args.correction)
     cells = []
-    for yi, slice_ in enumerate(slices):
-        fit = fit_lognormal(slice_, correction_factor=args.correction) if "log-normal" in args.models else None
+    for yi, (slice_, fit) in enumerate(zip(slices, fits)):
         for ri, rule_name in enumerate(args.rules):
             rule = ThresholdRule(rule_name, args.t)
             net = rule.apply(slice_)

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finnet.cli import _null_spec, build_parser, main
+import finnet.cli
+from finnet.cli import _fits, build_parser, main
 from finnet.knockout import ci_compare, ensemble_knockout
 from finnet.lgd import LgdSpec, sweep_grid
 from finnet.metrics import measure_vector
 from finnet.netbuild import ThresholdRule
-from finnet.nullmodels import DEFAULT_SIGMA_CORRECTION, DEFAULT_SWAP_FACTOR
+from finnet.nullmodels import DEFAULT_SIGMA_CORRECTION, DEFAULT_SWAP_FACTOR, NullModelSpec
 from finnet.seeding import child_seed
 
 from conftest import DATA_DIR, complete_net, hand_slice, random_slice
@@ -347,6 +348,26 @@ def test_overflowing_correction_exits_1_before_writing(fixture_data_dir, capsys,
     assert not out.exists()
 
 
+def test_every_fit_precedes_the_first_seeded_draw(fixture_data_dir, tmp_path, monkeypatch):
+    """Every log-normal fit runs before the first seed, so no fit's solve
+    sits on top of the numpy.random that the first seed imports."""
+    calls = []
+    for name in ("fit_lognormal", "child_seed"):
+        def recorded(*args, _name=name, _func=getattr(finnet.cli, name), **kwargs):
+            calls.append(_name)
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(finnet.cli, name, recorded)
+    for args, fits in [
+        (["ci-table", "--years", "2006,2007", "--models", "all", "--samples", "100"], 2),
+        (["knockout", "--years", "2006,2007", "--model", "log-normal", "--strategy", "error", "--trials", "2"], 2),
+        (["ci-table", "--years", "2006,2007", "--models", "er", "--samples", "100"], 0),
+    ]:
+        calls.clear()
+        assert main(args + inputs(fixture_data_dir) + ["--out", str(tmp_path / "out")]) == 0
+        assert calls[:fits] == ["fit_lognormal"] * fits
+        assert calls.count("fit_lognormal") == fits and "child_seed" in calls
+
+
 def test_ci_table_matches_golden(fixture_data_dir):
     rc, out = run(
         ["ci-table", "--years", "2006-2007", "--rules", "B", "--models", "rewiring",
@@ -377,6 +398,10 @@ def test_ci_table_matches_golden(fixture_data_dir):
     (["fit-lognormal", "--years", "2006-2007", "--pooled"], "golden_fit_lognormal_pooled.json"),
     (["gen-null", "--year", "2007", "--model", "rewiring", "--count", "3"], "golden_gen_null_rewiring.csv"),
     (["export", "--year", "2007", "--format", "edge-list"], "golden_export_edge_list.csv"),
+    (["ci-table", "--years", "2006,2007", "--models", "log-normal", "--samples", "100"], "golden_ci_lognormal.csv"),
+    (["knockout", "--years", "2006,2007", "--model", "log-normal", "--strategy", "attack", "--trials", "5"],
+     "golden_knockout_lognormal.csv"),
+    (["gen-null", "--year", "2007", "--model", "log-normal", "--count", "3"], "golden_gen_null_lognormal.csv"),
 ])
 def test_commands_match_golden(fixture_data_dir, capsysbinary, args, golden):
     rc = main(args + [
@@ -707,9 +732,10 @@ def ci_compare_accepts(samples=100, alpha=0.05):
 
 
 def null_specs_accept(models):
-    slice_ = random_slice(6, np.random.default_rng(0))
+    slice_, rule = random_slice(6, np.random.default_rng(0)), ThresholdRule("A")
+    (fit,) = _fits((slice_,), models, DEFAULT_SIGMA_CORRECTION)
     for model in models:
-        _null_spec(model, slice_, ThresholdRule("A"), 0, DEFAULT_SWAP_FACTOR, DEFAULT_SIGMA_CORRECTION)
+        NullModelSpec(model, 0, rule.apply(slice_), DEFAULT_SWAP_FACTOR, fit if model == "log-normal" else None, rule)
 
 
 KNOCKOUT = ["knockout", "--years", "2007", "--strategy", "error"]

@@ -728,7 +728,7 @@ def test_null_spec_lognormal_round_trip():
 def test_null_spec_sample_is_the_family_sampler_on_child_rng(kind):
     """The CLI's spec draws network i as the family's own sampler fed
     child_rng(seed, i) and the empirical network's statistics."""
-    from finnet.cli import _null_spec
+    from finnet.cli import _fits
     from finnet.seeding import child_rng
 
     slice_ = random_slice(9, np.random.default_rng(24))
@@ -744,7 +744,8 @@ def test_null_spec_sample_is_the_family_sampler_on_child_rng(kind):
         "log-normal": lambda r: rule.apply(AssetSlice(fit.year, fit.countries, sample_lognormal_matrix(fit, r),
                                                       fit.gdp, 1.0)),
     }[kind]
-    spec = _null_spec(kind, slice_, rule, seed, swap_factor, correction)
+    (cli_fit,) = _fits((slice_,), [kind], correction)
+    spec = NullModelSpec(kind, seed, rule.apply(slice_), swap_factor, cli_fit, rule)
     for i in (0, 1, 5, 17):
         got, want = spec.sample(i), direct(child_rng(seed, i))
         assert got.adj.tobytes() == want.adj.tobytes()
