@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ MIN_SAMPLES = 100
 DEFAULT_SAMPLES = 10000  # null draws per (year, rule, model) cell
 DEFAULT_ALPHA = 0.05  # the interval is the central 1 - alpha of the null draws
 SPEC_BLOCK = 500  # most draws of one null-model spec in one worker task
+STAGES = 10  # equal stages in which ci_compare draws each cell, dropping settled cells between them
 # The CPUs this process may run on, and so the most workers an ensemble starts.
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -134,24 +136,32 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
     return np.interp(CURVE_GRID, removed_fraction, series)
 
 
-def run_tasks(fn, tasks: list, jobs: int = 1) -> list:
-    """``[fn(task) for task in tasks]`` on at most ``jobs`` worker processes,
-    each taking one task at a time, so the task list is the only split of
-    the work. ``fn`` must be picklable (module-level) when jobs > 1."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+@contextmanager
+def _workers(jobs: int, most: int):
+    """Yield the builtin ``map``, or one pool's over at most ``min(jobs, most)`` workers."""
+    if jobs <= 1 or most <= 1:
+        yield map
+        return
     # Imported here, so that serial runs do not pay for the pool modules at start-up.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     ctx = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=ctx) as pool:
-        return list(pool.map(fn, tasks))
+    with ProcessPoolExecutor(max_workers=min(jobs, most), mp_context=ctx) as pool:
+        yield pool.map
 
 
-def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args,
-                  shared: list[bool] | None = None) -> list[np.ndarray]:
-    """Each source's stacked kernel rows for items 0..count-1, in item order.
+def run_tasks(fn, tasks: list, jobs: int = 1) -> list:
+    """``[fn(task) for task in tasks]`` on at most ``jobs`` worker processes,
+    so the task list is the only split of the work. ``fn`` must be
+    picklable (module-level) when jobs > 1."""
+    with _workers(jobs, len(tasks)) as workers:
+        return list(workers(fn, tasks))
+
+
+def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args, shared: list[bool] | None = None,
+                  start: int = 0, workers=None) -> list[np.ndarray]:
+    """Each source's stacked kernel rows for items start..count-1, in item order.
 
     ``kernel((source, i, items, *args))`` returns one row per item of the
     range ``items`` of source ``i``. A source whose items share a cache
@@ -159,15 +169,16 @@ def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args,
     items share nothing, so it goes out in equal ranges of at most
     ``SPEC_BLOCK`` items, and sources of uneven cost spread over the
     workers. Either is cut further where a worker would idle. ``jobs`` is
-    capped at ``USABLE_CPUS`` first. One ``run_tasks`` call runs every
-    task, and every source's rows are held at once until it returns.
+    capped at ``USABLE_CPUS`` first. One ``run_tasks`` call, or one call of
+    the ``workers`` map (from ``_workers``), runs every task, and every
+    source's rows are held at once until it returns.
     """
-    shared, jobs = shared or [False] * len(sources), min(jobs, USABLE_CPUS)
+    shared, jobs, size = shared or [False] * len(sources), min(jobs, USABLE_CPUS), count - start
     idle = -(-max(1, jobs) // max(1, len(sources)))
-    splits = [min(count, max(idle, 1 if whole else -(-count // SPEC_BLOCK))) for whole in shared]
-    tasks = [(source, i, range(count * k // n, count * (k + 1) // n), *args)
+    splits = [min(size, max(idle, 1 if whole else -(-size // SPEC_BLOCK))) for whole in shared]
+    tasks = [(source, i, range(start + size * k // n, start + size * (k + 1) // n), *args)
              for i, (source, n) in enumerate(zip(sources, splits)) for k in range(n)]
-    blocks = iter(run_tasks(kernel, tasks, jobs))
+    blocks = iter(run_tasks(kernel, tasks, jobs) if workers is None else workers(kernel, tasks))
     return [np.vstack([next(blocks) for _ in range(n)]) for n in splits]
 
 
@@ -272,6 +283,18 @@ def _measure_rows(task: tuple[NullModelSpec, int, range]) -> np.ndarray:
     return np.vstack([measure_vector(spec.sample(j)).as_array() for j in js])
 
 
+def _settled(value: float, seen: np.ndarray, samples: int, alpha: float) -> bool:
+    """Whether ``value`` is "within" (or "undefined", if NaN) among all ``samples``
+    draws, however those after ``seen`` fall. Each tail needs one sample more
+    than the midpoint quantile of the most finite draws possible reads, so a
+    rounded quantile index only delays settling; "below" and "above" never settle."""
+    if math.isnan(value):
+        return True
+    finite = samples - int(np.isnan(seen).sum())
+    return (int((seen <= value).sum()) >= math.floor((finite - 1) * alpha / 2) + 2
+            and int((seen >= value).sum()) >= finite - math.ceil((finite - 1) * (1 - alpha / 2)) + 1)
+
+
 def ci_compare(
     cells: list[tuple[MeasureVector, NullModelSpec]],
     samples: int = DEFAULT_SAMPLES,
@@ -281,11 +304,17 @@ def ci_compare(
     """Classify each cell's empirical measures against its spec's sampled
     null ensemble; one report per (empirical, spec) cell, in cell order.
 
-    Undefined (NaN) null samples are excluded per measure and counted in
-    the report; a measure with no defined samples is itself undefined.
-    A report's rule and year are those of its ``spec.base``. All cells
-    share one task list, and every cell's samples x 6 matrix is held at
-    once: 8 bytes per value, so 43 MB for 90 cells of 10,000 samples.
+    Cells draw in ``STAGES`` equal stages, sample j always being
+    ``spec.sample(j)``, and after each stage a cell stops once all six of
+    its positions are settled (``_settled``): curtailed sampling, the exact
+    case of a sequential Monte Carlo test (Besag & Clifford 1991). So each
+    position is the one all ``samples`` draws give, while a report's
+    ``samples``, bounds and ``n_undefined`` cover the prefix its cell drew.
+    Undefined (NaN) null samples are excluded per measure; a measure with
+    no defined samples is itself undefined. A report's rule and year are
+    those of its ``spec.base``. Each stage is one task list, and all share
+    one worker pool. A cell's samples x 6 matrix of 8-byte values is
+    resident as far as it is drawn: 43 MB at most for 90 cells of 10,000.
     """
     if not cells:
         raise ValueError("need at least one cell")
@@ -293,15 +322,26 @@ def ci_compare(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    matrices = _run_ensemble(_measure_rows, [spec for _, spec in cells], samples, jobs)
+    matrices = [np.empty((samples, len(MEASURE_NAMES))) for _ in cells]
+    drawn, live = [0] * len(cells), list(range(len(cells)))
+    bounds = [samples * k // STAGES for k in range(STAGES + 1)]
+    with _workers(min(jobs, USABLE_CPUS), len(cells) * bounds[1]) as workers:
+        for start, stop in zip(bounds, bounds[1:]):
+            specs = [cells[i][1] for i in live]
+            for i, block in zip(live, _run_ensemble(_measure_rows, specs, stop, jobs, start=start, workers=workers)):
+                matrices[i][start:stop], drawn[i] = block, stop
+            live = [i for i in live if not all(_settled(value, matrices[i][:stop, m], samples, alpha)
+                                               for m, value in enumerate(cells[i][0].as_array().tolist()))]
+            if not live:
+                break
     reports = []
-    for (empirical, spec), matrix in zip(cells, matrices):
+    for (empirical, spec), matrix, n in zip(cells, matrices, drawn):
         entries = []
         for m, (name, value) in enumerate(zip(MEASURE_NAMES, empirical.as_array().tolist())):
-            column = matrix[:, m]
+            column = matrix[:n, m]
             lower, upper, position = classify_position(value, column, alpha)
             entries.append(CiEntry(name, lower, upper, value, position, int(np.isnan(column).sum())))
-        reports.append(CiReport(spec.kind, spec.base.rule, spec.base.source_year, alpha, samples, tuple(entries)))
+        reports.append(CiReport(spec.kind, spec.base.rule, spec.base.source_year, alpha, n, tuple(entries)))
     return reports
 
 

@@ -649,6 +649,19 @@ def oracle_quantile_midpoint(values: np.ndarray, q: float) -> float:
     return float((ordered[lo] + ordered[hi]) / 2.0)
 
 
+def oracle_ci_positions(cells, samples: int, alpha: float) -> list[tuple[str, ...]]:
+    """Each (empirical, spec) cell's six positions against all ``samples``
+    draws ``spec.sample(j)``: no stages and no early stop."""
+    from finnet.metrics import measure_vector
+
+    positions = []
+    for empirical, spec in cells:
+        matrix = np.vstack([measure_vector(spec.sample(j)).as_array() for j in range(samples)])
+        positions.append(tuple(knockout.classify_position(value, matrix[:, m], alpha)[2]
+                               for m, value in enumerate(empirical.as_array().tolist())))
+    return positions
+
+
 # ---------------------------------------------------------------------------
 # worker pools
 

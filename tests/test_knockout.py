@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,14 @@ from finnet import knockout
 from finnet.ingest import AssetSlice
 from finnet.knockout import (
     CURVE_GRID,
+    DEFAULT_ALPHA,
+    MIN_SAMPLES,
     STRATEGIES,
     CiEntry,
     CiReport,
     _interp_curve,
     _run_ensemble,
+    _settled,
     ci_compare,
     ci_table,
     classify_position,
@@ -31,6 +35,7 @@ from conftest import (
     empty_net,
     load_scalefree64,
     net_from_adj,
+    oracle_ci_positions,
     oracle_knockout,
     oracle_quantile_midpoint,
     random_net,
@@ -406,6 +411,84 @@ def test_ci_compare_jobs_deterministic():
     for jobs in (2, 3):
         assert ci_compare(cells, samples=128, jobs=jobs) == serial
     assert ci_compare(cells[:1], samples=128, jobs=2) == serial[:1]
+
+
+@st.composite
+def settle_cases(draw):
+    """A value (NaN or not), N >= MIN_SAMPLES, alpha, and a seen column of
+    NaNs, ties with the value, and values one ulp, 1 or 1e300 below and
+    above it. Each tail's count is drawn freely or within 2 of the order
+    statistic that the midpoint quantile reads at the most finite draws
+    possible, where an off-by-one in the settle rule shows."""
+    samples = draw(st.integers(MIN_SAMPLES, 400))
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    value = draw(st.sampled_from([0.0, 0.375, -2.5, 3.0, math.nan]))
+    nan, ties = draw(st.integers(0, samples // 4)), draw(st.integers(0, 4))
+    finite = samples - nan
+    low, high = math.floor((finite - 1) * alpha / 2) + 1, finite - math.ceil((finite - 1) * (1 - alpha / 2))
+    at_most, at_least = (draw(st.one_of(st.integers(n - 1, n + 2), st.integers(0, samples // 2))) for n in (low, high))
+    below, above = max(0, at_most - ties), max(0, at_least - ties)
+    hypothesis.assume(nan + ties + below + above <= samples)
+    under = draw(st.sampled_from([math.nextafter(value, -math.inf), value - 1.0, -1e300]))
+    over = draw(st.sampled_from([math.nextafter(value, math.inf), value + 1.0, 1e300]))
+    return value, np.array([math.nan] * nan + [value] * ties + [under] * below + [over] * above), samples, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=settle_cases())
+def test_settled_positions_hold_for_every_completion(case):
+    """Whatever the unseen draws are (all NaN, all tied with the value, one
+    ulp to either side of it, or +-1e300), a settled value stays within the
+    interval of all N draws, or undefined when it is NaN."""
+    value, seen, samples, alpha = case
+    settled = _settled(value, seen, samples, alpha)
+    hypothesis.event(f"settled={settled}")
+    if not settled:
+        return
+    want = "undefined" if math.isnan(value) else "within"
+    fills = [math.nan, value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf), -1e300, 1e300]
+    for fill in fills:
+        full = np.concatenate([seen, np.full(samples - seen.size, fill)])
+        assert classify_position(value, full, alpha)[2] == want, fill
+
+
+def ci_cells():
+    """The five families over one small rule-B network: some cells settle
+    early, and some hold a position below or above and draw every sample."""
+    slice_ = random_slice(8, np.random.default_rng(2))
+    rule = ThresholdRule("B")
+    net, fit = rule.apply(slice_), fit_lognormal(slice_)
+    specs = [NullModelSpec(kind, 40 + i, net, fit=fit if kind == "log-normal" else None, rule=rule)
+             for i, kind in enumerate(("er", "out-degree", "in-degree", "rewiring", "log-normal"))]
+    return [(measure_vector(net), spec) for spec in specs]
+
+
+@pytest.mark.parametrize("samples", [100, 101, 1001])
+def test_ci_compare_positions_match_full_draw_oracle(samples):
+    """Stopping settled cells early leaves every position as the full N draws give it, at any --jobs."""
+    cells = ci_cells()
+    want = oracle_ci_positions(cells, samples, DEFAULT_ALPHA)
+    for jobs in (1, 2):
+        reports = ci_compare(cells, samples, jobs=jobs)
+        assert [tuple(entry.position for entry in report.entries) for report in reports] == want
+        drawn = [report.samples for report in reports]
+        assert min(drawn) < samples == max(drawn)
+
+
+@pytest.mark.parametrize("samples", [100, 101, 1001])
+@pytest.mark.parametrize("kind", ["er", "out-degree", "in-degree", "rewiring"])
+def test_ci_compare_deterministic_null_settles_after_the_first_stage(kind, samples):
+    """On a complete digraph every draw of these families is the digraph
+    itself, so each value ties with all its samples (or is NaN) and the
+    cell stops after one stage; its report covers that stage's draws."""
+    net = complete_net(5)
+    (report,) = ci_compare([(measure_vector(net), NullModelSpec(kind, 21, net))], samples)
+    assert report.samples == samples // 10
+    assert report.entry("assortativity").n_undefined == samples // 10  # constant degrees
+    for entry in report.entries:
+        if not math.isnan(entry.empirical):
+            assert entry.position == "within"
+            assert entry.lower == entry.upper == entry.empirical
 
 
 def _item_rows(task):
