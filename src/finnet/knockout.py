@@ -43,7 +43,7 @@ MIN_SAMPLES = 100
 DEFAULT_SAMPLES = 10000  # null draws per (year, rule, model) cell
 DEFAULT_ALPHA = 0.05  # the interval is the central 1 - alpha of the null draws
 SPEC_BLOCK = 500  # most draws of one null-model spec in one worker task
-STAGES = 10  # equal stages in which ci_compare draws each cell, dropping settled cells between them
+STAGES = 10  # equal stages in which run_tasks draws under a stop rule, dropping stopped sources between them
 # The CPUs this process may run on, and so the most workers an ensemble starts.
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -137,9 +137,9 @@ def _interp_curve(series: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def _workers(jobs: int, most: int):
-    """Yield the builtin ``map``, or one pool's over at most ``min(jobs, most)`` workers."""
-    if jobs <= 1 or most <= 1:
+def _workers(jobs: int):
+    """Yield the builtin ``map``, or one pool's over ``jobs`` workers."""
+    if jobs <= 1:
         yield map
         return
     # Imported here, so that serial runs do not pay for the pool modules at start-up.
@@ -147,39 +147,46 @@ def _workers(jobs: int, most: int):
     from concurrent.futures import ProcessPoolExecutor
 
     ctx = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-    with ProcessPoolExecutor(max_workers=min(jobs, most), mp_context=ctx) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
         yield pool.map
 
 
-def run_tasks(fn, tasks: list, jobs: int = 1) -> list:
-    """``[fn(task) for task in tasks]`` on at most ``jobs`` worker processes,
-    so the task list is the only split of the work. ``fn`` must be
-    picklable (module-level) when jobs > 1."""
-    with _workers(jobs, len(tasks)) as workers:
-        return list(workers(fn, tasks))
-
-
-def _run_ensemble(kernel, sources: list, count: int, jobs: int, *args, shared: list[bool] | None = None,
-                  start: int = 0, workers=None) -> list[np.ndarray]:
-    """Each source's stacked kernel rows for items start..count-1, in item order.
+def run_tasks(kernel, sources: list, count: int, jobs: int, *args, shared: list[bool] | None = None,
+              stop=None) -> list[np.ndarray]:
+    """Each source's stacked kernel rows for items 0..count-1, in item order.
 
     ``kernel((source, i, items, *args))`` returns one row per item of the
-    range ``items`` of source ``i``. A source whose items share a cache
-    (``shared[i]``; none do by default) is one task. Any other source's
-    items share nothing, so it goes out in equal ranges of at most
-    ``SPEC_BLOCK`` items, and sources of uneven cost spread over the
-    workers. Either is cut further where a worker would idle. ``jobs`` is
-    capped at ``USABLE_CPUS`` first. One ``run_tasks`` call, or one call of
-    the ``workers`` map (from ``_workers``), runs every task, and every
-    source's rows are held at once until it returns.
+    range ``items`` of source ``i``, and must be picklable (module-level)
+    when jobs > 1. A source whose items share a cache (``shared[i]``; none
+    do by default) is one task a stage. Any other source's items share
+    nothing, so it goes out in equal ranges of at most ``SPEC_BLOCK``
+    items, and sources of uneven cost spread over the workers. Either is
+    cut further where a worker would idle. Those task lists are the only
+    split of the work; one pool of at most ``jobs`` workers (capped at
+    ``USABLE_CPUS``), sized by the first stage, runs them all.
+
+    Without ``stop`` there is one stage. With it, items go out in
+    ``STAGES`` equal stages (an empty one is skipped), and source i draws
+    no further once ``stop(i, rows)`` holds for its rows so far, which
+    are then its result.
     """
-    shared, jobs, size = shared or [False] * len(sources), min(jobs, USABLE_CPUS), count - start
-    idle = -(-max(1, jobs) // max(1, len(sources)))
-    splits = [min(size, max(idle, 1 if whole else -(-size // SPEC_BLOCK))) for whole in shared]
-    tasks = [(source, i, range(start + size * k // n, start + size * (k + 1) // n), *args)
-             for i, (source, n) in enumerate(zip(sources, splits)) for k in range(n)]
-    blocks = iter(run_tasks(kernel, tasks, jobs) if workers is None else workers(kernel, tasks))
-    return [np.vstack([next(blocks) for _ in range(n)]) for n in splits]
+    shared, jobs, stages = shared or [False] * len(sources), min(jobs, USABLE_CPUS), STAGES if stop else 1
+    bounds = sorted({count * k // stages for k in range(stages + 1)})
+    rows, drawn, live = [None] * len(sources), [0] * len(sources), list(range(len(sources)))
+    with _workers(min(jobs, len(sources) * bounds[1])) as workers:
+        for start, end in zip(bounds, bounds[1:]):
+            size, idle = end - start, -(-jobs // max(1, len(live)))
+            splits = [min(size, max(idle, 1 if shared[i] else -(-size // SPEC_BLOCK))) for i in live]
+            tasks = [(sources[i], i, range(start + size * k // n, start + size * (k + 1) // n), *args)
+                     for i, n in zip(live, splits) for k in range(n)]
+            for (_, i, items, *_), block in zip(tasks, workers(kernel, tasks)):
+                if rows[i] is None:  # the first block gives the row shape; pages are touched as filled
+                    rows[i] = np.empty((count, *block.shape[1:]), block.dtype)
+                rows[i][items.start:items.stop], drawn[i] = block, items.stop
+            live = [i for i in live if stop and not stop(i, rows[i][:end])]
+            if not live:
+                break
+    return [stack[:n] for stack, n in zip(rows, drawn)]
 
 
 def _shares_cache(source: BinaryNetwork | NullModelSpec, strategy: str) -> bool:
@@ -220,7 +227,7 @@ def ensemble_knockout(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     shared = [_shares_cache(source, strategy) for source in sources]
-    stack = np.vstack(_run_ensemble(_trace_curves, sources, trials, jobs, strategy, master_seed, shared=shared))
+    stack = np.vstack(run_tasks(_trace_curves, sources, trials, jobs, strategy, master_seed, shared=shared))
     return CurveSummary(strategy, CURVE_GRID.copy(), stack.mean(axis=0), stack.std(axis=0), stack.shape[0])
 
 
@@ -312,8 +319,8 @@ def ci_compare(
     ``samples``, bounds and ``n_undefined`` cover the prefix its cell drew.
     Undefined (NaN) null samples are excluded per measure; a measure with
     no defined samples is itself undefined. A report's rule and year are
-    those of its ``spec.base``. Each stage is one task list, and all share
-    one worker pool. A cell's samples x 6 matrix of 8-byte values is
+    those of its ``spec.base``. One ``run_tasks`` call makes every stage's
+    task list and pool. A cell's samples x 6 matrix of 8-byte values is
     resident as far as it is drawn: 43 MB at most for 90 cells of 10,000.
     """
     if not cells:
@@ -322,26 +329,16 @@ def ci_compare(
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    matrices = [np.empty((samples, len(MEASURE_NAMES))) for _ in cells]
-    drawn, live = [0] * len(cells), list(range(len(cells)))
-    bounds = [samples * k // STAGES for k in range(STAGES + 1)]
-    with _workers(min(jobs, USABLE_CPUS), len(cells) * bounds[1]) as workers:
-        for start, stop in zip(bounds, bounds[1:]):
-            specs = [cells[i][1] for i in live]
-            for i, block in zip(live, _run_ensemble(_measure_rows, specs, stop, jobs, start=start, workers=workers)):
-                matrices[i][start:stop], drawn[i] = block, stop
-            live = [i for i in live if not all(_settled(value, matrices[i][:stop, m], samples, alpha)
-                                               for m, value in enumerate(cells[i][0].as_array().tolist()))]
-            if not live:
-                break
+    values = [empirical.as_array().tolist() for empirical, _ in cells]
+    matrices = run_tasks(_measure_rows, [spec for _, spec in cells], samples, jobs, stop=lambda i, rows: all(
+        _settled(value, column, samples, alpha) for value, column in zip(values[i], rows.T)))
     reports = []
-    for (empirical, spec), matrix, n in zip(cells, matrices, drawn):
+    for (_, spec), matrix, row in zip(cells, matrices, values):
         entries = []
-        for m, (name, value) in enumerate(zip(MEASURE_NAMES, empirical.as_array().tolist())):
-            column = matrix[:n, m]
+        for name, value, column in zip(MEASURE_NAMES, row, matrix.T):
             lower, upper, position = classify_position(value, column, alpha)
             entries.append(CiEntry(name, lower, upper, value, position, int(np.isnan(column).sum())))
-        reports.append(CiReport(spec.kind, spec.base.rule, spec.base.source_year, alpha, n, tuple(entries)))
+        reports.append(CiReport(spec.kind, spec.base.rule, spec.base.source_year, alpha, len(matrix), tuple(entries)))
     return reports
 
 

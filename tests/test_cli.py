@@ -809,7 +809,7 @@ def test_outputs_match_across_jobs(fixture_data_dir, tmp_path, monkeypatch, args
 
     calls, pools = [], []
     run_tasks, pool = finnet.knockout.run_tasks, concurrent.futures.ProcessPoolExecutor
-    monkeypatch.setattr(finnet.knockout, "run_tasks", lambda *a: calls.append(a) or run_tasks(*a))
+    monkeypatch.setattr(finnet.knockout, "run_tasks", lambda *a, **k: calls.append(a) or run_tasks(*a, **k))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pools.append(a) or pool(*a, **k))
     outputs = []
     for jobs in (1, 2, 3):
@@ -817,11 +817,10 @@ def test_outputs_match_across_jobs(fixture_data_dir, tmp_path, monkeypatch, args
         calls.clear()
         pools.clear()
         assert main(args + inputs(fixture_data_dir) + ["--out", str(out), "--jobs", str(jobs)]) == 0
-        # At most one worker pool per run: knockout runs one task list, and
-        # ci-table's stages share one pool.
+        # One runner call and at most one worker pool per run: knockout runs
+        # one task list, and ci-table's stages share one pool.
         assert len(pools) <= 1
-        if args[0] == "knockout":
-            assert len(calls) == 1
+        assert len(calls) == 1
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 

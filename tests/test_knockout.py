@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import hypothesis
@@ -13,17 +14,18 @@ from finnet.knockout import (
     CURVE_GRID,
     DEFAULT_ALPHA,
     MIN_SAMPLES,
+    STAGES,
     STRATEGIES,
     CiEntry,
     CiReport,
     _interp_curve,
-    _run_ensemble,
     _settled,
     ci_compare,
     ci_table,
     classify_position,
     ensemble_knockout,
     run_knockout,
+    run_tasks,
 )
 from finnet.metrics import MEASURE_NAMES, measure_vector
 from finnet.netbuild import ThresholdRule
@@ -508,7 +510,7 @@ def test_run_ensemble_matches_serial_per_item_loop(n_sources, count, monkeypatch
                 for i, source in enumerate(sources)]
     monkeypatch.setattr(knockout, "SPEC_BLOCK", 2)
     for jobs in (1, 2, 3):
-        rows = _run_ensemble(_item_rows, sources, count, jobs, 0.5)
+        rows = run_tasks(_item_rows, sources, count, jobs, 0.5)
         assert len(rows) == n_sources
         for got, want in zip(rows, expected):
             assert got.tobytes() == want.tobytes()
@@ -517,29 +519,82 @@ def test_run_ensemble_matches_serial_per_item_loop(n_sources, count, monkeypatch
 def test_run_ensemble_cuts_only_unshared_sources_into_blocks(monkeypatch):
     """A source whose items share a cache stays one task; any other
     source's items go out in equal ranges of at most SPEC_BLOCK items."""
-    calls = []
-    monkeypatch.setattr(knockout, "run_tasks", lambda fn, tasks, jobs: calls.append(tasks) or list(map(fn, tasks)))
+    tasks = []
     monkeypatch.setattr(knockout, "SPEC_BLOCK", 4)
     net = complete_net(3)
-    _run_ensemble(_item_rows, [net, NullModelSpec("er", 1, net), net], 9, 1, 0.5, shared=[True, False, False])
-    (tasks,) = calls
+    sources = [net, NullModelSpec("er", 1, net), net]
+    run_tasks(lambda task: tasks.append(task) or _item_rows(task), sources, 9, 1, 0.5, shared=[True, False, False])
     assert [(i, items) for _, i, items, _ in tasks] == [
         (0, range(9)), (1, range(3)), (1, range(3, 6)), (1, range(6, 9)), (2, range(3)), (2, range(3, 6)), (2, range(6, 9))]
+
+
+def _task_rows(task):
+    """``_item_rows``, each row followed by the first and end item of the task that drew it."""
+    items = task[2]
+    return np.hstack([_item_rows(task), np.tile([items.start, items.stop], (len(items), 1))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shared=st.lists(st.booleans(), min_size=1, max_size=4), count=st.integers(1, 40),
+       jobs=st.sampled_from([1, 2, 3]), staged=st.booleans())
+def test_run_tasks_rows_are_serial_prefixes_cut_into_balanced_tasks(data, shared, count, jobs, staged):
+    """Source i's rows are a serial per-item loop's, cut off after the
+    drawn stage at which ``stop`` first holds (count * k_i // STAGES rows
+    for stage k_i), or all ``count`` rows. Each stage cuts every live
+    source into equal ranges: one a stage for a shared source, at most
+    SPEC_BLOCK items for any other, more where a worker would idle. One
+    pool runs every stage, and without ``stop`` there is one stage."""
+    net = complete_net(3)
+    sources = [NullModelSpec("er", i, net) if i % 2 else net for i in range(len(shared))]
+    bounds = sorted({count * k // STAGES for k in range(STAGES + 1)}) if staged else [0, count]
+    ends = [data.draw(st.sampled_from([None, *bounds[1:]])) if staged else None for _ in sources]
+    drawn = [b for b in bounds if b <= max(end or count for end in ends)]
+    seen, pools, stages = [], [], []
+    real = knockout._workers
+
+    @contextmanager
+    def spy(workers):
+        pools.append(workers)
+        with real(workers) as run:
+            yield lambda kernel, tasks: stages.append(len(tasks)) or run(kernel, tasks)
+
+    def stop(i, rows):
+        seen.append((i, rows[:, :4].copy()))
+        return len(rows) >= (ends[i] or count + 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knockout, "SPEC_BLOCK", 3)
+        mp.setattr(knockout, "_workers", spy)
+        rows = run_tasks(_task_rows, sources, count, jobs, 0.5, shared=shared, stop=stop if staged else None)
+    serial = [np.vstack([_item_rows((source, i, range(j, j + 1), 0.5)) for j in range(count)])
+              for i, source in enumerate(sources)]
+    for i, got in enumerate(rows):
+        assert got[:, :4].tobytes() == serial[i][:ends[i] or count].tobytes()
+    for i, prefix in seen:
+        assert len(prefix) in bounds and prefix.tobytes() == serial[i][:len(prefix)].tobytes()
+    assert pools == [min(jobs, len(sources) * drawn[1])] and len(stages) == len(drawn) - 1
+    for start, end, tasks in zip(drawn, drawn[1:], stages):
+        live = [i for i in range(len(sources)) if (ends[i] or count) >= end]
+        idle, size = -(-jobs // len(live)), end - start
+        splits = [min(size, max(idle, 1 if shared[i] else -(-size // 3))) for i in live]
+        assert tasks == sum(splits)
+        for i, n in zip(live, splits):
+            lengths = np.diff(np.unique(rows[i][start:end, 4:], axis=0)).ravel()
+            assert lengths.size == n and lengths.max() - lengths.min() <= 1
 
 
 @pytest.mark.parametrize("strategy, ranges", [("error", [range(500), range(500, 1000)]), ("attack", [range(1000)])])
 def test_ensemble_knockout_splits_error_networks_like_specs(strategy, ranges, monkeypatch):
     """A network's attack trials share a cache, so the network is one task;
     its error trials share nothing and go out in SPEC_BLOCK ranges."""
-    calls = []
+    tasks = []
 
-    def record(fn, tasks, jobs):
-        calls.append(tasks)
-        return [np.zeros((len(items), CURVE_GRID.size)) for _, _, items, *_ in tasks]
+    def record(task):
+        tasks.append(task)
+        return np.zeros((len(task[2]), CURVE_GRID.size))
 
-    monkeypatch.setattr(knockout, "run_tasks", record)
+    monkeypatch.setattr(knockout, "_trace_curves", record)
     ensemble_knockout([complete_net(4)], strategy, 1000, master_seed=3)
-    (tasks,) = calls
     assert [items for _, _, items, *_ in tasks] == ranges
 
 
