@@ -11,11 +11,11 @@ a list comma-separated, and `_emit_json` writes the record as the
 document's `meta` object, a list as an array. The record does not yet
 echo ci-table's --t, nor --swap-factor and --correction, although they
 change the rows. Each subcommand is declared by one `_command` call, and
-every flag type is built by `_checked`. The commands that draw null
-networks make every log-normal fit through `_fits` before any seed or
-draw: the first seed imports numpy.random, which stays resident, and a
-fit's least-squares solve made on top of it set the process's peak
-memory. Exit codes: 0 success, 1 data error, 2 usage error.
+every flag type is built by `_checked`. Every per-year log-normal fit
+is made through `_fits`, before any seed or draw: the first seed imports
+numpy.random, which stays resident, and a fit's least-squares solve made
+on top of it set the process's peak memory. Exit codes: 0 success, 1
+data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -208,10 +208,8 @@ def cmd_export(args: argparse.Namespace, slice_: AssetSlice) -> None:
 
 
 def cmd_fit_lognormal(args: argparse.Namespace, *slices: AssetSlice) -> None:
-    if args.pooled:
-        fits = [fit_lognormal_pooled(slices, correction_factor=args.correction)]
-    else:
-        fits = [fit_lognormal(s, correction_factor=args.correction) for s in slices]
+    fits = ([fit_lognormal_pooled(slices, args.correction)] if args.pooled
+            else _fits(slices, ["log-normal"], args.correction))
     meta = _meta(args, {"pooled": args.pooled})
     _emit_json(args.out, meta, {"fits": [fit.to_json_dict() for fit in fits]})
 
@@ -263,9 +261,8 @@ def cmd_ci_table(args: argparse.Namespace, *slices: AssetSlice) -> None:
                 cells.append((empirical, spec))
     reports = ci_compare(cells, args.samples, args.alpha, jobs=args.jobs)
     extra = {"rules": args.rules, "models": args.models, "samples": args.samples, "alpha": args.alpha}
-    columns = ["measure", "model", "rule", "score", "below", "within", "above", "undefined", "years"]
-    rows = [[r[c] for c in columns] for r in ci_table(reports)]
-    _emit_table(args.out, _meta(args, extra), columns, rows, args.format)
+    table = ci_table(reports)
+    _emit_table(args.out, _meta(args, extra), list(table[0]), [list(row.values()) for row in table], args.format)
 
 
 def cmd_lgd(args: argparse.Namespace, slice_: AssetSlice) -> None:
@@ -290,9 +287,8 @@ def _combo_cell(argmax: tuple[tuple[str, ...], ...], cap: int = 20) -> str:
 
 
 def cmd_lgd_sweep(args: argparse.Namespace, *slices: AssetSlice) -> None:
-    summaries = []
-    for slice_ in slices:
-        summaries.extend(sweep_grid(slice_, args.d1_grid, args.d2_grid, args.k_max, args.haircut))
+    grid = (args.d1_grid, args.d2_grid, args.k_max, args.haircut)
+    summaries = [summary for slice_ in slices for summary in sweep_grid(slice_, *grid)]
     ordered = severity_sorted(summaries)
     extra = {"d1_grid": args.d1_grid, "d2_grid": args.d2_grid, "k_max": args.k_max, "haircut": args.haircut}
     rows = [
@@ -303,13 +299,17 @@ def cmd_lgd_sweep(args: argparse.Namespace, *slices: AssetSlice) -> None:
     _emit_table(args.out, _meta(args, extra), columns, rows)
     if args.ranking_out:
         ranking = influence_ranking(summaries, args.top_n)
-        rank_rows = [
-            [k, "+".join(combo), count]
-            for k, pairs in ranking.items()
-            for combo, count in pairs
-        ]
+        rank_rows = [[k, "+".join(combo), count] for k, pairs in ranking.items() for combo, count in pairs]
         meta = {**_meta(args, {**extra, "top_n": args.top_n}), "command": "lgd-sweep/ranking"}
         _emit_table(args.ranking_out, meta, ["k", "combo", "count"], rank_rows)
+
+
+def _sweep_check(args: argparse.Namespace) -> None:
+    """Refuse a grid that ``sweep_grid`` refuses, and a --ranking-out that would overwrite the --out file."""
+    sweep_specs(args.d1_grid, args.d2_grid, args.haircut)
+    paths = (args.out, args.ranking_out)
+    if args.ranking_out is not None and "-" not in paths and len(set(map(os.path.realpath, paths))) == 1:
+        raise ValueError(f"--ranking-out {args.ranking_out} names the --out file")
 
 
 def _pigs_axes(args: argparse.Namespace) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--haircut", type=HAIRCUT, default=1.0, help=HAIRCUT_HELP)
 
     p = _command(sub, "lgd-sweep", cmd_lgd_sweep, "impact summaries over a threshold grid", years=True,
-                 check=lambda a: sweep_specs(a.d1_grid, a.d2_grid, a.haircut))
+                 check=_sweep_check)
     p.add_argument("--d1-grid", type=D1_GRID, default=",".join(map(str, COARSE_THRESHOLDS)),
                    help="comma list of portfolio-fraction thresholds (default %(default)s)")
     p.add_argument("--d2-grid", type=D2_GRID, default=",".join(map(str, COARSE_THRESHOLDS)),
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=3, choices=(1, 2, 3),
                    help="largest initial default set: %(choices)s (default %(default)s)")
     p.add_argument("--haircut", type=HAIRCUT, default=1.0, help=HAIRCUT_HELP)
-    p.add_argument("--ranking-out", help="optional CSV of influence rankings")
+    p.add_argument("--ranking-out", help="optional CSV of influence rankings, not the --out file")
     p.add_argument("--top-n", type=POSITIVE, default=10,
                    help="combinations per set size in the influence ranking (default %(default)s)")
 

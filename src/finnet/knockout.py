@@ -345,9 +345,9 @@ def ci_compare(
 def ci_table(reports: list[CiReport]) -> list[dict]:
     """Aggregate yearly reports into per-(measure, model, rule) scores.
 
-    The score is (years above - years below) / years on the -1..1
-    convention; undefined years are counted separately and contribute
-    nothing to the numerator.
+    Each row's keys, in order, are the table's columns. The score is
+    (years above - years below) / years on the -1..1 convention; undefined
+    years are counted separately and contribute nothing to the numerator.
     """
     groups: dict[tuple[str, str], list[CiReport]] = {}
     for report in reports:

@@ -124,7 +124,7 @@ def weight_class(exposure: float, row_average: float) -> int:
 
 def weighted_edges(net: BinaryNetwork, slice_: AssetSlice) -> list[tuple[str, str, int]]:
     """The network's edges as (holder, issuer, weight class) rows, sorted
-    lexicographically by (holder, issuer) code.
+    by (holder, issuer) code.
 
     Each edge's class is its exposure relative to the holder's average
     per-counterparty exposure sum_k s_ik / (n - 1), the same average as
@@ -133,8 +133,6 @@ def weighted_edges(net: BinaryNetwork, slice_: AssetSlice) -> list[tuple[str, st
     if net.countries != slice_.countries:
         raise ValueError("network and slice country lists differ")
     row_avg = slice_.assets.sum(axis=1) / (slice_.n - 1)
-    index = {code: i for i, code in enumerate(net.countries)}
-    return [
-        (holder, issuer, weight_class(slice_.assets[index[holder], index[issuer]], row_avg[index[holder]]))
-        for holder, issuer in net.edges()
-    ]
+    codes = net.countries
+    return sorted((codes[i], codes[j], weight_class(slice_.assets[i, j], row_avg[i]))
+                  for i, j in zip(*np.nonzero(net.adj)))

@@ -167,7 +167,12 @@ def fit_lognormal_pooled(slices: list[AssetSlice], correction_factor: float = DE
     return _fit(slices, tuple(sorted({c for s in slices for c in s.countries})), correction_factor)
 
 
-def _censor_and_round(s: np.ndarray, censor_floor: float | None, rounding: bool) -> np.ndarray:
+def draw_lognormal(mu: np.ndarray, sigma: float, shape: tuple[int, ...], rng: np.random.Generator,
+                   censor_floor: float | None, rounding: bool) -> np.ndarray:
+    """Positions expm1(mu + eps), eps ~ N(0, sigma) at ``shape``, zeroed
+    below ``censor_floor`` (unless None) and rounded if ``rounding``: the
+    generator that both the null model and the sigma correction draw from."""
+    s = np.expm1(mu + rng.normal(0.0, sigma, size=shape))
     if censor_floor is not None:
         s = np.where(s < censor_floor, 0.0, s)
     if rounding:
@@ -175,13 +180,9 @@ def _censor_and_round(s: np.ndarray, censor_floor: float | None, rounding: bool)
     return s
 
 
-def sample_lognormal_matrix(
-    fit: LogNormalFit,
-    rng: np.random.Generator,
-    censor_floor: float | None = CENSOR_FLOOR_MUSD,
-    rounding: bool = True,
-) -> np.ndarray:
-    """Raw asset matrix draw: exp(alpha_i + beta_j + eps) - 1, zero diagonal.
+def sample_lognormal_matrix(fit: LogNormalFit, rng: np.random.Generator,
+                            censor_floor: float | None = CENSOR_FLOOR_MUSD, rounding: bool = True) -> np.ndarray:
+    """One draw of ``fit``'s asset matrix, with a zero diagonal.
 
     ``censor_floor=None`` disables the floor entirely (diagnostics; raw
     draws below exp(mu) = 1 can then be negative and the matrix cannot be
@@ -189,9 +190,7 @@ def sample_lognormal_matrix(
     """
     n = len(fit.countries)
     mu = fit.alpha[:, None] + fit.beta[None, :]
-    eps = rng.normal(0.0, fit.sigma_corrected, size=(n, n))
-    s = np.expm1(mu + eps)
-    s = _censor_and_round(s, censor_floor, rounding)
+    s = draw_lognormal(mu, fit.sigma_corrected, (n, n), rng, censor_floor, rounding)
     np.fill_diagonal(s, 0.0)
     return s
 
@@ -207,16 +206,15 @@ def estimate_sigma_correction(
 ) -> float:
     """Monte-Carlo estimate of the sigma bias factor due to censoring.
 
-    Generates ``trials`` synthetic slices from (alpha, beta, sigma),
-    censors and rounds them like reported data, refits, and returns the
-    mean of sigma / sigma_refit. The refit sigma uses the
-    degrees-of-freedom divisor N - k so an uncensored refit recovers the
-    generating sigma in expectation and the returned factor isolates the
-    censoring/rounding bias; it is finite only with 2 or more degrees of
-    freedom, so n >= 4. All trials are one ``(trials, n(n-1))`` normal
-    draw (the stream of one draw per trial) and one least-squares solve,
-    a column per trial; the matrix is held at once, about 5.7 MB at
-    n = 60 and 200 trials.
+    Draws ``trials`` synthetic slices from (alpha, beta, sigma) through
+    :func:`draw_lognormal`, refits, and returns the mean of
+    sigma / sigma_refit. The refit sigma uses the degrees-of-freedom
+    divisor N - k so an uncensored refit recovers the generating sigma in
+    expectation and the returned factor isolates the censoring/rounding
+    bias; it is finite only with 2 or more degrees of freedom, so n >= 4.
+    All trials are one ``(trials, n(n-1))`` normal draw (the stream of one
+    draw per trial) and one least-squares solve, a column per trial; the
+    matrix is held at once, about 5.7 MB at n = 60 and 200 trials.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -232,7 +230,7 @@ def estimate_sigma_correction(
     rows, cols = _offdiag_pairs(n)
     num_obs = rows.size
     mu = (alpha[:, None] + beta[None, :])[rows, cols]
-    s = _censor_and_round(np.expm1(mu + rng.normal(0.0, sigma, size=(trials, num_obs))), censor_floor, rounding)
+    s = draw_lognormal(mu, sigma, (trials, num_obs), rng, censor_floor, rounding)
     _, residuals = _least_squares(_design_matrix(n, rows, cols), np.log1p(s).T)
     rss = (residuals**2).sum(axis=0)
     if not np.all(rss > 0):
@@ -279,8 +277,9 @@ class NullModelSpec:
     an array read-only like ``swap_tables``. Log-normal re-thresholds by
     ``rule`` a slice of :func:`sample_lognormal_matrix` (censored,
     rounded, never negative) with the GDP of ``fit``, a per-year fit, and
-    coverage 1.0. The (seed, index) pair fully determines the draw, so
-    ensembles are reproducible under any scheduling.
+    coverage 1.0; ``rule`` must carry ``base``'s rule label, and ``fit``
+    its countries and year. The (seed, index) pair fully determines the
+    draw, so ensembles are reproducible under any scheduling.
 
     Rewiring is degree-preserving randomization by pairwise edge swaps:
     ``swap_factor * m`` attempted swaps over the m edges of ``base``
@@ -293,17 +292,15 @@ class NullModelSpec:
     changes it: a read-only object array of the Python ints 0..m-1 (edge
     ids), each edge's source and target as tuples of ints, and the
     occupancy as a tuple of n row tuples of bools with the diagonal set.
-    A draw copies the rows and the targets into lists and, since a swap
-    never moves a source, takes each edge's source row once. For edges
-    a->b and c->d an attempt tests d in a's row and b in c's row, with no
-    index arithmetic. A self-loop hits the diagonal; two edges of one
-    source, or one edge twice, share a row in which d is live, so the
-    first test rejects them. The attempts' ids are gathered from the
-    object array, so the loop reads ints that already exist instead of
-    boxing a new one for every value past CPython's small-int cache
-    (256). The picks are freed once gathered, so a draw peaks at 32 bytes
-    per attempt (``tracemalloc``), about 114 MB at MAX_SWAP_FACTOR on a
-    complete 60-node graph.
+    For edges a->b and c->d an attempt tests d in a's row and b in c's
+    row. A self-loop hits the diagonal; two edges of one source, or one
+    edge twice, share a row in which d is live, so the first test rejects
+    them. The attempts' ids are gathered from the object array, so the
+    loop reads ints that already exist instead of boxing a new one for
+    every value past CPython's small-int cache (256). The picks are freed
+    once gathered, so a draw peaks at 32 bytes per attempt
+    (``tracemalloc``), about 114 MB at MAX_SWAP_FACTOR on a complete
+    60-node graph.
 
     ``seed`` is an integer >= 0 and ``swap_factor`` one in
     1..MAX_SWAP_FACTOR; bools are refused and numpy integers are stored
@@ -335,6 +332,9 @@ class NullModelSpec:
             raise ValueError("log-normal model needs a fit and a thresholding rule")
         if self.kind == "log-normal" and self.fit.gdp is None:
             raise ValueError("fit has no gdp vector (pooled fit); refit on a single slice")
+        if self.kind == "log-normal" and (self.rule.label, self.fit.countries, self.fit.year) != (
+                self.base.rule, self.base.countries, self.base.source_year):
+            raise ValueError("rule and fit do not describe base: its rule label, countries and year must match")
         for name in ("seed", "swap_factor"):
             value = getattr(self, name)
             try:

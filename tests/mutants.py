@@ -7,11 +7,12 @@ Run from anywhere, with numpy, pytest and hypothesis installed:
 
 Each row of ``MUTANTS`` names a src file, an exact old text, the new text
 that breaks it, and the narrowest test selection that should catch the
-fault (node ids under ``tests/``). For each row the script copies ``src``, ``tests``, ``perfbench``
-and ``pyproject.toml`` to a temporary directory, replaces the old text,
-which must occur exactly once, and runs pytest on the selection there
-under a fixed Hypothesis seed. A row is caught when pytest reports a
-failed test. The script exits 1 if any row is not caught: a survivor
+fault (node ids under ``tests/``). For each row the script copies
+``src``, ``tests``, ``perfbench``, ``pyproject.toml`` and ``README.md``
+(which ``test_readme.py`` reads) to a temporary directory, replaces the
+old text, which must occur exactly once, and runs pytest on the selection
+there under a fixed Hypothesis seed. A row is caught when pytest reports
+a failed test. The script exits 1 if any row is not caught: a survivor
 means a test is missing, and an old text that is gone or repeated means
 the table must follow a refactor. It first runs the chosen rows'
 selections on an unchanged copy, and they must pass there. The file
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 300
 
 
@@ -112,6 +113,53 @@ MUTANTS = (
     Mutant("runner-ignores-shared", "src/finnet/knockout.py",
            "max(idle, 1 if shared[i] else -(-size // SPEC_BLOCK))", "max(idle, -(-size // SPEC_BLOCK))",
            ("test_knockout.py::test_run_tasks_rows_are_serial_prefixes_cut_into_balanced_tasks",)),
+    # The log-normal generator that the null model and the sigma correction share.
+    Mutant("censor-floor-inclusive", "src/finnet/nullmodels.py",
+           "s = np.where(s < censor_floor, 0.0, s)", "s = np.where(s <= censor_floor, 0.0, s)",
+           ("test_nullmodels.py::test_censor_floor_keeps_a_draw_equal_to_it",)),
+    Mutant("draw-skips-rounding", "src/finnet/nullmodels.py",
+           "    if rounding:\n        s = np.rint(s)\n", "",
+           ("test_nullmodels.py::test_sample_lognormal_nonnegative",
+            "test_nullmodels.py::test_sigma_correction_matches_per_trial_refits")),
+    # Checks that refuse a spec or a flag pair when it is made.
+    Mutant("lognormal-spec-accepts-another-rule", "src/finnet/nullmodels.py",
+           'if self.kind == "log-normal" and (self.rule.label', "if False and (self.rule.label",
+           ("test_nullmodels.py::test_null_spec_refuses_a_rule_or_fit_that_does_not_describe_base",)),
+    Mutant("ranking-out-may-name-the-out-file", "src/finnet/cli.py",
+           'raise ValueError(f"--ranking-out {args.ranking_out} names the --out file")', "pass",
+           ("test_cli.py::test_ranking_out_naming_the_out_file_exits_2",)),
+    Mutant("block-field-count-unchecked", "src/finnet/ingest.py",
+           'raise ValueError("a row has the wrong field count")', "pass",
+           ("test_ingest.py::test_rows_whose_field_counts_cancel_are_rejected",)),
+    # Fast paths and the referees that pin them.
+    Mutant("cascade-skips-tie-pass", "src/finnet/lgd.py",
+           "exact = assets.sum() < 2.0**53 and np.array_equal(assets, np.rint(assets))", "exact = True",
+           ("test_lgd.py::test_cascade_decides_float_ties_on_the_correctly_rounded_sum",)),
+    Mutant("enumerate-seeds-from-spec-0", "src/finnet/lgd.py",
+           "subset_finals[subset[combo] * s + which]", "subset_finals[subset[combo] * s]",
+           ("test_lgd.py::test_enumerate_impacts_of_many_specs_matches_oracle_per_spec",)),
+    Mutant("rule-a-inclusive", "src/finnet/netbuild.py",
+           "adj = slice_.assets > row_mean[:, None]", "adj = slice_.assets >= row_mean[:, None]",
+           ("test_netbuild.py::test_rule_a_tie_produces_no_edge",
+            "test_netbuild.py::test_threshold_rule_matches_the_cell_loop_oracle")),
+    Mutant("edges-in-index-order", "src/finnet/netbuild.py",
+           "return sorted((self.countries[i], self.countries[j]) for i, j in zip(rows, cols))",
+           "return [(self.countries[i], self.countries[j]) for i, j in zip(rows, cols)]",
+           ("test_netbuild.py::test_export_rows_sorted_by_holder_and_issuer",)),
+    Mutant("out-degree-prob-as-row", "src/finnet/nullmodels.py",
+           "(self.base.out_degrees() / (n - 1))[:, None]", "(self.base.out_degrees() / (n - 1))[None, :]",
+           ("test_nullmodels.py::test_outdegree_degenerate_and_moments",
+            "test_nullmodels.py::test_null_spec_sample_is_the_family_sampler_on_child_rng")),
+    Mutant("sigma-refit-over-num-obs", "src/finnet/nullmodels.py",
+           "np.sqrt(rss / (num_obs - (2 * n - 1)))", "np.sqrt(rss / num_obs)",
+           ("test_nullmodels.py::test_sigma_correction_no_censoring_is_unity",
+            "test_nullmodels.py::test_sigma_correction_matches_per_trial_refits")),
+    Mutant("issuer-pin-on-country-1", "src/finnet/nullmodels.py",
+           "beta=np.insert(theta[n:], 0, 0.0)", "beta=np.insert(theta[n:], 1, 0.0)",
+           ("test_nullmodels.py::test_fit_lognormal_keeps_unsorted_slice_order",)),
+    Mutant("clustering-reciprocity-halved", "src/finnet/metrics.py",
+           "(d_total - 1.0) - 2.0 * w2.diagonal()", "(d_total - 1.0) - w2.diagonal()",
+           ("test_metrics.py::test_clustering_hand_values", "test_metrics.py::test_clustering_against_oracle")),
 )
 
 

@@ -482,6 +482,22 @@ def test_ranking_head_is_the_sweep_head_with_its_command_and_top_n(fixture_data_
     assert heads[0] != heads[1]
 
 
+def test_ranking_out_naming_the_out_file_exits_2(fixture_data_dir, tmp_path, monkeypatch, capsys):
+    """Written second, the ranking would replace the sweep table in the one
+    file; the check follows symlinks, while two '-' stay stdout."""
+    monkeypatch.chdir(tmp_path)
+    os.symlink("x.csv", "link.csv")
+    argv = ["lgd-sweep", "--years", "2007", "--k-max", "1", "--d2-grid", "0.1", "--out", "x.csv"]
+    for ranking in ("x.csv", "./x.csv", str(tmp_path / "x.csv"), "link.csv"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--ranking-out", ranking] + inputs(fixture_data_dir))
+        assert exc.value.code == 2
+        assert f"--ranking-out {ranking} names the --out file" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+    assert main(argv + ["--ranking-out", "ranking.csv"] + inputs(fixture_data_dir)) == 0
+    assert (tmp_path / "x.csv").read_text().count("# command=lgd-sweep\n") == 1
+
+
 def test_jobs_above_the_usable_cpus_start_only_that_many_workers(fixture_data_dir, tmp_path, monkeypatch):
     """--jobs 1000 on a process that may use 3 CPUs opens one pool of 3
     workers and cuts the lone cell into 3 tasks; the output is unchanged."""

@@ -196,6 +196,8 @@ def test_export_rows_sorted_by_holder_and_issuer():
     net = ThresholdRule("A").apply(slice_)
     # each row average is 5; every 9 is 1.8x, below the first bound 2 -> class 1
     assert weighted_edges(net, slice_) == [("AA", "CC", 1), ("BB", "AA", 1), ("CC", "BB", 1)]
+    # row-major order would put CC's edge first
+    assert net.edges() == [("AA", "CC"), ("BB", "AA"), ("CC", "BB")]
 
 
 def test_export_mismatched_countries():

@@ -14,6 +14,7 @@ from finnet.nullmodels import (
     DEFAULT_SWAP_FACTOR,
     MAX_SWAP_FACTOR,
     NullModelSpec,
+    draw_lognormal,
     estimate_sigma_correction,
     fit_lognormal,
     fit_lognormal_pooled,
@@ -436,6 +437,44 @@ def test_null_spec_rejects_a_pooled_fit_when_built():
     for fit in (fit_lognormal_pooled(slices), replace(per_year, gdp=None)):
         with pytest.raises(ValueError, match="pooled fit"):
             NullModelSpec("log-normal", 3, net, fit=fit, rule=rule)
+
+
+def test_null_spec_refuses_a_rule_or_fit_that_does_not_describe_base():
+    """A log-normal spec's draws carry its rule's label while ci_compare
+    reports the base's rule, so a rule B spec over a rule A base would label
+    rule-B draws rule A; likewise a fit of other countries or another year."""
+    rng = np.random.default_rng(18)
+    alpha, beta = high_mu_params(6, rng)
+    slice_ = synthetic_slice(alpha, beta, 1.0, rng)
+    fit, rule = fit_lognormal(slice_), ThresholdRule("A")
+    net = rule.apply(slice_)
+    NullModelSpec("log-normal", 3, net, fit=fit, rule=rule).sample(0)
+    from dataclasses import replace
+
+    relabelled = AssetSlice(slice_.year, tuple(reversed(slice_.countries)), slice_.assets, slice_.gdp, 1.0)
+    for other_rule, other_fit in [(ThresholdRule("B"), fit), (rule, fit_lognormal(relabelled)),
+                                  (rule, replace(fit, year=2008))]:
+        with pytest.raises(ValueError, match="do not describe base"):
+            NullModelSpec("log-normal", 3, net, fit=other_fit, rule=other_rule)
+
+
+def test_censor_floor_keeps_a_draw_equal_to_it():
+    """The floor zeroes the draws strictly below it. With sigma 0 every draw
+    is exactly expm1(mu), so a floor set to one of them must keep that one."""
+    from dataclasses import replace
+
+    rng = np.random.default_rng(11)
+    fit = replace(fit_lognormal(synthetic_slice(rng.normal(2.0, 1.0, 5), rng.normal(0.0, 1.0, 5), 0.5, rng)),
+                  sigma_corrected=0.0)
+    mu = fit.alpha[:, None] + fit.beta[None, :]
+    raw = np.expm1(mu)
+    floor = np.sort(raw[~np.eye(5, dtype=bool)])[10]
+    want = np.where(raw < floor, 0.0, raw)
+    assert 0 < (want == 0).sum() < 25 and floor in want
+    assert np.array_equal(draw_lognormal(mu, 0.0, (2, 5, 5), rng, floor, False), [want, want])
+    np.fill_diagonal(want, 0.0)
+    got = sample_lognormal_matrix(fit, np.random.default_rng(0), censor_floor=floor, rounding=False)
+    assert np.array_equal(got, want)
 
 
 def test_fit_pooled_single_slice_equals_per_year_fit():
